@@ -4,7 +4,9 @@ Three bound families are provided, plus artifacts relating them:
 
 * a closed-form bound ``log2(lambda0^B * D)`` from the largest receiver
   eigenvalue and the spectator rank (:func:`converse_simple`);
-* a grid search over uniform-resource spectra majorization conditions
+* an exact search over the capped grid of uniform-resource ranks ``(K, L)``
+  for the cheapest pair passing a spectra majorization test, done as one
+  staircase sweep because the pass set is monotone in both ranks
   (:func:`converse_search`);
 * the conditional max-entropy, computed by a bespoke certified
   interior-point solver (:func:`h_max_conditional`).
@@ -109,13 +111,15 @@ def uniform_resource_majorization(
 
 @dataclasses.dataclass(frozen=True)
 class SearchReport:
-    """Grid minima of ``log2 K - log2 L`` passing the spectra test.
+    """Exact minima of ``log2 K - log2 L`` over the capped grid passing the spectra test.
 
-    ``catalytic_bits`` minimizes over the full ``(K, L)`` grid,
+    ``catalytic_bits`` minimizes over all ``K <= K_max``, ``L <= L_max``,
     ``noncatalytic_bits`` over the ``L = 1`` column; ``analytic_bits`` is the
     cap-independent lower bound ``log2(lambda0^B / lambda0^{AB})`` implied by
-    the top-eigenvalue prefix of the same test.  Grid minima are ``inf`` with
-    ``None`` witnesses if no grid point passes within the caps.
+    the top-eigenvalue prefix of the same test.  The minima are found by the
+    staircase sweep of :func:`converse_search` and equal those of testing
+    every pair.  They are ``inf`` with ``None`` witnesses if no pair passes
+    within the caps; ties keep the smallest ``K``.
     """
 
     catalytic_bits: float
@@ -129,36 +133,43 @@ class SearchReport:
 
 
 def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> SearchReport:
-    """Search the integer resource grid for the smallest certified cost bound.
+    """Smallest certified cost bound over the integer resource grid, exactly.
 
-    For every ``K <= K_max`` and ``L <= L_max`` the spectra majorization test
-    is evaluated on the state as given; the report records the minimum of
-    ``log2 K - log2 L`` over passing pairs (noncatalytic: ``L = 1``), the
-    witnessing pair, and the analytic top-eigenvalue bound, which is a true
-    infimum bound independent of the caps.
+    The spectra majorization test is evaluated on the state as given.  Its pass
+    set is a staircase: the uniform vector ``1_K/K`` is majorized by
+    ``1_{K-1}/(K-1)``, and majorization survives a tensor product with a fixed
+    vector, so a passing ``(K, L)`` makes every ``(K' >= K, L' <= L)`` pass.
+    One sweep over ``K`` therefore raises a pointer to the largest passing
+    ``L``, which never moves back, with at most ``K_max + L_max`` tests.  The
+    report records the minimum of ``log2 K - log2 L`` over passing pairs
+    (noncatalytic: ``L = 1``), the witnessing pair, and the analytic
+    top-eigenvalue bound, which is a true infimum bound independent of the caps.
     """
     if K_max < 1 or L_max < 1:
         raise ValidationError("search caps K_max and L_max must be >= 1")
     eig_b = _spectrum(state.marginal("B"))
     eig_ab = _spectrum(state.marginal("AB"))
+    tol = tolerance()
 
     best_bits = math.inf
     best_pair: tuple[int | None, int | None] = (None, None)
     non_bits = math.inf
     non_k: int | None = None
+    L = 0
     for K in range(1, K_max + 1):
         x = np.repeat(eig_b / K, K)
+        while L < L_max and majorization_check(x, np.repeat(eig_ab / (L + 1), L + 1), tol):
+            L += 1
+        if L == 0:
+            continue
         log_k = math.log2(K)
-        if non_k is None and majorization_check(x, eig_ab):
+        if non_k is None:
             non_bits = log_k
             non_k = K
-        for L in range(1, L_max + 1):
-            bits = log_k - math.log2(L)
-            if bits >= best_bits - 1e-12:
-                continue
-            if majorization_check(x, np.repeat(eig_ab / L, L)):
-                best_bits = bits
-                best_pair = (K, L)
+        bits = log_k - math.log2(L)
+        if bits < best_bits - 1e-12:
+            best_bits = bits
+            best_pair = (K, L)
 
     lam0_ab = float(eig_ab[0])
     analytic = math.log2(float(eig_b[0]) / lam0_ab) if lam0_ab > 0 else math.inf

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -131,6 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-corpus", parents=[common], help="golden states + seeded property checks")
     p.add_argument("--seed", type=int, default=7, help="seed for the random-state checks")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` uses, built on first use; parsing leaves it unchanged."""
+    return build_parser()
 
 
 # --------------------------------------------------------------------------
@@ -370,9 +377,8 @@ _DISPATCH = {
 def run(argv=None) -> tuple[int, dict]:
     """Parse ``argv``, execute the subcommand, and return (exit code, report)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         return EXIT_USAGE, {
             "command": None,

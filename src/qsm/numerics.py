@@ -240,8 +240,8 @@ def majorization_check(x: np.ndarray, y: np.ndarray, tol: float | None = None) -
     x = np.sort(np.asarray(x, dtype=float))[::-1]
     y = np.sort(np.asarray(y, dtype=float))[::-1]
     n = max(x.size, y.size)
-    x = np.pad(x, (0, n - x.size))
-    y = np.pad(y, (0, n - y.size))
+    x = np.concatenate((x, np.zeros(n - x.size)))  # not np.pad: its call overhead dominated
+    y = np.concatenate((y, np.zeros(n - y.size)))
     cx = np.cumsum(x)
     cy = np.cumsum(y)
     if abs(cx[-1] - cy[-1]) > max(tol, 1e-9 * max(1.0, abs(cy[-1]))):

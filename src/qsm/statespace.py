@@ -68,7 +68,7 @@ class TripartiteState:
         if amps.shape != shape:
             raise ValidationError(f"amplitude tensor shape {amps.shape} does not match registers {shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
             raise ValidationError(f"state norm {norm} deviates from 1 by more than 1e-6")
         amps = amps / norm
         amps.setflags(write=False)
@@ -142,8 +142,30 @@ def save_state(state: TripartiteState, path) -> None:
         fh.write("\n")
 
 
+def _int_field(value, field: str, minimum: int) -> int:
+    """A JSON integer ``>= minimum``; booleans, fractions and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(
+            f"state file field {field} must be an integer >= {minimum}, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _real_field(value, field: str) -> float:
+    """A finite JSON number; booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(
+            f"state file field {field} must be a finite number, got {json.dumps(value)}"
+        )
+    return float(value)
+
+
 def load_state(path) -> TripartiteState:
-    """Load and validate a JSON state file written by :func:`save_state`."""
+    """Load and validate a JSON state file written by :func:`save_state`.
+
+    Every malformed field raises :class:`ValidationError` naming it; values are
+    never coerced (a dimension of ``2.7`` or ``true`` is an error, not ``2``).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -154,28 +176,34 @@ def load_state(path) -> TripartiteState:
     dims = doc.get("dims")
     if not isinstance(dims, dict) or not all(k in dims for k in "RAB"):
         raise ValidationError("state file dims must be an object with keys R, A, B")
+    factors = {}
+    for key in ("factorsA", "factorsB"):
+        if key in doc:
+            if not isinstance(doc[key], list):
+                raise ValidationError(f"state file field {key} must be a list of integers")
+            factors[key] = tuple(_int_field(f, f"{key}[{n}]", 1) for n, f in enumerate(doc[key]))
     regs = Registers(
-        dim_R=int(dims["R"]),
-        dim_A=int(dims["A"]),
-        dim_B=int(dims["B"]),
-        factors_A=tuple(doc["factorsA"]) if "factorsA" in doc else None,
-        factors_B=tuple(doc["factorsB"]) if "factorsB" in doc else None,
+        dim_R=_int_field(dims["R"], "dims.R", 1),
+        dim_A=_int_field(dims["A"], "dims.A", 1),
+        dim_B=_int_field(dims["B"], "dims.B", 1),
+        factors_A=factors.get("factorsA"),
+        factors_B=factors.get("factorsB"),
     )
     amps = np.zeros((regs.dim_R, regs.dim_A, regs.dim_B), dtype=complex)
     seen: set[tuple[int, int, int]] = set()
     rows = doc.get("amps")
     if not isinstance(rows, list) or not rows:
         raise ValidationError("state file has no amplitude rows")
-    for row in rows:
+    for n, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 5:
             raise ValidationError(f"malformed amplitude row {row!r}")
-        i, a, b = int(row[0]), int(row[1]), int(row[2])
-        if not (0 <= i < regs.dim_R and 0 <= a < regs.dim_A and 0 <= b < regs.dim_B):
+        i, a, b = (_int_field(row[k], f"amps[{n}][{k}]", 0) for k in range(3))
+        if not (i < regs.dim_R and a < regs.dim_A and b < regs.dim_B):
             raise ValidationError(f"amplitude index ({i},{a},{b}) out of range for dims {regs}")
         if (i, a, b) in seen:
             raise ValidationError(f"duplicate amplitude index ({i},{a},{b})")
         seen.add((i, a, b))
-        amps[i, a, b] = float(row[3]) + 1j * float(row[4])
+        amps[i, a, b] = _real_field(row[3], f"amps[{n}][3]") + 1j * _real_field(row[4], f"amps[{n}][4]")
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise ValidationError(f"state file norm {norm} deviates from 1 by more than 1e-6")

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import qsm.bounds
 from qsm.bounds import (
+    SearchReport,
+    _spectrum as _search_spectrum,
+    _uniform_spectator_form,
     compare_bounds,
     converse_search,
     converse_simple,
@@ -17,6 +21,7 @@ from qsm.errors import ValidationError
 from qsm.ki import ki_decompose
 from qsm.merge import achievable_cost
 from qsm.statespace import (
+    CATALOG_NAMES,
     Registers,
     TripartiteState,
     catalog,
@@ -147,6 +152,77 @@ def test_search_below_achievable_on_corpus():
         ):
             cost = achievable_cost(decomp, mode=mode).cost_bits
             assert bits <= cost + 1e-9, (name, mode, bits, cost)
+
+
+def _grid_search(state, caps):
+    """Brute-force oracle: test every (K, L) pair, then take each cap's minima.
+
+    The minima are taken in the order of the original grid loop (K ascending,
+    then L ascending, strict ``< best - 1e-12`` update), so ties keep the
+    smallest K exactly as that loop did.
+    """
+    eig_b = _search_spectrum(state.marginal("B"))
+    eig_ab = _search_spectrum(state.marginal("AB"))
+    k_top = max(k for k, _ in caps)
+    l_top = max(l for _, l in caps)
+    passes = {
+        (K, L): uniform_resource_majorization(eig_b, eig_ab, K, L)
+        for K in range(1, k_top + 1)
+        for L in range(1, l_top + 1)
+    }
+    lam0_ab = float(eig_ab[0])
+    analytic = math.log2(float(eig_b[0]) / lam0_ab) if lam0_ab > 0 else math.inf
+    reports = {}
+    for K_max, L_max in caps:
+        best_bits, best_pair = math.inf, (None, None)
+        non_bits, non_k = math.inf, None
+        for K in range(1, K_max + 1):
+            if non_k is None and passes[K, 1]:
+                non_bits, non_k = math.log2(K), K
+            for L in range(1, L_max + 1):
+                bits = math.log2(K) - math.log2(L)
+                if passes[K, L] and bits < best_bits - 1e-12:
+                    best_bits, best_pair = bits, (K, L)
+        reports[K_max, L_max] = SearchReport(
+            catalytic_bits=best_bits,
+            catalytic_K=best_pair[0],
+            catalytic_L=best_pair[1],
+            noncatalytic_bits=non_bits,
+            noncatalytic_K=non_k,
+            analytic_bits=analytic,
+            K_max=K_max,
+            L_max=L_max,
+        )
+    return reports
+
+
+def _search_oracle_states():
+    states = [catalog(name, d=2 if name == "ghz" else None) for name in CATALOG_NAMES]
+    states.append(catalog("ghz", d=3))
+    rng = np.random.default_rng(2024)
+    states.extend(random_state(rng, dims) for dims in ((2, 2, 2), (3, 3, 3), (2, 5, 3), (4, 4, 4)))
+    forms = [_uniform_spectator_form(state) for state in states]
+    return states + [form for form, applicable in forms if not applicable]
+
+
+def test_search_staircase_equals_grid(monkeypatch):
+    caps = [(64, 64), (8, 3), (1, 1), (5, 64), (64, 5)]
+    calls = []
+    check = qsm.bounds.majorization_check
+
+    def counted(x, y, tol=None):
+        calls.append(tol)
+        return check(x, y, tol)
+
+    monkeypatch.setattr(qsm.bounds, "majorization_check", counted)
+    for state in _search_oracle_states():
+        expected = _grid_search(state, caps)
+        for K_max, L_max in caps:
+            calls.clear()
+            report = converse_search(state, K_max=K_max, L_max=L_max)
+            assert report == expected[K_max, L_max], (state.dims, K_max, L_max)
+            assert 0 < len(calls) <= K_max + L_max
+            assert all(tol is not None for tol in calls)
 
 
 # --------------------------------------------------------------------------

@@ -83,6 +83,30 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert code == 2
 
 
+_AMP = 0.7071067811865475
+_GHZ2_ROWS = [[0, 0, 0, _AMP, 0.0], [1, 1, 1, _AMP, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "dims, rows, field",
+    [
+        ({"R": 2, "A": 2, "B": 2}, [[0, 0, 0, float("nan"), 0.0]], "amps[0][3]"),
+        ({"R": 2, "A": 2, "B": 2}, [_GHZ2_ROWS[0], [1, float("nan"), 1, _AMP, 0.0]], "amps[1][1]"),
+        ({"R": 2, "A": 2, "B": 2}, [[0.5, 0, 0, _AMP, 0.0], _GHZ2_ROWS[1]], "amps[0][0]"),
+        ({"R": 2, "A": True, "B": 2}, _GHZ2_ROWS, "dims.A"),
+        ({"R": 2, "A": 2, "B": 2.7}, _GHZ2_ROWS, "dims.B"),
+    ],
+    ids=["nan-amplitude", "nan-index", "fractional-index", "bool-dim", "fractional-dim"],
+)
+def test_malformed_state_file_exits_2_naming_field(tmp_path, dims, rows, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"version": 1, "dims": dims, "amps": rows}))
+    code, report = cli.run(["merge", str(path)])
+    assert code == 2
+    assert report["exit_code"] == 2
+    assert field in report["error"]
+
+
 def test_verification_failure_exit_3(tmp_path, monkeypatch):
     def boom(args):
         raise VerificationError("forced failure")
@@ -150,6 +174,35 @@ def test_reports_are_deterministic_modulo_wall_time(tmp_path):
     rep1.pop("wall_time_s")
     rep2.pop("wall_time_s")
     assert rep1 == rep2
+
+
+def test_parser_reuse_matches_fresh_runs(tmp_path):
+    """One process running several subcommands reports what fresh processes do."""
+    path = _state_file(tmp_path, "ghz", d=2)
+    argvs = [
+        ["ki", str(path), "--quiet"],
+        ["merge", str(path), "--bogus-flag"],
+        ["bounds", str(path), "--kmax", "4", "--lmax", "3"],
+        ["merge", str(path), "--mode", "noncatalytic"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(qsm.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p
+    )
+    codes = []
+    for argv in argvs:
+        code, report = cli.run(argv)
+        codes.append(code)
+        report.pop("wall_time_s", None)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qsm.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        expected = json.loads(fresh.stdout)
+        expected.pop("wall_time_s", None)
+        assert code == fresh.returncode
+        assert json.loads(json.dumps(cli._jsonable(report))) == expected
+    assert codes == [0, 64, 0, 0]
 
 
 def test_quiet_suppresses_stderr(capsys):

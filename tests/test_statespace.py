@@ -22,6 +22,9 @@ def test_state_normalization_enforced():
     amps[0, 0, 0] = 2.0
     with pytest.raises(ValidationError):
         statespace.TripartiteState(statespace.Registers(2, 2, 2), amps)
+    amps[0, 0, 0] = np.nan
+    with pytest.raises(ValidationError):
+        statespace.TripartiteState(statespace.Registers(2, 2, 2), amps)
     amps[0, 0, 0] = 1.0 + 5e-7  # within tolerance; renormalized exactly
     st = statespace.TripartiteState(statespace.Registers(2, 2, 2), amps)
     assert abs(np.linalg.norm(st.vector) - 1.0) < 1e-15

@@ -58,6 +58,11 @@ class SmoothingCertificate:
     output_fidelity_sq: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValidationError(f"epsilon must be nonnegative and finite, got {epsilon}")
+
+
 def verify_approximate_merge(
     state: TripartiteState,
     candidate: TripartiteState,
@@ -78,8 +83,7 @@ def verify_approximate_merge(
         raise ValidationError(
             f"candidate dimensions {candidate.dims} differ from state {state.dims}"
         )
-    if epsilon < 0.0:
-        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_epsilon(epsilon)
     tol = tolerance()
     f2_in = abs(state.overlap(candidate)) ** 2
     if f2_in < 1.0 - (epsilon / 2.0) ** 2 - 10.0 * tol:
@@ -243,6 +247,7 @@ def best_smoothing_candidate(
     heuristic: the true infimum over the ball is not computed, and the block
     structure of nearby states can change discontinuously.
     """
+    _check_epsilon(epsilon)
     if candidates < 0:
         raise ValidationError(f"candidate count must be nonnegative, got {candidates}")
     best: SmoothingCertificate | None = None

@@ -237,17 +237,18 @@ def _run_merge(args):
 def _run_split(args):
     state = load_state(args.state)
     rep = split_cost(state)
+    protocol = build_split_protocol(state)
     results = {
         "rank": rep.rank,
         "cost_bits": rep.cost_bits,
         "asymptotic_rate": rep.asymptotic_rate,
-        "branch_count": len(build_split_protocol(state).branches),
+        "branch_count": len(protocol.branches),
     }
     code = EXIT_OK
     if args.verify:
-        ver = verify_split(state)
+        ver = verify_split(state, protocol)
         results["verification"] = _jsonable(ver)
-        results["rank_monotonicity"] = _jsonable(rank_monotonicity_witness(state))
+        results["rank_monotonicity"] = _jsonable(rank_monotonicity_witness(state, protocol))
         if not ver.passed:
             code = EXIT_VERIFICATION
     summary = f"split {args.state}: rank={rep.rank} cost={rep.cost_bits:.6g}"

@@ -15,6 +15,7 @@ when one exists, otherwise kept as a standalone zero-probability block).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,47 +171,92 @@ def _split_eigenspaces(eta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     return None
 
 
-def l_decompose_step(state: TripartiteState, decomp: BlockStructure) -> BlockStructure | None:
+class SteeredOperators:
+    """The unnormalized steered operators of one state, each computed once.
+
+    ``full`` is steered by the identity on R and ``generators[g]`` by the
+    g-th operator of :func:`steering_generators`.  ``combine`` holds the
+    R-combining candidates (the identity, then ``1 + gen`` and ``1 + 2 gen``
+    for each generator in order); it is built on first use, since only a
+    structure with two or more blocks needs it.
+    """
+
+    def __init__(self, state: TripartiteState):
+        self._state = state
+        self.full = _steered_unnormalized(state, np.eye(state.regs.dim_R, dtype=complex))
+        self.generators = np.stack(
+            [_steered_unnormalized(state, gen) for gen in steering_generators(state.regs.dim_R)]
+        )
+
+    @functools.cached_property
+    def combine(self) -> tuple[np.ndarray, ...]:
+        eye = np.eye(self._state.regs.dim_R, dtype=complex)
+        ops = [self.full]
+        for gen in steering_generators(self._state.regs.dim_R):
+            ops.append(_steered_unnormalized(self._state, eye + gen))
+            ops.append(_steered_unnormalized(self._state, eye + 2 * gen))
+        return tuple(ops)
+
+
+def _generator_witness(
+    space: np.ndarray, generators: np.ndarray, ref: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """First generator-steered compression of the block not proportional to ``ref``.
+
+    Applies the :func:`_proportional` rule to every (generator, R-factor
+    vector) pair at once, then recomputes the first failing pair in
+    generator-major order with the per-vector expression, so the returned
+    witness is bit-identical to the one a pair-by-pair scan finds.
+    """
+    dim_A, dim_L, dim_R = space.shape
+    avecs = _r_factor_vectors(dim_R)
+    flat = space.reshape(dim_A, -1)
+    t_all = (dagger(flat) @ generators @ flat).reshape(-1, dim_L, dim_R, dim_L, dim_R)
+    vecs = np.array(avecs)
+    rhos = np.einsum("glrms,kr,ks->gklm", t_all, vecs.conj(), vecs)
+    tr = np.einsum("gkll->gk", rhos).real
+    live = tr > 100 * tol
+    ref_n = ref / float(np.trace(ref).real)
+    dev = np.max(np.abs(rhos / np.where(live, tr, 1.0)[..., None, None] - ref_n), axis=(2, 3))
+    failing = live & ~(dev <= 10 * tol)
+    if not failing.any():
+        return None
+    g, k = divmod(int(np.argmax(failing)), len(avecs))
+    t_gen = _compressed(space, generators[g])
+    return np.einsum("lrms,r,s->lm", t_gen, avecs[k].conj(), avecs[k])
+
+
+def l_decompose_step(
+    state: TripartiteState,
+    decomp: BlockStructure,
+    steered: SteeredOperators | None = None,
+    tol: float | None = None,
+) -> BlockStructure | None:
     """One L-decomposing refinement, or ``None`` when no witness exists.
 
     Searches for a block whose L-factor supports two non-proportional
     compressed steered states, and splits that L-factor by the eigenvalue sign
-    of the difference of the trace-normalized pair.
+    of the difference of the trace-normalized pair.  ``steered`` and ``tol``
+    default to freshly computed values for ``state``.
     """
-    tol = tolerance()
-    full = _steered_unnormalized(state, np.eye(state.regs.dim_R))
-    compressed_full = [_compressed(v, full) for v in decomp.spaces]
-    generators = steering_generators(state.regs.dim_R)
+    tol = tolerance() if tol is None else tol
+    steered = SteeredOperators(state) if steered is None else steered
 
     for j0, space in enumerate(decomp.spaces):
         dim_R = space.shape[2]
-        t_full = compressed_full[j0]
+        t_full = _compressed(space, steered.full)
         diagonals = [t_full[:, b, :, b] for b in range(dim_R)]
         ref = next((d for d in diagonals if float(np.trace(d).real) > 100 * tol), None)
         if ref is None:
             continue
-        witness = None
         # Stage 1: pairwise comparison of the identity-steered compressions.
-        for rho in diagonals:
-            if not _proportional(rho, ref, tol):
-                witness = (rho, ref)
-                break
+        rho = next((d for d in diagonals if not _proportional(d, ref, tol)), None)
         # Stage 2: generator-steered compressions against the reference.
-        if witness is None:
-            avecs = _r_factor_vectors(dim_R)
-            for gen in generators:
-                t_gen = _compressed(space, _steered_unnormalized(state, gen))
-                for a in avecs:
-                    rho = np.einsum("lrms,r,s->lm", t_gen, a.conj(), a)
-                    if not _proportional(rho, ref, tol):
-                        witness = (rho, ref)
-                        break
-                if witness is not None:
-                    break
-        if witness is None:
+        if rho is None:
+            rho = _generator_witness(space, steered.generators, ref, tol)
+        if rho is None:
             continue
-        rho, rho_ref = witness
-        eta = rho / float(np.trace(rho).real) - rho_ref / float(np.trace(rho_ref).real)
+        eta = rho / float(np.trace(rho).real) - ref / float(np.trace(ref).real)
         split = _split_eigenspaces((eta + dagger(eta)) / 2, tol)
         if split is None:
             continue
@@ -223,27 +269,29 @@ def l_decompose_step(state: TripartiteState, decomp: BlockStructure) -> BlockStr
     return None
 
 
-def r_combine_step(state: TripartiteState, decomp: BlockStructure) -> BlockStructure | None:
+def r_combine_step(
+    state: TripartiteState,
+    decomp: BlockStructure,
+    steered: SteeredOperators | None = None,
+    tol: float | None = None,
+) -> BlockStructure | None:
     """One R-combining refinement, or ``None`` when no witness exists.
 
     Searches block pairs for a nonzero cross compression sigma of a steered
     state, then identifies the two L-factors along the singular vectors of
     sigma and concatenates the R-factors; unmatched L-directions stay behind
-    as leftover blocks.
+    as leftover blocks.  ``steered`` and ``tol`` default to freshly computed
+    values for ``state``.
     """
-    tol = tolerance()
     if decomp.J < 2:
         return None
-    candidates: list[np.ndarray] = [np.eye(state.regs.dim_R, dtype=complex)]
-    for gen in steering_generators(state.regs.dim_R):
-        candidates.append(np.eye(state.regs.dim_R) + gen)
-        candidates.append(np.eye(state.regs.dim_R) + 2 * gen)
-    steered_cache = [_steered_unnormalized(state, lam) for lam in candidates]
+    tol = tolerance() if tol is None else tol
+    steered = SteeredOperators(state) if steered is None else steered
 
     for j0 in range(decomp.J):
         for j1 in range(j0 + 1, decomp.J):
             v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
-            for lam, op in zip(candidates, steered_cache):
+            for op in steered.combine:
                 scale = max(1.0, abs(float(np.trace(op).real)))
                 cross = np.einsum("alr,ab,bms->lrms", v1.conj(), op, v0)
                 for b in range(v1.shape[2]):
@@ -530,12 +578,13 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     """
     tol = tolerance()
     structure = initial_structure(state, tol)
+    steered = SteeredOperators(state)
     trajectory = [refinement_index(structure)]
     max_iters = 4 * state.regs.dim_A**2 + 8
     for _ in range(max_iters):
-        refined = l_decompose_step(state, structure)
+        refined = l_decompose_step(state, structure, steered, tol)
         if refined is None:
-            refined = r_combine_step(state, structure)
+            refined = r_combine_step(state, structure, steered, tol)
         if refined is None:
             break
         new_r = refinement_index(refined)

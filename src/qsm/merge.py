@@ -55,15 +55,17 @@ def rational_upper_approx(lam0: float, delta: float) -> Fraction:
     """Simplest rational in [lam0, lam0 * 2^delta], found by the continued-
     fraction walk of the interval; errors out if even the minimal denominator
     exceeds 10^6 (a larger slack ``delta`` widens the interval)."""
-    if delta <= 0:
-        raise ValidationError(f"slack delta must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValidationError(f"slack delta must be positive and finite, got {delta}")
     if lam0 <= 0:
         raise ValidationError(f"leading eigenvalue must be positive, got {lam0}")
     # absorb eigensolver float noise (~1e-15) by widening the interval downward
     # by 1e-12; kept below the flattening schedule's cut filter so a slightly
     # undersized lambda-tilde can never produce duplicate level assignments
     lo = Fraction(max(lam0 - 1e-12, lam0 * 0.5))
-    hi = Fraction(lam0 * 2.0**delta)
+    # 2.0**delta overflows past 1023; any window that reaches 1 >= ceil(lo)
+    # already yields ceil(lo), so capping the exponent changes no result
+    hi = Fraction(lam0 * 2.0 ** min(delta, 1023.0))
     if hi < lo:
         hi = lo
     best = _simplest_between(lo, hi)

@@ -140,29 +140,35 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
     return OneWayProtocol(branches=tuple(branches), name=f"split[K={K}]")
 
 
-def verify_split(state: TripartiteState) -> VerificationReport:
+def verify_split(
+    state: TripartiteState, protocol: OneWayProtocol | None = None
+) -> VerificationReport:
     """Simulate every branch of the splitting protocol against the state itself.
 
     The target is the same amplitude tensor with the third register now held
     by the receiver; verification demands exact branch fidelities and
-    measurement completeness.
+    measurement completeness.  ``protocol`` defaults to
+    ``build_split_protocol(state)``.
     """
     report = split_cost(state)
-    protocol = build_split_protocol(state)
+    protocol = build_split_protocol(state) if protocol is None else protocol
     return verify_protocol(protocol, split_input_vector(state, report.rank), state.vector)
 
 
-def rank_monotonicity_witness(state: TripartiteState) -> list:
+def rank_monotonicity_witness(
+    state: TripartiteState, protocol: OneWayProtocol | None = None
+) -> list:
     """Schmidt rank across the receiver | rest cut, before and after each branch.
 
     Local processing plus classical communication can never raise this rank;
     the returned records ``{"label", "probability", "rank_before",
-    "rank_after"}`` (live branches only) witness that.
+    "rank_after"}`` (live branches only) witness that.  ``protocol``
+    defaults to ``build_split_protocol(state)``.
     """
     tol = tolerance()
     report = split_cost(state)
     K = report.rank
-    protocol = build_split_protocol(state)
+    protocol = build_split_protocol(state) if protocol is None else protocol
     vec = split_input_vector(state, K)
     before = int(
         np.sum(np.linalg.svd(vec.reshape(-1, K), compute_uv=False) > tol)

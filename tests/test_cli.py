@@ -107,6 +107,27 @@ def test_malformed_state_file_exits_2_naming_field(tmp_path, dims, rows, field):
     assert field in report["error"]
 
 
+@pytest.mark.parametrize(
+    "command, options, field",
+    [
+        ("merge", ["--delta", "nan"], "delta"),
+        ("merge", ["--delta", "inf"], "delta"),
+        ("approx", ["--epsilon", "nan"], "epsilon"),
+        ("approx", ["--epsilon", "inf"], "epsilon"),
+        ("approx", ["--epsilon", "nan", "--heuristic", "2"], "epsilon"),
+    ],
+    ids=["merge-delta-nan", "merge-delta-inf", "approx-epsilon-nan", "approx-epsilon-inf",
+         "heuristic-epsilon-nan"],
+)
+def test_non_finite_parameter_exits_2_naming_field(tmp_path, command, options, field):
+    path = _state_file(tmp_path, "implication3")
+    code, report = cli.run([command, str(path), *options])
+    assert code == 2
+    assert report["exit_code"] == 2
+    assert field in report["error"]
+    assert "results" not in report
+
+
 def test_verification_failure_exit_3(tmp_path, monkeypatch):
     def boom(args):
         raise VerificationError("forced failure")
@@ -129,6 +150,28 @@ def test_split_cli(tmp_path):
     assert all(
         rec["rank_after"] <= rec["rank_before"] for rec in res["rank_monotonicity"]
     )
+
+
+def test_split_cli_builds_protocol_once(tmp_path, monkeypatch):
+    import qsm.split
+
+    path = _state_file(tmp_path, "implication2")
+    _, before = cli.run(["split", str(path), "--verify"])
+    calls = []
+    original = qsm.split.build_split_protocol
+
+    def counting(state):
+        calls.append(state.dims)
+        return original(state)
+
+    monkeypatch.setattr(cli, "build_split_protocol", counting)
+    monkeypatch.setattr(qsm.split, "build_split_protocol", counting)
+    code, after = cli.run(["split", str(path), "--verify"])
+    assert code == 0
+    assert len(calls) == 1
+    before.pop("wall_time_s")
+    after.pop("wall_time_s")
+    assert json.dumps(after, default=str) == json.dumps(before, default=str)
 
 
 def test_bounds_cli_small_and_large(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from qsm import ki, statespace
 from qsm.errors import ValidationError
-from qsm.numerics import dagger, random_unitary
+from qsm.numerics import dagger, random_unitary, tolerance
 
 
 def _proj(cols):
@@ -252,3 +252,125 @@ def test_ki_decompose_b_trivial():
     dec = ki.ki_decompose(st)
     assert dec.J == 1
     assert (dec.blocks[0].dim_L, dec.blocks[0].dim_R) == (1, 2)
+
+
+def _sequential_l_decompose_step(state, decomp):
+    """Pair-by-pair L-decomposing step: every steered operator rebuilt, every
+    (generator, R-factor vector) compression tested in turn."""
+    tol = tolerance()
+    full = ki._steered_unnormalized(state, np.eye(state.regs.dim_R))
+    generators = ki.steering_generators(state.regs.dim_R)
+    for j0, space in enumerate(decomp.spaces):
+        t_full = ki._compressed(space, full)
+        diagonals = [t_full[:, b, :, b] for b in range(space.shape[2])]
+        ref = next((d for d in diagonals if float(np.trace(d).real) > 100 * tol), None)
+        if ref is None:
+            continue
+        witness = next((d for d in diagonals if not ki._proportional(d, ref, tol)), None)
+        if witness is None:
+            for gen in generators:
+                t_gen = ki._compressed(space, ki._steered_unnormalized(state, gen))
+                for a in ki._r_factor_vectors(space.shape[2]):
+                    rho = np.einsum("lrms,r,s->lm", t_gen, a.conj(), a)
+                    if not ki._proportional(rho, ref, tol):
+                        witness = rho
+                        break
+                if witness is not None:
+                    break
+        if witness is None:
+            continue
+        eta = witness / float(np.trace(witness).real) - ref / float(np.trace(ref).real)
+        split = ki._split_eigenspaces((eta + dagger(eta)) / 2, tol)
+        if split is None:
+            continue
+        new_spaces = list(decomp.spaces)
+        new_spaces[j0 : j0 + 1] = [np.einsum("alr,lp->apr", space, part) for part in split]
+        return ki.BlockStructure(spaces=tuple(new_spaces))
+    return None
+
+
+def _sequential_r_combine_step(state, decomp):
+    """R-combining step with its 2 d_R^2 + 1 steered candidates rebuilt per call."""
+    tol = tolerance()
+    if decomp.J < 2:
+        return None
+    eye = np.eye(state.regs.dim_R, dtype=complex)
+    candidates = [eye]
+    for gen in ki.steering_generators(state.regs.dim_R):
+        candidates += [eye + gen, eye + 2 * gen]
+    for j0 in range(decomp.J):
+        for j1 in range(j0 + 1, decomp.J):
+            v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
+            for lam in candidates:
+                op = ki._steered_unnormalized(state, lam)
+                scale = max(1.0, abs(float(np.trace(op).real)))
+                cross = np.einsum("alr,ab,bms->lrms", v1.conj(), op, v0)
+                for b in range(v1.shape[2]):
+                    for a in range(v0.shape[2]):
+                        sigma = cross[:, b, :, a]
+                        if np.max(np.abs(sigma)) <= 10 * tol * scale:
+                            continue
+                        d0 = np.einsum("alr,ab,bmr->lm", v0[:, :, a : a + 1].conj(), op, v0[:, :, a : a + 1])
+                        d1 = np.einsum("alr,ab,bmr->lm", v1[:, :, b : b + 1].conj(), op, v1[:, :, b : b + 1])
+                        if (
+                            np.sum(np.linalg.eigvalsh(d0) > 10 * tol * scale) < v0.shape[1]
+                            or np.sum(np.linalg.eigvalsh(d1) > 10 * tol * scale) < v1.shape[1]
+                        ):
+                            continue
+                        return ki._apply_combine(decomp, j0, j1, sigma, tol)
+    return None
+
+
+def _same_structure(got, expected):
+    if expected is None:
+        return got is None
+    return (
+        got is not None
+        and got.J == expected.J
+        and all(np.array_equal(u, v) for u, v in zip(got.spaces, expected.spaces))
+    )
+
+
+def _oracle_states():
+    states = [
+        statespace.catalog(name, d=3 if name == "ghz" else None)
+        for name in statespace.CATALOG_NAMES
+    ]
+    rng = np.random.default_rng(404)
+    for dims in ((2, 2, 2), (2, 3, 2), (3, 4, 3), (4, 6, 4), (2, 5, 3)):
+        states += [statespace.random_state(rng, dims) for _ in range(2)]
+    return states
+
+
+def test_batched_witness_screen_matches_sequential(monkeypatch):
+    tol = tolerance()
+    for st in _oracle_states():
+        steered = ki.SteeredOperators(st)
+        structure = ki.initial_structure(st, tol)
+        steps = 0
+        while True:
+            expected = _sequential_l_decompose_step(st, structure)
+            assert _same_structure(ki.l_decompose_step(st, structure, steered, tol), expected)
+            assert _same_structure(ki.l_decompose_step(st, structure), expected)
+            if expected is None:
+                expected = _sequential_r_combine_step(st, structure)
+                assert _same_structure(ki.r_combine_step(st, structure, steered, tol), expected)
+                assert _same_structure(ki.r_combine_step(st, structure), expected)
+            if expected is None:
+                break
+            structure = expected
+            steps += 1
+        assert steps + 1 == len(ki.ki_decompose(st).trajectory)
+
+    calls = []
+    original = ki._steered_unnormalized
+
+    def counting(state, lam):
+        calls.append(lam.shape)
+        return original(state, lam)
+
+    monkeypatch.setattr(ki, "_steered_unnormalized", counting)
+    for st in _oracle_states():
+        calls.clear()
+        ki.ki_decompose(st)
+        assert 0 < len(calls) <= 3 * st.regs.dim_R**2 + 2

@@ -104,8 +104,9 @@ def test_cost_rejects_bad_mode_and_delta():
     _, dec = _decomp("appendixD")
     with pytest.raises(ValidationError):
         achievable_cost(dec, "sideways")
-    with pytest.raises(ValidationError):
-        achievable_cost(dec, "catalytic", delta=0.0)
+    for delta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="delta"):
+            achievable_cost(dec, "catalytic", delta=delta)
 
 
 def test_rational_upper_approx():
@@ -116,6 +117,8 @@ def test_rational_upper_approx():
     val = rational_upper_approx(0.2847, 1e-6)
     assert 0.2847 - 1e-11 <= float(val) <= 0.2847 * 2**1e-6
     assert val.denominator <= 10**6
+    # a window wider than a float's exponent range still snaps to ceil(lo)
+    assert rational_upper_approx(0.2847, 2000.0) == Fraction(1)
     # a value wedged between coarse rationals with a tiny window exceeds the
     # denominator cap
     with pytest.raises(SolverError):

@@ -120,6 +120,7 @@ def test_split_borderline_rank_warning():
 def test_rank_monotonicity_witness():
     for state in (catalog("ghz", d=3), _rank2_in_dim4()):
         records = rank_monotonicity_witness(state)
+        assert records == rank_monotonicity_witness(state, build_split_protocol(state))
         assert records
         assert sum(r["probability"] for r in records) == pytest.approx(1.0, abs=1e-9)
         for rec in records:

@@ -21,6 +21,7 @@ from .errors import SolverError, ValidationError, VerificationError
 from .locc import apply_protocol
 from .merge import (
     build_merge_protocol,
+    check_delta,
     merge_input_vector,
     merge_target_vector,
 )
@@ -248,6 +249,7 @@ def best_smoothing_candidate(
     structure of nearby states can change discontinuously.
     """
     _check_epsilon(epsilon)
+    check_delta(delta)
     if candidates < 0:
         raise ValidationError(f"candidate count must be nonnegative, got {candidates}")
     best: SmoothingCertificate | None = None

@@ -12,7 +12,7 @@ probabilities summing to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +69,7 @@ class OneWayProtocol:
 
     branches: tuple
     name: str = ""
+    _residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tol = tolerance()
@@ -100,6 +101,7 @@ class OneWayProtocol:
                 f"measurement completeness fails (residual {residual:.2e})"
             )
         object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "_residual", residual)
 
     @property
     def a_in_dim(self) -> int:
@@ -118,9 +120,8 @@ class OneWayProtocol:
         return self.branches[0].b_op.shape[0]
 
     def completeness_residual(self) -> float:
-        stacked = np.concatenate([br.a_op for br in self.branches], axis=0)
-        total = dagger(stacked) @ stacked
-        return float(np.max(np.abs(total - np.eye(self.a_in_dim))))
+        """Max |sum_b a_op^dag a_op - 1|, computed once at construction."""
+        return self._residual
 
 
 @dataclass(frozen=True)
@@ -391,27 +392,3 @@ def protocol_choi(
         vecm = block.reshape(-1)  # index order (out, j)
         choi += np.outer(vecm, vecm.conj())
     return choi
-
-
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
-
-
-def protocol_to_json(protocol: OneWayProtocol) -> dict:
-    """Serializable audit dump: labels and full operator matrices per branch."""
-    return {
-        "name": protocol.name,
-        "a_in_dim": protocol.a_in_dim,
-        "a_out_dim": protocol.a_out_dim,
-        "b_in_dim": protocol.b_in_dim,
-        "b_out_dim": protocol.b_out_dim,
-        "branch_count": len(protocol.branches),
-        "branches": [
-            {
-                "label": list(br.label),
-                "a_op": _matrix_to_json(br.a_op),
-                "b_op": _matrix_to_json(br.b_op),
-            }
-            for br in protocol.branches
-        ],
-    }

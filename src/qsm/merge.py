@@ -51,12 +51,17 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return m + 1 / inner
 
 
+def check_delta(delta: float) -> None:
+    """Reject a cost slack that is not positive and finite."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValidationError(f"slack delta must be positive and finite, got {delta}")
+
+
 def rational_upper_approx(lam0: float, delta: float) -> Fraction:
     """Simplest rational in [lam0, lam0 * 2^delta], found by the continued-
     fraction walk of the interval; errors out if even the minimal denominator
     exceeds 10^6 (a larger slack ``delta`` widens the interval)."""
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValidationError(f"slack delta must be positive and finite, got {delta}")
+    check_delta(delta)
     if lam0 <= 0:
         raise ValidationError(f"leading eigenvalue must be positive, got {lam0}")
     # absorb eigensolver float noise (~1e-15) by widening the interval downward
@@ -148,6 +153,7 @@ def achievable_cost(
     """
     if mode not in ("catalytic", "noncatalytic"):
         raise ValidationError(f"unknown mode {mode!r}")
+    check_delta(delta)
     raw = []
     for b in decomp.blocks:
         eligible = b.p > 0.0
@@ -279,32 +285,49 @@ class MergeBuild:
 
 
 class _BlockData:
-    """Computed per-block quantities reused across branch assembly."""
+    """Computed per-block quantities reused across branch assembly, with the
+    block's resource layout, the one place the merging mode enters:
 
-    def __init__(self, block, cost: BlockCost, K: int, mode: str):
+    - ``per``: resource levels paired with each redundant level (``K_j`` in
+      catalytic mode, ``K`` otherwise);
+    - ``target``: flattening target (``L_j`` in catalytic mode, ``dim_R``
+      otherwise);
+    - ``slots(pos, u)``: for the ``pos``-th selected level with resource
+      offset ``u``, the ``(returned-resource row, consumed-resource column,
+      teleport index)`` triples.  A zero-weight block has ``per = K`` and
+      d = W = 1, where both modes give the triple ``(0, u, 0)``.
+    """
+
+    def __init__(self, block, cost: BlockCost, K: int, catalytic: bool):
         self.index = block.index
         self.iso = block.iso  # (dA, dL, dR)
         self.dim_L = block.dim_L
         self.dim_R = block.dim_R
         self.live = block.p > 0.0
         self.lam = block.lambdas
-        self.m_count = block.dim_bL
         self.n_r = block.dim_bR
         self.ws = block.ws
         if self.live:
             self.u_live = block.omega_vec / np.sqrt(self.lam)[None, :]
-            self.K_j = cost.K_j if mode == "catalytic" else None
-            self.L_j = cost.L_j if mode == "catalytic" else None
-            self.W_j = cost.W_j if mode == "catalytic" else None
         else:
             if self.dim_R != 1:
                 raise VerificationError(
                     "zero-weight block must have trivial quantum dimension"
                 )
             self.u_live = np.zeros((self.dim_L, 0), dtype=complex)
-            self.K_j, self.L_j, self.W_j = K, None, 1
         self.u_dead = orthonormal_complement(self.u_live, self.dim_L)
         self.omega_vec = block.omega_vec
+        if catalytic and self.live:
+            d, w_cnt = self.dim_R, cost.W_j
+            self.per, self.target = cost.K_j, cost.L_j
+            self.slots = lambda pos, u: [
+                (pos * w_cnt + w, (u * d + v) * w_cnt + w, v)
+                for v in range(d)
+                for w in range(w_cnt)
+            ]
+        else:
+            self.per, self.target = K, self.dim_R
+            self.slots = lambda pos, u: [(0, u, pos)]
 
 
 def _merged_breakpoints(cums: list) -> list:
@@ -353,7 +376,7 @@ def build_merge_protocol(
     if decomp is None:
         decomp = ki_decompose(state)
     report = achievable_cost(decomp, mode=mode, delta=delta)
-    K, L = report.K, (report.L if mode == "catalytic" else 1)
+    K, L = report.K, report.L
     J = decomp.J
     dA, dB = state.regs.dim_A, state.regs.dim_B
     if dA * K > 4096 or dA * dB * L > 65536:
@@ -361,8 +384,9 @@ def build_merge_protocol(
             f"protocol registers too large to materialize (K={K}, L={L}); "
             "increase delta to coarsen the rational approximation"
         )
+    catalytic = mode == "catalytic"
     data = [
-        _BlockData(b, report.block(b.index), K, mode) for b in decomp.blocks
+        _BlockData(b, report.block(b.index), K, catalytic) for b in decomp.blocks
     ]
     P = 1
     for bd in data:
@@ -375,14 +399,8 @@ def build_merge_protocol(
     for bd in data:
         if not bd.live:
             continue
-        if mode == "catalytic":
-            masses = np.repeat(bd.lam, bd.K_j) / bd.K_j
-            target = bd.L_j
-        else:
-            masses = np.repeat(bd.lam, K) / K
-            target = bd.dim_R
-        steps = flatten_schedule(masses, target)
-        probs = [target * st.mass for st in steps]
+        steps = flatten_schedule(np.repeat(bd.lam, bd.per) / bd.per, bd.target)
+        probs = [bd.target * st.mass for st in steps]
         cum = list(np.cumsum(probs))
         schedules[bd.index] = (steps, probs, cum)
         cums.append(cum)
@@ -402,22 +420,28 @@ def build_merge_protocol(
         sig = generalized_pauli(bd.dim_R, x % bd.dim_R, z % bd.dim_R)
         return (np.sqrt(float(bd.dim_R)) / P) * sig.conj()
 
-    def receiver_isometry(cols_in: list, cols_out: list) -> np.ndarray:
+    def sender_rows(bd: _BlockData, vec: np.ndarray, tb: np.ndarray) -> np.ndarray:
+        """(dA, dim_R) sender rows of the block direction ``vec``, one column
+        per teleport index."""
+        return np.einsum("alr,l,rv->av", bd.iso.conj(), vec.conj(), tb)
+
+    def receiver_isometry(label: tuple, cols_in: list, cols_out: list) -> np.ndarray:
         if not cols_in:
             return np.eye(out_b_dim, dtype=complex)[:, : dB * K]
         mat = np.zeros((out_b_dim, dB * K), dtype=complex)
         for vin, vout in zip(cols_in, cols_out):
             mat += np.outer(vout, vin.conj())
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        try:
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"branch {label}: receiver isometry completion failed ({exc})"
+            ) from exc
         if np.any(np.minimum(np.abs(s - 1.0), np.abs(s)) > 1e-6):
             raise VerificationError(
                 "receiver isometry completion: singular values deviate from 0/1"
             )
         return u @ vh
-
-    # selection decode: flat mass index -> (redundant level, resource offset)
-    def decode(bd: _BlockData, flat: int, per: int):
-        return flat // per, flat % per
 
     for t, width in enumerate(nu):
         mid = grid[t] - 0.5 * width
@@ -433,7 +457,6 @@ def build_merge_protocol(
                         steps, probs, cum = schedules[bd.index]
                         s = _locate(cum, mid)
                         scale = np.sqrt(width / probs[s])
-                        sel = steps[s].indices
                         mass = steps[s].mass
                         ph_a = a_phase(bd.index, m3)
                         ph_b = b_phase(bd.index, m3)
@@ -446,74 +469,27 @@ def build_merge_protocol(
                         a_part = np.einsum(
                             "alr,lm,rv->amv", bd.iso, bd.omega_vec, sig
                         )
-                        if mode == "catalytic":
-                            per, d, w_cnt = bd.K_j, bd.dim_R, bd.W_j
-                            for pos, flat in enumerate(sel):
-                                m, u = decode(bd, flat, per)
-                                amp = scale * np.sqrt(
-                                    mass / (bd.lam[m] / per)
-                                )
-                                row_av = amp * np.einsum(
-                                    "alr,l,rv->av",
-                                    bd.iso.conj(),
-                                    bd.u_live[:, m].conj(),
-                                    tb,
-                                )
-                                for w in range(w_cnt):
-                                    row = pos * w_cnt + w
-                                    base = u * d * w_cnt + w
-                                    a_op[row, :, base : base + d * w_cnt : w_cnt] += (
-                                        ph_a * row_av
-                                    )
-                                for v in range(d):
-                                    for w in range(w_cnt):
-                                        k_idx = u * d * w_cnt + v * w_cnt + w
-                                        for kr in range(bd.n_r):
-                                            vin = np.zeros(
-                                                (dB, K), dtype=complex
-                                            )
-                                            vin[:, k_idx] = bd.ws[:, m, kr]
-                                            vout = np.zeros(
-                                                (dA, dB, L), dtype=complex
-                                            )
-                                            vout[:, :, pos * w_cnt + w] = (
-                                                ph_b
-                                                * np.einsum(
-                                                    "am,bm->ab",
-                                                    a_part[:, :, v],
-                                                    bd.ws[:, :, kr],
-                                                )
-                                            )
-                                            cols_in.append(vin.reshape(-1))
-                                            cols_out.append(vout.reshape(-1))
-                        else:
-                            for pos, flat in enumerate(sel):
-                                m, k_idx = decode(bd, flat, K)
-                                amp = scale * np.sqrt(mass / (bd.lam[m] / K))
-                                row_a = amp * np.einsum(
-                                    "alr,l,r->a",
-                                    bd.iso.conj(),
-                                    bd.u_live[:, m].conj(),
-                                    tb[:, pos],
-                                )
-                                a_op[0, :, k_idx] += ph_a * row_a
+                        for pos, flat in enumerate(steps[s].indices):
+                            m, u = divmod(flat, bd.per)
+                            amp = scale * np.sqrt(mass / (bd.lam[m] / bd.per))
+                            row_av = amp * sender_rows(bd, bd.u_live[:, m], tb)
+                            for row, col, v in bd.slots(pos, u):
+                                a_op[row, :, col] += ph_a * row_av[:, v]
                                 for kr in range(bd.n_r):
                                     vin = np.zeros((dB, K), dtype=complex)
-                                    vin[:, k_idx] = bd.ws[:, m, kr]
-                                    vout = np.zeros((dA, dB, 1), dtype=complex)
-                                    vout[:, :, 0] = ph_b * np.einsum(
-                                        "am,bm->ab",
-                                        a_part[:, :, pos],
-                                        bd.ws[:, :, kr],
+                                    vin[:, col] = bd.ws[:, m, kr]
+                                    vout = np.zeros((dA, dB, L), dtype=complex)
+                                    vout[:, :, row] = ph_b * np.einsum(
+                                        "am,bm->ab", a_part[:, :, v], bd.ws[:, :, kr]
                                     )
                                     cols_in.append(vin.reshape(-1))
                                     cols_out.append(vout.reshape(-1))
-                    b_op = receiver_isometry(cols_in, cols_out)
+                    label = (t, x, z, m3)
                     branches.append(
                         Branch(
-                            label=(t, x, z, m3),
+                            label=label,
                             a_op=a_op.reshape(L, dA * K),
-                            b_op=b_op,
+                            b_op=receiver_isometry(label, cols_in, cols_out),
                         )
                     )
 
@@ -521,39 +497,18 @@ def build_merge_protocol(
     m1 = len(nu)
     default_b = np.eye(out_b_dim, dtype=complex)[:, : dB * K]
     for bd in data:
-        n_dead = bd.u_dead.shape[1]
-        if n_dead == 0:
-            continue
-        d, w_cnt = bd.dim_R, bd.W_j
-        k_per = bd.K_j if mode == "catalytic" else K
-        for c in range(n_dead):
-            for u in range(k_per):
+        for c in range(bd.u_dead.shape[1]):
+            for u in range(bd.per):
                 for x in range(P):
                     for z in range(P):
                         for m3 in range(J):
-                            tb = tele_rows(bd, x, z)
                             ph_a = a_phase(bd.index, m3)
+                            row_av = sender_rows(
+                                bd, bd.u_dead[:, c], tele_rows(bd, x, z)
+                            )
                             a_op = np.zeros((L, dA, K), dtype=complex)
-                            if mode == "catalytic" or not bd.live:
-                                row_av = np.einsum(
-                                    "alr,l,rv->av",
-                                    bd.iso.conj(),
-                                    bd.u_dead[:, c].conj(),
-                                    tb,
-                                )
-                                for w in range(w_cnt):
-                                    base = u * d * w_cnt + w
-                                    a_op[w, :, base : base + d * w_cnt : w_cnt] = (
-                                        ph_a * row_av
-                                    )
-                            else:
-                                row_a = np.einsum(
-                                    "alr,l,r->a",
-                                    bd.iso.conj(),
-                                    bd.u_dead[:, c].conj(),
-                                    tb[:, 0],
-                                )
-                                a_op[0, :, u] = ph_a * row_a
+                            for row, col, v in bd.slots(0, u):
+                                a_op[row, :, col] = ph_a * row_av[:, v]
                             branches.append(
                                 Branch(
                                     label=(m1, x, z, m3),
@@ -578,7 +533,7 @@ def verify_merge(
     """Build the merging protocol and check every branch against the target."""
     build = build_merge_protocol(state, decomp, mode=mode, delta=delta)
     vec = merge_input_vector(state, build.report.K)
-    target = merge_target_vector(state, build.report.L if mode == "catalytic" else 1)
+    target = merge_target_vector(state, build.report.L)
     return verify_protocol(build.protocol, vec, target)
 
 

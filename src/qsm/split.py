@@ -148,11 +148,12 @@ def verify_split(
     The target is the same amplitude tensor with the third register now held
     by the receiver; verification demands exact branch fidelities and
     measurement completeness.  ``protocol`` defaults to
-    ``build_split_protocol(state)``.
+    ``build_split_protocol(state)``; its receiver input dimension is the
+    resource rank.
     """
-    report = split_cost(state)
     protocol = build_split_protocol(state) if protocol is None else protocol
-    return verify_protocol(protocol, split_input_vector(state, report.rank), state.vector)
+    vec = split_input_vector(state, protocol.b_in_dim)
+    return verify_protocol(protocol, vec, state.vector)
 
 
 def rank_monotonicity_witness(
@@ -163,12 +164,12 @@ def rank_monotonicity_witness(
     Local processing plus classical communication can never raise this rank;
     the returned records ``{"label", "probability", "rank_before",
     "rank_after"}`` (live branches only) witness that.  ``protocol``
-    defaults to ``build_split_protocol(state)``.
+    defaults to ``build_split_protocol(state)``; its receiver input
+    dimension is the resource rank.
     """
     tol = tolerance()
-    report = split_cost(state)
-    K = report.rank
     protocol = build_split_protocol(state) if protocol is None else protocol
+    K = protocol.b_in_dim
     vec = split_input_vector(state, K)
     before = int(
         np.sum(np.linalg.svd(vec.reshape(-1, K), compute_uv=False) > tol)

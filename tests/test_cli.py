@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsm
 import qsm.cli as cli
 from qsm.errors import VerificationError
+from qsm.ki import ki_decompose
 
 
 def _state_file(tmp_path, name, d=None):
@@ -115,9 +117,15 @@ def test_malformed_state_file_exits_2_naming_field(tmp_path, dims, rows, field):
         ("approx", ["--epsilon", "nan"], "epsilon"),
         ("approx", ["--epsilon", "inf"], "epsilon"),
         ("approx", ["--epsilon", "nan", "--heuristic", "2"], "epsilon"),
+        ("merge", ["--mode", "noncatalytic", "--delta", "nan"], "delta"),
+        ("merge", ["--mode", "noncatalytic", "--delta", "-1"], "delta"),
+        ("approx", ["--epsilon", "0.1", "--delta", "nan"], "delta"),
+        ("approx", ["--epsilon", "0.1", "--heuristic", "2", "--mode", "catalytic",
+                    "--delta", "nan"], "delta"),
     ],
     ids=["merge-delta-nan", "merge-delta-inf", "approx-epsilon-nan", "approx-epsilon-inf",
-         "heuristic-epsilon-nan"],
+         "heuristic-epsilon-nan", "noncatalytic-delta-nan", "noncatalytic-delta-negative",
+         "approx-delta-nan", "heuristic-delta-nan"],
 )
 def test_non_finite_parameter_exits_2_naming_field(tmp_path, command, options, field):
     path = _state_file(tmp_path, "implication3")
@@ -158,20 +166,47 @@ def test_split_cli_builds_protocol_once(tmp_path, monkeypatch):
     path = _state_file(tmp_path, "implication2")
     _, before = cli.run(["split", str(path), "--verify"])
     calls = []
-    original = qsm.split.build_split_protocol
 
-    def counting(state):
-        calls.append(state.dims)
-        return original(state)
+    def counting(name):
+        original = getattr(qsm.split, name)
 
-    monkeypatch.setattr(cli, "build_split_protocol", counting)
-    monkeypatch.setattr(qsm.split, "build_split_protocol", counting)
+        def wrapper(state):
+            calls.append(name)
+            return original(state)
+
+        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(qsm.split, name, wrapper)
+
+    counting("build_split_protocol")
+    counting("split_cost")
     code, after = cli.run(["split", str(path), "--verify"])
     assert code == 0
-    assert len(calls) == 1
+    assert sorted(calls) == ["build_split_protocol", "split_cost"]
     before.pop("wall_time_s")
     after.pop("wall_time_s")
     assert json.dumps(after, default=str) == json.dumps(before, default=str)
+
+
+@pytest.mark.parametrize("mode", ["catalytic", "noncatalytic"])
+def test_merge_svd_failure_exits_3_naming_branch(tmp_path, monkeypatch, mode):
+    path = _state_file(tmp_path, "implication3")
+    original = cli.build_merge_protocol
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def build_without_svd(state, **kwargs):
+        decomp = ki_decompose(state)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", failing_svd)
+            return original(state, decomp, **kwargs)
+
+    monkeypatch.setattr(cli, "build_merge_protocol", build_without_svd)
+    code, report = cli.run(["merge", str(path), "--mode", mode])
+    assert code == 3
+    assert "branch (0, 0, 0, 0)" in report["error"]
+    assert "did not converge" in report["error"]
+    assert "results" not in report
 
 
 def test_bounds_cli_small_and_large(tmp_path):

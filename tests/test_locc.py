@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+import qsm.cli as cli
 from qsm import locc
 from qsm.errors import ValidationError
+from qsm.merge import build_merge_protocol
+from qsm.statespace import catalog, load_state, save_state
 from qsm.numerics import dagger, random_unitary
 
 
@@ -205,17 +210,23 @@ def test_apply_protocol_dimension_mismatch():
         locc.apply_protocol(proto, np.ones(3, dtype=complex) / np.sqrt(3))
 
 
-def test_protocol_json_roundtrip_fields():
-    proto = locc.teleportation_protocol(2)
-    dump = locc.protocol_to_json(proto)
-    assert dump["branch_count"] == 4
-    assert dump["a_in_dim"] == 4 and dump["b_in_dim"] == 2
-    first = dump["branches"][0]
-    assert first["label"] == [0, 0]
-    arr = np.array(
-        [[complex(re, im) for re, im in row] for row in first["a_op"]]
-    )
-    assert np.allclose(arr, proto.branches[0].a_op)
+def test_protocol_json_roundtrip_fields(tmp_path):
+    path = tmp_path / "implication3.json"
+    save_state(catalog("implication3"), path)
+    code, report = cli.run(["merge", str(path), "--dump-protocol"])
+    assert code == 0
+    dump = json.loads(json.dumps(cli._jsonable(report)))["results"]["protocol"]
+    build = build_merge_protocol(load_state(path))
+    assert dump["name"] == build.protocol.name
+    assert len(dump["branches"]) == len(build.protocol.branches)
+
+    def decode(enc):
+        return np.array(enc["real"]) + 1j * np.array(enc["imag"])
+
+    for enc, br in zip(dump["branches"], build.protocol.branches):
+        assert tuple(enc["label"]) == br.label
+        assert np.array_equal(decode(enc["a_op"]), br.a_op)
+        assert np.array_equal(decode(enc["b_op"]), br.b_op)
 
 
 def test_random_protocol_completeness_property():

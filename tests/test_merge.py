@@ -104,9 +104,10 @@ def test_cost_rejects_bad_mode_and_delta():
     _, dec = _decomp("appendixD")
     with pytest.raises(ValidationError):
         achievable_cost(dec, "sideways")
-    for delta in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match="delta"):
-            achievable_cost(dec, "catalytic", delta=delta)
+    for mode in ("catalytic", "noncatalytic"):
+        for delta in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="delta"):
+                achievable_cost(dec, mode, delta=delta)
 
 
 def test_rational_upper_approx():
@@ -249,21 +250,37 @@ def test_resource_spectra_majorization(name, d, mode):
     assert majorization_check(left, right)
 
 
+def _pad_sender(state):
+    """The same state with one unused level appended to register A."""
+    r, a, b = state.dims
+    amps = np.zeros((r, a + 1, b), dtype=complex)
+    amps[:, :a, :] = state.amplitudes
+    return TripartiteState(Registers(r, a + 1, b), amps)
+
+
 def test_random_states_merge_exactly_both_modes():
     rng = np.random.default_rng(123)
-    for dims in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 4, 3), (2, 5, 2)]:
-        state = random_state(rng, dims)
+    cases = [
+        (random_state(rng, dims), False)
+        for dims in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 4, 3), (2, 5, 2)]
+    ]
+    # psi^A with a kernel that no dim_R = 1 block absorbs: a p = 0 block
+    cases += [
+        (_pad_sender(random_state(rng, dims)), True)
+        for dims in [(2, 2, 2), (2, 2, 2), (2, 3, 2), (3, 3, 3)]
+    ]
+    for state, zero_block in cases:
         dec = ki_decompose(state)
+        if zero_block:
+            assert any(b.p == 0.0 for b in dec.blocks), state.dims
         for mode in ("catalytic", "noncatalytic"):
             build = build_merge_protocol(state, dec, mode=mode)
-            K = build.report.K
-            L = build.report.L if mode == "catalytic" else 1
             rep = verify_protocol(
                 build.protocol,
-                merge_input_vector(state, K),
-                merge_target_vector(state, L),
+                merge_input_vector(state, build.report.K),
+                merge_target_vector(state, build.report.L),
             )
-            assert rep.passed, (dims, mode)
+            assert rep.passed, (state.dims, mode)
 
 
 def test_input_and_target_vectors_normalized():

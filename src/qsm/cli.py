@@ -218,11 +218,15 @@ def _run_merge(args):
             "name": build.protocol.name,
             "branches": [
                 {
-                    "label": list(br.label),
-                    "a_op": _jsonable(br.a_op),
-                    "b_op": _jsonable(br.b_op),
+                    "label": list(label),
+                    "a_op": _jsonable(a_op),
+                    "b_op": _jsonable(b_op),
                 }
-                for br in build.protocol.branches
+                for label, a_op, b_op in zip(
+                    build.protocol.branches,
+                    build.protocol.a_ops,
+                    build.protocol.b_ops,
+                )
             ],
         }
     summary = (

@@ -26,6 +26,7 @@ from .numerics import (
     _lex_key,
     dagger,
     fidelity,
+    isometry_deviation,
     orthonormal_complement,
     phase_normalize,
     tolerance,
@@ -490,11 +491,11 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int, tol: float) -> KIBlo
         bm = beta[m].reshape(-1, psi_j.shape[3])
         ws[:, m, :] = np.sqrt(lam[0] / lam[m]) * (bm.T @ xs.conj()) / svals[:n_r]
     w_flat = ws.reshape(dim_B, -1)
-    gram = dagger(w_flat) @ w_flat
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e3 * tol:
+    deviation = isometry_deviation(w_flat)
+    if not deviation <= 1e3 * tol:
         raise VerificationError(
             f"block {index}: B-side factors fail the isometry check "
-            f"(deviation {np.max(np.abs(gram - np.eye(gram.shape[0]))):.2e})"
+            f"(deviation {deviation:.2e})"
         )
     omega_vec = u_cols * np.sqrt(lam)
     return KIBlock(

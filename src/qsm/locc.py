@@ -2,23 +2,24 @@
 sub-protocols (qudit teleportation and flattening of a Schmidt spectrum onto a
 maximally entangled target).
 
-A protocol is a finite family of labelled branches.  Each branch pairs a
-measurement operator ``a_op`` acting on the sender's input register with an
-isometry ``b_op`` applied by the receiver once the outcome label is
-communicated.  Completeness of the measurement and isometry of every
-``b_op`` are enforced at construction time, so downstream code can rely on
+A protocol is a finite family of labelled branches, held as two stacked
+arrays: ``a_ops[i]`` is the measurement operator that branch ``i`` applies to
+the sender's input register, and ``b_ops[i]`` is the isometry the receiver
+applies once the outcome label ``branches[i]`` is communicated.  Finite
+entries, completeness of the measurement and isometry of every ``b_ops[i]``
+are enforced at construction time, so downstream code can rely on
 probabilities summing to one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .numerics import dagger, tolerance
+from .numerics import isometry_deviation, tolerance
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
@@ -41,83 +42,75 @@ def generalized_pauli(d: int, x: int, z: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One protocol branch: outcome ``label``, sender operator, receiver isometry."""
-
-    label: tuple
-    a_op: np.ndarray
-    b_op: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("a_op", "b_op"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.ndim != 2:
-                raise ValidationError(f"{name} must be a matrix, got shape {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "label", tuple(self.label))
-
-
-@dataclass(frozen=True)
 class OneWayProtocol:
     """A one-way LOCC protocol from sender A to receiver B.
 
-    ``a_in_dim``/``b_in_dim`` describe the two input registers; every branch
-    maps them to common output registers (the sender side may be fully
-    measured out, i.e. one-dimensional).
+    Branch ``i`` has the outcome label ``branches[i]``, the sender operator
+    ``a_ops[i]`` and the receiver isometry ``b_ops[i]``.  The stacks have
+    shapes ``(n, a_out, a_in)`` and ``(n, b_out, b_in)``; ``a_in``/``b_in``
+    describe the two input registers, and the sender side may be fully
+    measured out (``a_out = 1``).  The protocol keeps a stack it is given as
+    a contiguous complex array without copying it (a view is copied) and
+    marks it read-only.
     """
 
     branches: tuple
+    a_ops: np.ndarray
+    b_ops: np.ndarray
     name: str = ""
     _residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tol = tolerance()
-        if not self.branches:
+        labels = tuple(tuple(label) for label in self.branches)
+        if not labels:
             raise ValidationError("protocol must have at least one branch")
-        branches = tuple(self.branches)
-        a_shape = branches[0].a_op.shape
-        b_shape = branches[0].b_op.shape
-        labels = set()
-        for br in branches:
-            if br.a_op.shape != a_shape or br.b_op.shape != b_shape:
+        for name in ("a_ops", "b_ops"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=complex)
+            if arr.base is not None:  # a view: copy it, so no other array writes it
+                arr = arr.copy()
+            if arr.ndim != 3 or arr.shape[0] != len(labels) or 0 in arr.shape:
                 raise ValidationError(
-                    "all branches must share operator shapes: "
-                    f"{br.a_op.shape}/{br.b_op.shape} vs {a_shape}/{b_shape}"
+                    f"{name} must stack one nonempty matrix per branch "
+                    f"({len(labels)}), got shape {arr.shape}"
                 )
-            if br.label in labels:
-                raise ValidationError(f"duplicate branch label {br.label}")
-            labels.add(br.label)
-            gram = dagger(br.b_op) @ br.b_op
-            if np.max(np.abs(gram - np.eye(b_shape[1]))) > 10 * tol:
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} has non-finite entries")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        seen = set()
+        for label in labels:
+            if label in seen:
+                raise ValidationError(f"duplicate branch label {label}")
+            seen.add(label)
+        for label, b_op in zip(labels, self.b_ops):
+            if not isometry_deviation(b_op) <= 10 * tol:
                 raise ValidationError(
-                    f"branch {br.label}: receiver operator is not an isometry"
+                    f"branch {label}: receiver operator is not an isometry"
                 )
-        stacked = np.concatenate([br.a_op for br in branches], axis=0)
-        total = dagger(stacked) @ stacked
-        residual = float(np.max(np.abs(total - np.eye(a_shape[1]))))
-        if residual > 10 * tol:
+        residual = isometry_deviation(self.a_ops.reshape(-1, self.a_in_dim))
+        if not residual <= 10 * tol:
             raise ValidationError(
                 f"measurement completeness fails (residual {residual:.2e})"
             )
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "branches", labels)
         object.__setattr__(self, "_residual", residual)
 
     @property
     def a_in_dim(self) -> int:
-        return self.branches[0].a_op.shape[1]
+        return self.a_ops.shape[2]
 
     @property
     def a_out_dim(self) -> int:
-        return self.branches[0].a_op.shape[0]
+        return self.a_ops.shape[1]
 
     @property
     def b_in_dim(self) -> int:
-        return self.branches[0].b_op.shape[1]
+        return self.b_ops.shape[2]
 
     @property
     def b_out_dim(self) -> int:
-        return self.branches[0].b_op.shape[0]
+        return self.b_ops.shape[1]
 
     def completeness_residual(self) -> float:
         """Max |sum_b a_op^dag a_op - 1|, computed once at construction."""
@@ -144,21 +137,6 @@ class VerificationReport:
     passed: bool
 
 
-def apply_branch(
-    branch: Branch, vec: np.ndarray, a_in: int, b_in: int
-) -> np.ndarray:
-    """Apply one branch to ``vec`` on (spectator, a_in, b_in); unnormalized output."""
-    size = vec.size
-    if size % (a_in * b_in) != 0:
-        raise ValidationError(
-            f"input dimension {size} incompatible with registers {a_in}x{b_in}"
-        )
-    spec = size // (a_in * b_in)
-    tensor = np.asarray(vec, dtype=complex).reshape(spec, a_in, b_in)
-    half = np.einsum("iab,yb->iay", tensor, branch.b_op)
-    return np.einsum("xa,iay->ixy", branch.a_op, half)
-
-
 def apply_protocol(protocol: OneWayProtocol, vec: np.ndarray) -> list:
     """Run every branch on ``vec``; return outcomes with probability above tolerance.
 
@@ -168,23 +146,30 @@ def apply_protocol(protocol: OneWayProtocol, vec: np.ndarray) -> list:
     tol = tolerance()
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValidationError(f"input vector norm {norm} is not 1")
+    a_in, b_in = protocol.a_in_dim, protocol.b_in_dim
+    if vec.size % (a_in * b_in) != 0:
+        raise ValidationError(
+            f"input dimension {vec.size} incompatible with registers {a_in}x{b_in}"
+        )
+    tensor = vec.reshape(-1, a_in, b_in)
     outcomes = []
     total = 0.0
-    for br in protocol.branches:
-        out = apply_branch(br, vec, protocol.a_in_dim, protocol.b_in_dim)
+    for label, a_op, b_op in zip(protocol.branches, protocol.a_ops, protocol.b_ops):
+        half = np.einsum("iab,yb->iay", tensor, b_op)
+        out = np.einsum("xa,iay->ixy", a_op, half)
         prob = float(np.linalg.norm(out) ** 2)
         total += prob
         if prob > tol:
             outcomes.append(
                 BranchOutcome(
-                    label=br.label,
+                    label=label,
                     probability=prob,
                     state=out.reshape(-1) / np.sqrt(prob),
                 )
             )
-    if abs(total - 1.0) > 10 * tol:
+    if not abs(total - 1.0) <= 10 * tol:
         raise VerificationError(f"branch probabilities sum to {total}, not 1")
     return outcomes
 
@@ -204,7 +189,7 @@ def verify_protocol(
     tol = tolerance()
     target = np.asarray(target, dtype=complex).reshape(-1)
     t_norm = np.linalg.norm(target)
-    if abs(t_norm - 1.0) > 1e-6:
+    if not abs(t_norm - 1.0) <= 1e-6:
         raise ValidationError(f"target vector norm {t_norm} is not 1")
     outcomes = apply_protocol(protocol, vec)
     min_fid = 1.0
@@ -238,14 +223,13 @@ def teleportation_protocol(d: int) -> OneWayProtocol:
     """
     if d < 1:
         raise ValidationError(f"dimension must be positive, got {d}")
-    branches = []
+    labels = [(x, z) for x in range(d) for z in range(d)]
+    sigmas = np.array([generalized_pauli(d, x, z) for x, z in labels])
     scale = 1.0 / np.sqrt(float(d))
-    for x in range(d):
-        for z in range(d):
-            sigma = generalized_pauli(d, x, z)
-            a_op = (sigma.conj().reshape(1, d * d)) * scale
-            branches.append(Branch(label=(x, z), a_op=a_op, b_op=sigma))
-    return OneWayProtocol(branches=tuple(branches), name=f"teleport[{d}]")
+    a_ops = sigmas.conj().reshape(d * d, 1, d * d) * scale
+    return OneWayProtocol(
+        branches=labels, a_ops=a_ops, b_ops=sigmas, name=f"teleport[{d}]"
+    )
 
 
 @dataclass(frozen=True)
@@ -326,18 +310,21 @@ def flatten_to_uniform(p: Sequence[float], L: int) -> OneWayProtocol:
     """
     steps = flatten_schedule(p, L)
     n = len(p)
-    branches = []
+    a_ops = np.zeros((len(steps), L, n), dtype=complex)
+    b_ops = np.zeros((len(steps), n, n), dtype=complex)
     for s, step in enumerate(steps):
-        a_op = np.zeros((L, n), dtype=complex)
-        b_op = np.zeros((n, n), dtype=complex)
         rest = [i for i in range(n) if i not in step.indices]
         for level, i in enumerate(step.indices):
-            a_op[level, i] = np.sqrt(step.mass / p[i])
-            b_op[level, i] = 1.0
+            a_ops[s, level, i] = np.sqrt(step.mass / p[i])
+            b_ops[s, level, i] = 1.0
         for offset, i in enumerate(rest):
-            b_op[L + offset, i] = 1.0
-        branches.append(Branch(label=(s,), a_op=a_op, b_op=b_op))
-    return OneWayProtocol(branches=tuple(branches), name=f"flatten[{n}->{L}]")
+            b_ops[s, L + offset, i] = 1.0
+    return OneWayProtocol(
+        branches=[(s,) for s in range(len(steps))],
+        a_ops=a_ops,
+        b_ops=b_ops,
+        name=f"flatten[{n}->{L}]",
+    )
 
 
 def flatten_source_vector(p: Sequence[float]) -> np.ndarray:
@@ -358,37 +345,3 @@ def flatten_target_vector(L: int, n: int) -> np.ndarray:
         vec[l, l] = 1.0 / np.sqrt(float(L))
     return vec.reshape(-1)
 
-
-def protocol_choi(
-    protocol: OneWayProtocol,
-    input_dim: int,
-    embed: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Choi matrix of the channel induced by the protocol on a chosen input.
-
-    ``embed`` maps a channel-input vector of dimension ``input_dim`` to the
-    protocol's full input vector (appending fixed resource registers).  The
-    returned matrix is sum_{m,j,k} out_m(e_j) out_m(e_k)^dag (x) |j><k|,
-    normalized so the identity channel gives the unnormalized maximally
-    entangled projector of trace ``input_dim``.
-    """
-    raw = []
-    for j in range(input_dim):
-        e = np.zeros(input_dim, dtype=complex)
-        e[j] = 1.0
-        full = np.asarray(embed(e), dtype=complex).reshape(-1)
-        raw.append(
-            [
-                apply_branch(br, full, protocol.a_in_dim, protocol.b_in_dim).reshape(-1)
-                for br in protocol.branches
-            ]
-        )
-    out_dim = raw[0][0].size
-    choi = np.zeros((out_dim * input_dim, out_dim * input_dim), dtype=complex)
-    for m in range(len(protocol.branches)):
-        block = np.zeros((out_dim, input_dim), dtype=complex)
-        for j in range(input_dim):
-            block[:, j] = raw[j][m]
-        vecm = block.reshape(-1)  # index order (out, j)
-        choi += np.outer(vecm, vecm.conj())
-    return choi

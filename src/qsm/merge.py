@@ -23,7 +23,6 @@ import numpy as np
 from .errors import SolverError, ValidationError, VerificationError
 from .ki import KIDecomposition, ki_decompose
 from .locc import (
-    Branch,
     OneWayProtocol,
     VerificationReport,
     flatten_schedule,
@@ -408,7 +407,11 @@ def build_merge_protocol(
     nu = [grid[0]] + [b - a for a, b in zip(grid[:-1], grid[1:])]
 
     out_b_dim = dA * dB * L
-    branches = []
+    dead_count = sum(bd.u_dead.shape[1] * bd.per for bd in data)
+    n = (len(nu) + dead_count) * P * P * J
+    labels = []
+    a_ops = np.zeros((n, L, dA * K), dtype=complex)
+    b_ops = np.zeros((n, out_b_dim, dB * K), dtype=complex)
 
     def a_phase(j: int, m3: int) -> complex:
         return np.exp(-2j * np.pi * j * m3 / J) / np.sqrt(float(J))
@@ -448,7 +451,8 @@ def build_merge_protocol(
         for x in range(P):
             for z in range(P):
                 for m3 in range(J):
-                    a_op = np.zeros((L, dA, K), dtype=complex)
+                    i = len(labels)
+                    a_op = a_ops[i].reshape(L, dA, K)
                     cols_in: list = []
                     cols_out: list = []
                     for bd in data:
@@ -484,14 +488,8 @@ def build_merge_protocol(
                                     )
                                     cols_in.append(vin.reshape(-1))
                                     cols_out.append(vout.reshape(-1))
-                    label = (t, x, z, m3)
-                    branches.append(
-                        Branch(
-                            label=label,
-                            a_op=a_op.reshape(L, dA * K),
-                            b_op=receiver_isometry(label, cols_in, cols_out),
-                        )
-                    )
+                    labels.append((t, x, z, m3))
+                    b_ops[i] = receiver_isometry(labels[i], cols_in, cols_out)
 
     # zero-probability outcomes covering the dead (zero-amplitude) directions
     m1 = len(nu)
@@ -506,20 +504,19 @@ def build_merge_protocol(
                             row_av = sender_rows(
                                 bd, bd.u_dead[:, c], tele_rows(bd, x, z)
                             )
-                            a_op = np.zeros((L, dA, K), dtype=complex)
+                            i = len(labels)
+                            a_op = a_ops[i].reshape(L, dA, K)
                             for row, col, v in bd.slots(0, u):
                                 a_op[row, :, col] = ph_a * row_av[:, v]
-                            branches.append(
-                                Branch(
-                                    label=(m1, x, z, m3),
-                                    a_op=a_op.reshape(L, dA * K),
-                                    b_op=default_b,
-                                )
-                            )
+                            labels.append((m1, x, z, m3))
+                            b_ops[i] = default_b
                 m1 += 1
 
     protocol = OneWayProtocol(
-        branches=tuple(branches), name=f"merge-{mode}[K={K},L={L}]"
+        branches=labels,
+        a_ops=a_ops,
+        b_ops=b_ops,
+        name=f"merge-{mode}[K={K},L={L}]",
     )
     return MergeBuild(protocol=protocol, report=report)
 
@@ -716,38 +713,30 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
             extra = orthonormal_complement(dagger(u_iso), 2)
             u_iso = np.vstack([u_iso, extra.T.conj()])
         v_psi = np.sqrt(2.0) * amps.reshape(2, 4).T  # columns l -> vec(a,b)
-        branches = []
-        for m, (p, u) in enumerate(mu.terms):
-            branches.append(
-                Branch(
-                    label=(m,),
-                    a_op=u_iso[m : m + 1, :],
-                    b_op=v_psi @ dagger(u),
-                )
-            )
-        for extra_m in range(len(mu.terms), u_iso.shape[0]):
-            branches.append(
-                Branch(
-                    label=(extra_m,),
-                    a_op=u_iso[extra_m : extra_m + 1, :],
-                    b_op=v_psi @ dagger(mu.terms[0][1]),
-                )
-            )
-        protocol = OneWayProtocol(branches=tuple(branches), name="qubit-merge[K=1]")
+        # outcomes beyond the mixed-unitary terms reuse the first correction
+        corrections = [u for _, u in mu.terms]
+        corrections += [corrections[0]] * (u_iso.shape[0] - m_cnt)
+        protocol = OneWayProtocol(
+            branches=[(m,) for m in range(u_iso.shape[0])],
+            a_ops=u_iso[:, None, :],
+            b_ops=[v_psi @ dagger(u) for u in corrections],
+            name="qubit-merge[K=1]",
+        )
         return QubitMergeReport(
             cost_bits=0.0, K=1, protocol=protocol, mixed_unitary=mu
         )
     # teleportation fallback: one shared bit
-    branches = []
-    for x in range(2):
-        for z in range(2):
-            sig = generalized_pauli(2, x, z)
-            a_op = sig.conj().reshape(1, 4) / np.sqrt(2.0)
-            b_op = np.zeros((4, 4), dtype=complex)
-            for a_out in range(2):
-                for b_idx in range(2):
-                    for kbar in range(2):
-                        b_op[a_out * 2 + b_idx, b_idx * 2 + kbar] = sig[a_out, kbar]
-            branches.append(Branch(label=(x, z), a_op=a_op, b_op=b_op))
-    protocol = OneWayProtocol(branches=tuple(branches), name="qubit-merge[K=2]")
+    labels = [(x, z) for x in range(2) for z in range(2)]
+    a_ops = np.zeros((4, 1, 4), dtype=complex)
+    b_ops = np.zeros((4, 4, 4), dtype=complex)
+    for i, (x, z) in enumerate(labels):
+        sig = generalized_pauli(2, x, z)
+        a_ops[i] = sig.conj().reshape(1, 4) / np.sqrt(2.0)
+        for a_out in range(2):
+            for b_idx in range(2):
+                for kbar in range(2):
+                    b_ops[i, a_out * 2 + b_idx, b_idx * 2 + kbar] = sig[a_out, kbar]
+    protocol = OneWayProtocol(
+        branches=labels, a_ops=a_ops, b_ops=b_ops, name="qubit-merge[K=2]"
+    )
     return QubitMergeReport(cost_bits=1.0, K=2, protocol=protocol, mixed_unitary=None)

@@ -10,7 +10,7 @@ computations) relies on the conventions fixed here:
   significant component is real positive, ties ordered lexicographically),
 * fidelity in the squared convention, ``F(rho, sigma) =
   (tr |sqrt(rho) sqrt(sigma)|)^2``, so pure-state fidelity is the squared
-  overlap and the purified distance is ``sqrt(1 - F)``.
+  overlap.
 """
 
 from __future__ import annotations
@@ -44,31 +44,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def as_state_vector(v, dim: int | None = None) -> np.ndarray:
-    """Validate and return a 1-D complex array of unit norm (within 1e-6)."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is not None and arr.size != dim:
-        raise ValidationError(f"state vector has dimension {arr.size}, expected {dim}")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValidationError(f"state vector norm {norm} deviates from 1 by more than 1e-6")
-    return arr / norm
+def isometry_deviation(m: np.ndarray) -> float:
+    """``max |m^dag m - 1|``: how far the columns of ``m`` are from orthonormal.
 
-
-def check_density_operator(rho: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace of a density operator."""
-    tol = tolerance() if tol is None else tol
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"density operator must be square, got shape {rho.shape}")
-    if np.abs(rho - dagger(rho)).max() > 10 * tol:
-        raise ValidationError("density operator is not Hermitian within tolerance")
-    tr = float(rho.trace().real)
-    if abs(tr - 1.0) > 1e-6:
-        raise ValidationError(f"density operator trace {tr} deviates from 1 by more than 1e-6")
-    if np.linalg.eigvalsh((rho + dagger(rho)) / 2).min() < -10 * tol:
-        raise ValidationError("density operator has a negative eigenvalue beyond tolerance")
-    return (rho + dagger(rho)) / 2 / tr
+    NaN entries give NaN, so callers compare with ``not deviation <= bound``.
+    """
+    gram = dagger(m) @ m
+    return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
 
 
 def phase_normalize(v: np.ndarray, cutoff: float = 1e-7) -> np.ndarray:
@@ -229,11 +211,6 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(max(val, 0.0), 1.0 + 1e-12))
 
 
-def purified_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """``sqrt(1 - F)`` with the squared-convention fidelity ``F``."""
-    return float(np.sqrt(max(0.0, 1.0 - fidelity(a, b))))
-
-
 def majorization_check(x: np.ndarray, y: np.ndarray, tol: float | None = None) -> bool:
     """Whether ``x`` is majorized by ``y`` (prefix sums, zero-padded, tolerance ``tol``)."""
     tol = tolerance() if tol is None else tol
@@ -247,14 +224,6 @@ def majorization_check(x: np.ndarray, y: np.ndarray, tol: float | None = None) -
     if abs(cx[-1] - cy[-1]) > max(tol, 1e-9 * max(1.0, abs(cy[-1]))):
         return False
     return bool(np.all(cx <= cy + tol))
-
-
-def is_isometry(m: np.ndarray, tol: float | None = None) -> bool:
-    """Whether ``m^dag m = 1`` entrywise within ``tol``."""
-    tol = tolerance() if tol is None else tol
-    m = np.asarray(m, dtype=complex)
-    gram = dagger(m) @ m
-    return bool(np.abs(gram - np.eye(m.shape[1])).max() <= tol)
 
 
 def orthonormal_complement(cols: np.ndarray, out_dim: int, count: int | None = None) -> np.ndarray:
@@ -298,11 +267,3 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     ph = ph / np.abs(ph)
     return q * ph
 
-
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of an iterable of matrices, in order."""
-    mats = list(mats)
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import VerificationError
 from .locc import (
-    Branch,
     OneWayProtocol,
     VerificationReport,
     apply_protocol,
@@ -117,15 +116,16 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
     support = sd.right[:, :K]  # dim_c x K, orthonormal columns
     eye_a = np.eye(dim_a)
     scale = 1.0 / math.sqrt(float(K))
-    branches = []
+    labels = []
+    a_ops = np.zeros((dim_c * K, dim_a, dim_a * dim_c * K), dtype=complex)
+    b_ops = np.zeros((dim_c * K, dim_c, K), dtype=complex)
     for x in range(K):
         for z in range(K):
             sigma = generalized_pauli(K, x, z)
             meas = (support.conj() @ sigma.conj()) * scale
-            a_op = np.kron(eye_a, meas.reshape(1, dim_c * K))
-            branches.append(
-                Branch(label=(x, z), a_op=a_op, b_op=support @ sigma)
-            )
+            a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
+            b_ops[len(labels)] = support @ sigma
+            labels.append((x, z))
     if K < dim_c:
         kernel = np.linalg.svd(support)[0][:, K:]  # orthonormal complement
         for c in range(dim_c - K):
@@ -133,11 +133,12 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
             for k in range(K):
                 meas = np.zeros((dim_c, K), dtype=complex)
                 meas[:, k] = row
-                a_op = np.kron(eye_a, meas.reshape(1, dim_c * K))
-                branches.append(
-                    Branch(label=("kernel", c, k), a_op=a_op, b_op=support)
-                )
-    return OneWayProtocol(branches=tuple(branches), name=f"split[K={K}]")
+                a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
+                b_ops[len(labels)] = support
+                labels.append(("kernel", c, k))
+    return OneWayProtocol(
+        branches=labels, a_ops=a_ops, b_ops=b_ops, name=f"split[K={K}]"
+    )
 
 
 def verify_split(

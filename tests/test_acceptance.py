@@ -134,8 +134,8 @@ def test_criterion_04_qubit_pair_optimal_costs():
     assert ver.passed
     # sender's measurement leaves spectator and receiver maximally entangled
     target_coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    for branch in rep.protocol.branches:
-        post = np.einsum("a,iab->ib", branch.a_op[0], prime.amplitudes)
+    for a_op in rep.protocol.a_ops:
+        post = np.einsum("a,iab->ib", a_op[0], prime.amplitudes)
         post = post / np.linalg.norm(post)
         coeffs = np.linalg.svd(post, compute_uv=False)
         assert np.max(np.abs(coeffs - target_coeffs)) <= 1e-9

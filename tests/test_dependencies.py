@@ -1,0 +1,40 @@
+"""The runtime dependency stays numpy only: every import in the package is
+from the standard library, numpy, or the package itself."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import qsm
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or package-relative
+            for name in names:
+                if name.split(".")[0] not in ALLOWED:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
+def test_pyproject_declares_only_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in deps] == ["numpy"]

@@ -6,9 +6,22 @@ import pytest
 import qsm.cli as cli
 from qsm import locc
 from qsm.errors import ValidationError
-from qsm.merge import build_merge_protocol
-from qsm.statespace import catalog, load_state, save_state
-from qsm.numerics import dagger, random_unitary
+from qsm.ki import ki_decompose
+from qsm.merge import (
+    build_merge_protocol,
+    merge_input_vector,
+    qubit_optimal_merge,
+)
+from qsm.numerics import dagger, random_unitary, tolerance
+from qsm.split import build_split_protocol, split_input_vector
+from qsm.statespace import (
+    Registers,
+    TripartiteState,
+    catalog,
+    load_state,
+    random_state,
+    save_state,
+)
 
 
 def test_max_entangled_vector():
@@ -33,31 +46,78 @@ def test_generalized_pauli():
     assert np.allclose(xz * np.exp(2j * np.pi / 3), zx)
 
 
+def _single(a_op, b_op, label=(0,)):
+    """One-branch protocol from a sender and a receiver matrix."""
+    return locc.OneWayProtocol(
+        branches=(label,), a_ops=np.asarray(a_op)[None], b_ops=np.asarray(b_op)[None]
+    )
+
+
 def test_protocol_validation():
-    b_good = locc.Branch(label=(0,), a_op=np.eye(2), b_op=np.eye(2))
     with pytest.raises(ValidationError):
-        locc.OneWayProtocol(branches=())  # empty protocol rejected at construction
+        # empty protocol rejected at construction
+        locc.OneWayProtocol(
+            branches=(), a_ops=np.zeros((0, 2, 2)), b_ops=np.zeros((0, 2, 2))
+        )
     with pytest.raises(ValidationError):
         # incomplete measurement: a single half-weight branch
-        locc.OneWayProtocol(
-            branches=(locc.Branch(label=(0,), a_op=np.eye(2) / 2, b_op=np.eye(2)),)
-        )
+        _single(np.eye(2) / 2, np.eye(2))
     with pytest.raises(ValidationError):
         # receiver operator not an isometry
-        locc.OneWayProtocol(
-            branches=(locc.Branch(label=(0,), a_op=np.eye(2), b_op=np.eye(2) * 0.5),)
-        )
+        _single(np.eye(2), np.eye(2) * 0.5)
     with pytest.raises(ValidationError):
         # duplicate labels
         half = np.eye(2) / np.sqrt(2)
         locc.OneWayProtocol(
-            branches=(
-                locc.Branch(label=(0,), a_op=half, b_op=np.eye(2)),
-                locc.Branch(label=(0,), a_op=half, b_op=np.eye(2)),
-            )
+            branches=((0,), (0,)),
+            a_ops=np.stack([half, half]),
+            b_ops=np.stack([np.eye(2), np.eye(2)]),
         )
-    proto = locc.OneWayProtocol(branches=(b_good,))
+    with pytest.raises(ValidationError):
+        # one label per stacked operator
+        locc.OneWayProtocol(
+            branches=((0,), (1,)), a_ops=np.eye(2)[None], b_ops=np.eye(2)[None]
+        )
+    with pytest.raises(ValidationError):
+        # a stack is three-dimensional
+        locc.OneWayProtocol(branches=((0,),), a_ops=np.eye(2), b_ops=np.eye(2)[None])
+    with pytest.raises(ValidationError, match="a_ops"):
+        # an empty input register
+        _single(np.zeros((1, 0)), np.eye(2))
+    # non-finite operators: NaN compares false against every threshold
+    nan_a = np.eye(2, dtype=complex)
+    nan_a[1, 1] = np.nan
+    with pytest.raises(ValidationError, match="a_ops"):
+        _single(nan_a, np.eye(2))
+    inf_b = np.eye(2, dtype=complex)
+    inf_b[0, 1] = np.inf
+    with pytest.raises(ValidationError, match="b_ops"):
+        _single(np.eye(2), inf_b)
+    with pytest.raises(ValidationError, match="b_ops"):
+        _single(np.eye(2), np.full((2, 2), np.nan))
+    proto = _single(np.eye(2), np.eye(2))
     assert proto.a_in_dim == proto.b_in_dim == 2
+    assert proto.branches == ((0,),)
+    # stacks given as views are copied: writing the base leaves the protocol
+    ops = np.eye(2, dtype=complex)[None].copy()
+    proto = locc.OneWayProtocol(branches=((0,),), a_ops=ops[:], b_ops=ops[:])
+    ops[0, 0, 0] = 5.0
+    assert proto.a_ops[0, 0, 0] == proto.b_ops[0, 0, 0] == 1.0
+
+
+def test_verify_protocol_rejects_non_finite_vectors():
+    proto = locc.teleportation_protocol(2)
+    target = np.array([1, 0], dtype=complex)
+    vec = np.kron(target, locc.max_entangled_vector(2))
+    with pytest.raises(ValidationError, match="input vector"):
+        locc.verify_protocol(proto, np.full(8, np.nan), target)
+    with pytest.raises(ValidationError, match="input vector"):
+        locc.apply_protocol(proto, np.full(8, np.inf))
+    with pytest.raises(ValidationError, match="target vector"):
+        locc.verify_protocol(proto, vec, np.array([np.nan, 0], dtype=complex))
+    with pytest.raises(ValidationError, match="target vector"):
+        locc.verify_protocol(proto, vec, np.array([np.inf, 0], dtype=complex))
+    assert locc.verify_protocol(proto, vec, target).passed
 
 
 def test_teleport_qubit_plus_state():
@@ -102,18 +162,6 @@ def test_teleport_trivial_dimension():
     assert outcomes[0].probability == pytest.approx(1.0)
 
 
-def test_teleport_channel_is_identity():
-    d = 2
-    proto = locc.teleportation_protocol(d)
-    resource = locc.max_entangled_vector(d)
-    choi = locc.protocol_choi(proto, d, lambda e: np.kron(e, resource))
-    ident = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            ident[j * d + j, k * d + k] = 1.0
-    assert np.max(np.abs(choi - ident)) < 1e-8
-
-
 def test_flatten_schedule_examples():
     steps = locc.flatten_schedule([0.5, 0.25, 0.25], 2)
     assert len(steps) == 2
@@ -156,7 +204,7 @@ def test_flatten_uniform_identity_like():
     p = (0.25,) * 4
     proto = locc.flatten_to_uniform(p, 4)
     assert len(proto.branches) == 1
-    assert np.allclose(proto.branches[0].a_op, np.eye(4))
+    assert np.allclose(proto.a_ops[0], np.eye(4))
     report = locc.verify_protocol(
         proto, locc.flatten_source_vector(p), locc.flatten_target_vector(4, 4)
     )
@@ -193,10 +241,12 @@ def test_verify_protocol_detects_wrong_target():
 
 def test_verify_protocol_detects_perturbed_branch():
     proto = locc.teleportation_protocol(2)
-    broken = list(proto.branches)
+    b_ops = proto.b_ops.copy()
     # replace one receiver correction by the identity (still an isometry)
-    broken[1] = locc.Branch(label=broken[1].label, a_op=broken[1].a_op, b_op=np.eye(2))
-    tampered = locc.OneWayProtocol(branches=tuple(broken))
+    b_ops[1] = np.eye(2)
+    tampered = locc.OneWayProtocol(
+        branches=proto.branches, a_ops=proto.a_ops, b_ops=b_ops
+    )
     # |+> input makes the dropped phase correction visible
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vec = np.kron(plus, locc.max_entangled_vector(2))
@@ -223,10 +273,13 @@ def test_protocol_json_roundtrip_fields(tmp_path):
     def decode(enc):
         return np.array(enc["real"]) + 1j * np.array(enc["imag"])
 
-    for enc, br in zip(dump["branches"], build.protocol.branches):
-        assert tuple(enc["label"]) == br.label
-        assert np.array_equal(decode(enc["a_op"]), br.a_op)
-        assert np.array_equal(decode(enc["b_op"]), br.b_op)
+    protocol = build.protocol
+    for enc, label, a_op, b_op in zip(
+        dump["branches"], protocol.branches, protocol.a_ops, protocol.b_ops
+    ):
+        assert tuple(enc["label"]) == label
+        assert np.array_equal(decode(enc["a_op"]), a_op)
+        assert np.array_equal(decode(enc["b_op"]), b_op)
 
 
 def test_random_protocol_completeness_property():
@@ -236,10 +289,9 @@ def test_random_protocol_completeness_property():
         # rank-1 branches from the rows of a random unitary form a complete
         # measurement
         proto = locc.OneWayProtocol(
-            branches=tuple(
-                locc.Branch(label=(i,), a_op=u[i : i + 1, :], b_op=np.eye(2))
-                for i in range(d * d)
-            )
+            branches=tuple((i,) for i in range(d * d)),
+            a_ops=u[:, None, :],
+            b_ops=np.broadcast_to(np.eye(2), (d * d, 2, 2)),
         )
         assert proto.completeness_residual() < 1e-9
 
@@ -249,3 +301,72 @@ def test_flatten_rejects_bad_level_count():
         locc.flatten_schedule([0.5, 0.5], 3)
     with pytest.raises(ValidationError):
         locc.flatten_schedule([0.5, 0.5], 0)
+
+
+def _apply_branch_oracle(a_op, b_op, vec, a_in, b_in):
+    """Per-branch application as it was before the stacks: fresh copies of
+    both operators, the spectator dimension inferred from the vector."""
+    tensor = np.asarray(vec, dtype=complex).reshape(-1, a_in, b_in)
+    half = np.einsum("iab,yb->iay", tensor, np.array(b_op))
+    return np.einsum("xa,iay->ixy", np.array(a_op), half)
+
+
+def _stacked_cases():
+    """(protocol, input vector) for merge in both modes, split and the
+    qubit merge on catalog and seeded random states."""
+    states = [catalog("ghz", d=3)] + [
+        catalog(name)
+        for name in (
+            "implication2",
+            "implication3",
+            "implication4_psi",
+            "implication4_psi_prime",
+            "appendixD",
+            "qutrit_choi",
+        )
+    ]
+    rng = np.random.default_rng(606)
+    states += [random_state(rng, dims) for dims in ((2, 2, 2), (2, 3, 2), (3, 4, 3))]
+    # sender padded by one unused level: a p = 0 block
+    small = random_state(rng, (2, 2, 2))
+    amps = np.zeros((2, 3, 2), dtype=complex)
+    amps[:, :2, :] = small.amplitudes
+    padded = TripartiteState(Registers(2, 3, 2), amps)
+    assert any(block.p == 0.0 for block in ki_decompose(padded).blocks)
+    states.append(padded)
+    for state in states:
+        for mode in ("catalytic", "noncatalytic"):
+            build = build_merge_protocol(state, mode=mode)
+            yield build.protocol, merge_input_vector(state, build.report.K)
+        protocol = build_split_protocol(state)
+        yield protocol, split_input_vector(state, protocol.b_in_dim)
+    prime = catalog("implication4_psi_prime")
+    yield qubit_optimal_merge(prime).protocol, merge_input_vector(prime, 1)
+
+
+def test_stacked_application_matches_per_branch_oracle():
+    tol = tolerance()
+    count = 0
+    for protocol, vec in _stacked_cases():
+        count += 1
+        for stack in (protocol.a_ops, protocol.b_ops):
+            assert stack.ndim == 3
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        assert len(protocol.branches) == protocol.a_ops.shape[0]
+        assert len(protocol.branches) == protocol.b_ops.shape[0]
+        expected = []
+        for label, a_op, b_op in zip(protocol.branches, protocol.a_ops, protocol.b_ops):
+            out = _apply_branch_oracle(
+                a_op, b_op, vec, protocol.a_in_dim, protocol.b_in_dim
+            )
+            prob = float(np.linalg.norm(out) ** 2)
+            if prob > tol:
+                expected.append((label, prob, out.reshape(-1) / np.sqrt(prob)))
+        outcomes = locc.apply_protocol(protocol, vec)
+        assert [o.label for o in outcomes] == [e[0] for e in expected], protocol.name
+        for outcome, (_, prob, state) in zip(outcomes, expected):
+            assert outcome.probability == prob
+            assert np.array_equal(outcome.state, state)
+    assert count == 34

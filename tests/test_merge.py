@@ -160,7 +160,7 @@ def test_merge_protocol_exact_on_catalog(name, d, mode, branch_count):
 def test_merge_implication2_outcome_structure():
     state, dec = _decomp("implication2")
     build = build_merge_protocol(state, dec, mode="catalytic")
-    labels = [b.label for b in build.protocol.branches]
+    labels = list(build.protocol.branches)
     assert len(set(labels)) == len(labels)
     # one live grid cell plus two dead outcomes -> three first-coordinate values
     assert sorted({l[0] for l in labels}) == [0, 1, 2]
@@ -172,7 +172,7 @@ def test_merge_implication2_outcome_structure():
 def test_ghz_branch_labels():
     state, dec = _decomp("ghz", d=3)
     build = build_merge_protocol(state, dec, mode="catalytic")
-    assert [b.label for b in build.protocol.branches] == [(0, 0, 0, m) for m in range(3)]
+    assert list(build.protocol.branches) == [(0, 0, 0, m) for m in range(3)]
 
 
 def test_verify_merge_convenience():

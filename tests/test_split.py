@@ -77,11 +77,15 @@ def test_split_protocol_shapes_and_kernel_branches():
     protocol = build_split_protocol(state)
     # 4 teleportation branches + (4-2)*2 kernel-completion branches
     assert len(protocol.branches) == 8
-    kernels = [br for br in protocol.branches if br.label[0] == "kernel"]
+    kernels = [
+        a_op
+        for label, a_op in zip(protocol.branches, protocol.a_ops)
+        if label[0] == "kernel"
+    ]
     assert len(kernels) == 4
     vec = split_input_vector(state, 2)
-    for br in kernels:
-        amp = np.linalg.norm(br.a_op @ vec.reshape(-1, protocol.b_in_dim).reshape(
+    for a_op in kernels:
+        amp = np.linalg.norm(a_op @ vec.reshape(-1, protocol.b_in_dim).reshape(
             state.dims[0], protocol.a_in_dim, protocol.b_in_dim
         ).transpose(1, 0, 2).reshape(protocol.a_in_dim, -1))
         assert amp <= 1e-9  # kernel branches never fire on the given state

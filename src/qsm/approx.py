@@ -144,13 +144,12 @@ class EnsembleCertificate:
 def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> None:
     if cert.K < 1 or cert.L < 1:
         raise ValidationError("certificate resource ranks must be >= 1")
-    if cert.epsilon < 0.0:
-        raise ValidationError("certificate epsilon must be nonnegative")
+    _check_epsilon(cert.epsilon)
     if not cert.members or len(cert.weights) != len(cert.members):
         raise ValidationError("certificate needs matching weights and members")
-    if min(cert.weights) < -1e-12:
-        raise ValidationError("certificate weights must be nonnegative")
-    if abs(sum(cert.weights) - 1.0) > 1e-6:
+    if not all(w >= -1e-12 for w in cert.weights):
+        raise ValidationError(f"certificate weights must be nonnegative, got {cert.weights}")
+    if not abs(sum(cert.weights) - 1.0) <= 1e-6:
         raise ValidationError("certificate weights must sum to 1")
     dim_r, dim_a, dim_b = state.dims
     expected = dim_r * dim_a * dim_b * cert.L * cert.L
@@ -161,7 +160,7 @@ def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> 
                 f"(dim_R, dim_A, dim_B, L, L) = "
                 f"({dim_r}, {dim_a}, {dim_b}, {cert.L}, {cert.L})"
             )
-        if abs(np.linalg.norm(member) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(member) - 1.0) <= 1e-6:
             raise ValidationError("certificate members must be normalized")
 
 
@@ -197,7 +196,7 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
         rho = mat @ mat.conj().T
         spec = np.clip(np.linalg.eigvalsh(rho)[::-1].real, 0.0, None)
         y += weight * spec
-    majorized = majorization_check(x, y)
+    majorized = majorization_check(x, y, tol)
 
     target = _certificate_target(state, L)
     f2 = sum(

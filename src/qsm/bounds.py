@@ -35,6 +35,7 @@ from .statespace import (
 )
 
 __all__ = [
+    "H_MAX_DIM_CAP",
     "ConverseReport",
     "QutritChannelReport",
     "SearchReport",
@@ -45,6 +46,9 @@ __all__ = [
     "qutrit_counterexample_report",
     "uniform_resource_majorization",
 ]
+
+# Largest total dimension d_R * d_A * d_B that h_max_conditional accepts.
+H_MAX_DIM_CAP = 16
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
@@ -94,7 +98,6 @@ def uniform_resource_majorization(
     eig_ab: np.ndarray,
     K: int,
     L: int,
-    tol: float | None = None,
 ) -> bool:
     """Spectra test behind the search bound.
 
@@ -106,7 +109,7 @@ def uniform_resource_majorization(
         raise ValidationError("resource ranks K and L must be >= 1")
     x = np.repeat(np.asarray(eig_b, dtype=float) / K, K)
     y = np.repeat(np.asarray(eig_ab, dtype=float) / L, L)
-    return majorization_check(x, y, tol)
+    return majorization_check(x, y, tolerance())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,9 +279,9 @@ class _MinSpectralNormSolver:
             total -= 2.0 * float(np.log(np.abs(np.diag(chol))).sum())
         return total
 
-    def _center(self, x: np.ndarray, tau: float, max_iter: int = 60) -> np.ndarray:
+    def _center(self, x: np.ndarray, tau: float) -> np.ndarray:
         m = self.m
-        for _ in range(max_iter):
+        for _ in range(60):
             slacks = self._slacks(x)
             grad = np.zeros(m)
             grad[0] = tau
@@ -337,15 +340,15 @@ class _MinSpectralNormSolver:
         lower = beta * float(np.real(self.psi.conj() @ y2 @ self.psi))
         return lower, upper
 
-    def solve(self, log2_width: float = 9e-7) -> tuple[float, float]:
-        """Return a certified interval ``(lo, hi)`` with ``log2(hi/lo) <= log2_width``."""
+    def solve(self) -> tuple[float, float]:
+        """Return a certified interval ``(lo, hi)`` with ``log2(hi/lo) <= 9e-7``."""
         dim_a = self.dims[1]
         x = np.zeros(self.m)
         x[0] = 3.0 * dim_a
         x[1 : 1 + self.n] = 1.5  # Z = 1.5 * identity (diagonal basis elements first)
         lo = 0.0
         hi = math.inf
-        target = math.log(2.0) * log2_width
+        target = math.log(2.0) * 9e-7
         tau = 1.0
         for _ in range(18):
             x = self._center(x, tau)
@@ -367,15 +370,15 @@ def h_max_conditional(state: TripartiteState) -> float:
     Solves ``minimize ||Z^B||_inf`` over ``Z >= 0`` on AB with
     ``1_R (x) Z >= |psi><psi|`` and returns ``log2`` of the optimum, accurate
     to 1e-6 absolute with a certified duality gap.  The tripartite state
-    supplies the purification; total dimension is capped at 16.
+    supplies the purification; total dimension is capped at ``H_MAX_DIM_CAP``.
 
     Raises :class:`SolverError` if the interior-point stages are exhausted
     before the gap certificate reaches the target width.
     """
     dim_r, dim_a, dim_b = state.dims
-    if dim_r * dim_a * dim_b > 16:
+    if dim_r * dim_a * dim_b > H_MAX_DIM_CAP:
         raise ValidationError(
-            "conditional max-entropy solver is limited to total dimension <= 16"
+            f"conditional max-entropy solver is limited to total dimension <= {H_MAX_DIM_CAP}"
         )
     solver = _MinSpectralNormSolver(state.vector, state.dims)
     lo, hi = solver.solve()

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import __version__
 from .approx import best_smoothing_candidate, verify_approximate_merge
-from .bounds import compare_bounds, converse_search, converse_simple, h_max_conditional
+from .bounds import (
+    H_MAX_DIM_CAP,
+    compare_bounds,
+    converse_search,
+    converse_simple,
+    h_max_conditional,
+)
 from .errors import ValidationError, VerificationError
 from .ki import ki_decompose
 from .locc import verify_protocol
@@ -267,7 +273,7 @@ def _run_bounds(args):
     search = converse_search(state, K_max=args.kmax, L_max=args.lmax)
     results = {"simple": _jsonable(simple), "search": _jsonable(search)}
     total_dim = state.dims[0] * state.dims[1] * state.dims[2]
-    if total_dim <= 16:
+    if total_dim <= H_MAX_DIM_CAP:
         h_max = h_max_conditional(state)
         results["h_max"] = h_max
         results["gap_simple_minus_h_max"] = simple["catalytic"] - h_max
@@ -275,7 +281,7 @@ def _run_bounds(args):
     else:
         results["h_max"] = None
         results["h_max_note"] = (
-            "skipped: total dimension exceeds the 16-dimensional solver cap"
+            f"skipped: total dimension exceeds the {H_MAX_DIM_CAP}-dimensional solver cap"
         )
         h_text = " h_max=skipped"
     summary = (

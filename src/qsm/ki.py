@@ -28,7 +28,6 @@ from .numerics import (
     fidelity,
     isometry_deviation,
     orthonormal_complement,
-    phase_normalize,
     tolerance,
 )
 from .statespace import TripartiteState
@@ -106,19 +105,14 @@ class BlockStructure:
         return [(v.shape[1], v.shape[2]) for v in self.spaces]
 
 
-def refinement_index(decomp) -> int:
+def refinement_index(decomp: BlockStructure) -> int:
     """Degree-of-refinement index r = S(S+1)/2 - J + 1 with S the sum of R-dims."""
-    if isinstance(decomp, BlockStructure):
-        dims_R = [v.shape[2] for v in decomp.spaces]
-    else:  # KIDecomposition
-        dims_R = [b.dim_R for b in decomp.blocks]
-    s = sum(dims_R)
-    return s * (s + 1) // 2 - len(dims_R) + 1
+    s = sum(v.shape[2] for v in decomp.spaces)
+    return s * (s + 1) // 2 - decomp.J + 1
 
 
-def initial_structure(state: TripartiteState, tol: float | None = None) -> BlockStructure:
+def initial_structure(state: TripartiteState, tol: float) -> BlockStructure:
     """Single block spanning supp(psi^A), with trivial R-factor."""
-    tol = tolerance() if tol is None else tol
     vals, vecs = canonical_eigh(state.marginal("A"), tol)
     n = int(np.sum(vals > 10 * tol))
     if n == 0:
@@ -230,19 +224,16 @@ def _generator_witness(
 def l_decompose_step(
     state: TripartiteState,
     decomp: BlockStructure,
-    steered: SteeredOperators | None = None,
-    tol: float | None = None,
+    steered: SteeredOperators,
+    tol: float,
 ) -> BlockStructure | None:
     """One L-decomposing refinement, or ``None`` when no witness exists.
 
     Searches for a block whose L-factor supports two non-proportional
     compressed steered states, and splits that L-factor by the eigenvalue sign
-    of the difference of the trace-normalized pair.  ``steered`` and ``tol``
-    default to freshly computed values for ``state``.
+    of the difference of the trace-normalized pair.  ``steered`` holds the
+    steered operators of ``state``.
     """
-    tol = tolerance() if tol is None else tol
-    steered = SteeredOperators(state) if steered is None else steered
-
     for j0, space in enumerate(decomp.spaces):
         dim_R = space.shape[2]
         t_full = _compressed(space, steered.full)
@@ -273,21 +264,18 @@ def l_decompose_step(
 def r_combine_step(
     state: TripartiteState,
     decomp: BlockStructure,
-    steered: SteeredOperators | None = None,
-    tol: float | None = None,
+    steered: SteeredOperators,
+    tol: float,
 ) -> BlockStructure | None:
     """One R-combining refinement, or ``None`` when no witness exists.
 
     Searches block pairs for a nonzero cross compression sigma of a steered
     state, then identifies the two L-factors along the singular vectors of
     sigma and concatenates the R-factors; unmatched L-directions stay behind
-    as leftover blocks.  ``steered`` and ``tol`` default to freshly computed
-    values for ``state``.
+    as leftover blocks.  ``steered`` holds the steered operators of ``state``.
     """
     if decomp.J < 2:
         return None
-    tol = tolerance() if tol is None else tol
-    steered = SteeredOperators(state) if steered is None else steered
 
     for j0 in range(decomp.J):
         for j1 in range(j0 + 1, decomp.J):
@@ -381,16 +369,6 @@ class KIBlock:
         return self.ws.shape[2]
 
     @property
-    def iso_L(self) -> np.ndarray:
-        """L-factor embedding into H^A at the first R-level."""
-        return self.iso[:, :, 0]
-
-    @property
-    def iso_R(self) -> np.ndarray:
-        """R-factor embedding into H^A at the first L-level."""
-        return self.iso[:, 0, :]
-
-    @property
     def omega(self) -> np.ndarray:
         """Density operator of the redundant part on a_j^L."""
         return self.omega_vec @ dagger(self.omega_vec)
@@ -425,18 +403,7 @@ class KIDecomposition:
         return len(self.blocks)
 
 
-def _extract_block_data(state: TripartiteState, spaces: list[np.ndarray], tol: float):
-    """Per-block weights, redundant-part spectra, and quantum parts."""
-    amps = state.amplitudes
-    raw = []
-    for space in spaces:
-        psi_j = np.einsum("alr,iab->ilrb", space.conj(), amps)
-        p_j = float(np.sum(np.abs(psi_j) ** 2))
-        raw.append((space, psi_j, p_j))
-    return raw
-
-
-def _glue_kernel(state: TripartiteState, raw: list, tol: float) -> list:
+def _glue_kernel(state: TripartiteState, raw: list) -> list:
     """Attach kernel directions of psi^A to the block list."""
     dim_A = state.regs.dim_A
     span = np.hstack([space.reshape(dim_A, -1) for space, _, _ in raw])
@@ -529,7 +496,7 @@ def _product_test(block: KIBlock, state: TripartiteState, tol: float) -> None:
         )
 
 
-def _tensor_form(blocks: tuple[KIBlock, ...], dim_A: int, dim_B: int, tol: float):
+def _tensor_form(blocks: tuple[KIBlock, ...], dim_A: int, dim_B: int):
     """Stacked isometries of the padded tensor-product form, for both sides."""
     J = len(blocks)
     max_l = max(b.dim_L for b in blocks)
@@ -596,8 +563,12 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     else:
         raise VerificationError("refinement loop exceeded its iteration bound")
 
-    raw = _extract_block_data(state, list(structure.spaces), tol)
-    raw = _glue_kernel(state, raw, tol)
+    raw = []
+    for space in structure.spaces:
+        psi_j = np.einsum("alr,iab->ilrb", space.conj(), state.amplitudes)
+        p_j = float(np.sum(np.abs(psi_j) ** 2))
+        raw.append((space, psi_j, p_j))
+    raw = _glue_kernel(state, raw)
     raw = _canonical_order(raw)
     total_p = sum(p for _, _, p in raw)
     if abs(total_p - 1.0) > 1e3 * tol:
@@ -608,7 +579,7 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     )
     for b in blocks:
         _product_test(b, state, tol)
-    u_a, u_b, pad_a, pad_b = _tensor_form(blocks, state.regs.dim_A, state.regs.dim_B, tol)
+    u_a, u_b, pad_a, pad_b = _tensor_form(blocks, state.regs.dim_A, state.regs.dim_B)
     decomp = KIDecomposition(
         blocks=blocks,
         U_A=u_a,

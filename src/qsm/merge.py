@@ -14,7 +14,7 @@ approximation of the leading product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -153,15 +153,11 @@ def achievable_cost(
     if mode not in ("catalytic", "noncatalytic"):
         raise ValidationError(f"unknown mode {mode!r}")
     check_delta(delta)
-    raw = []
+    pre = []
     for b in decomp.blocks:
         eligible = b.p > 0.0
         lam0 = float(b.lambda0_L) if eligible else 0.0
-        raw.append((b.index, lam0, b.dim_R, lam0 * b.dim_R, eligible))
-    pre = [
-        BlockCost(index=i, lambda0=l, dim_R=d, product=pr, eligible=e)
-        for (i, l, d, pr, e) in raw
-    ]
+        pre.append(BlockCost(b.index, lam0, b.dim_R, lam0 * b.dim_R, eligible))
     j0 = _select_leading_block(pre)
 
     if mode == "noncatalytic":
@@ -179,26 +175,13 @@ def achievable_cost(
 
     lam_tilde = rational_upper_approx(pre[j0].lambda0, delta)
     d0 = pre[j0].dim_R
-    blocks = []
+    ratios = {}  # block index -> K_j / L_j, reduced
     lcm = 1
     for bc in pre:
         if not bc.eligible:
-            blocks.append(bc)
             continue
-        ratio = Fraction(d0, bc.dim_R) * lam_tilde  # = K_j / L_j reduced
-        kj, lj = ratio.numerator, ratio.denominator
-        blocks.append(
-            BlockCost(
-                index=bc.index,
-                lambda0=bc.lambda0,
-                dim_R=bc.dim_R,
-                product=bc.product,
-                eligible=True,
-                K_j=kj,
-                L_j=lj,
-            )
-        )
-        lcm = math.lcm(lcm, bc.dim_R * kj)
+        ratios[bc.index] = Fraction(d0, bc.dim_R) * lam_tilde
+        lcm = math.lcm(lcm, bc.dim_R * ratios[bc.index].numerator)
         if lcm > 2**63:
             raise SolverError(
                 "resource rank overflows 2^63; increase delta to coarsen the "
@@ -210,25 +193,15 @@ def achievable_cost(
         raise VerificationError("returned resource rank is not integral")
     L = L_frac.numerator
     final = []
-    for bc in blocks:
+    for bc in pre:
         if not bc.eligible:
             final.append(bc)
             continue
-        wj, rem = divmod(K, bc.dim_R * bc.K_j)
-        if rem != 0 or bc.L_j * wj != L:
+        kj, lj = ratios[bc.index].numerator, ratios[bc.index].denominator
+        wj, rem = divmod(K, bc.dim_R * kj)
+        if rem != 0 or lj * wj != L:
             raise VerificationError("block resource subdivision failed")
-        final.append(
-            BlockCost(
-                index=bc.index,
-                lambda0=bc.lambda0,
-                dim_R=bc.dim_R,
-                product=bc.product,
-                eligible=True,
-                K_j=bc.K_j,
-                L_j=bc.L_j,
-                W_j=wj,
-            )
-        )
+        final.append(replace(bc, K_j=kj, L_j=lj, W_j=wj))
     return CostReport(
         mode=mode,
         K=K,

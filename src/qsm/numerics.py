@@ -8,9 +8,7 @@ computations) relies on the conventions fixed here:
 * eigen- and Schmidt decompositions sorted by descending value with a
   deterministic tie-break (vectors phase-normalized so their first
   significant component is real positive, ties ordered lexicographically),
-* fidelity in the squared convention, ``F(rho, sigma) =
-  (tr |sqrt(rho) sqrt(sigma)|)^2``, so pure-state fidelity is the squared
-  overlap.
+* fidelity of pure states in the squared convention, ``F = |<a|b>|^2``.
 """
 
 from __future__ import annotations
@@ -53,13 +51,18 @@ def isometry_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
 
 
-def phase_normalize(v: np.ndarray, cutoff: float = 1e-7) -> np.ndarray:
-    """Rotate a global phase so the first component with \\|v_i\\| > cutoff is real positive."""
-    v = np.asarray(v, dtype=complex)
+def _leading_phase(v: np.ndarray) -> complex:
+    """Unit phase that makes the first component with \\|v_i\\| > 1e-7 real positive."""
     for x in v.flat:
-        if abs(x) > cutoff:
-            return v * (x.conjugate() / abs(x))
-    return v.copy()
+        if abs(x) > 1e-7:
+            return x.conjugate() / abs(x)
+    return 1.0 + 0.0j
+
+
+def phase_normalize(v: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first component with \\|v_i\\| > 1e-7 is real positive."""
+    v = np.asarray(v, dtype=complex)
+    return v * _leading_phase(v)
 
 
 def _lex_key(v: np.ndarray) -> tuple:
@@ -69,33 +72,36 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(-float(x) for pair in zip(rounded.real, rounded.imag) for x in pair)
 
 
-def canonical_eigh(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _tie_order(values: np.ndarray, vectors: list[np.ndarray], tol: float) -> list[int]:
+    """Indices of descending ``values`` with runs equal within ``10 * tol`` sorted by ``_lex_key``."""
+    order: list[int] = []
+    i = 0
+    n = len(values)
+    while i < n:
+        j = i + 1
+        while j < n and abs(values[j] - values[i]) <= 10 * tol:
+            j += 1
+        order.extend(sorted(range(i, j), key=lambda k: _lex_key(vectors[k])))
+        i = j
+    return order
+
+
+def canonical_eigh(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with descending eigenvalues, deterministic.
 
     Each eigenvector is phase-normalized (first significant component real
     positive); eigenvalues equal within ``10 * tol`` are ordered
     lexicographically by the normalized eigenvector entries.
     """
-    tol = tolerance() if tol is None else tol
     h = np.asarray(h, dtype=complex)
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
     cols = [phase_normalize(vecs[:, i]) for i in range(vecs.shape[1])]
-    out_vals: list[float] = []
-    out_cols: list[np.ndarray] = []
-    i = 0
-    n = len(cols)
-    while i < n:
-        j = i + 1
-        while j < n and abs(vals[j] - vals[i]) <= 10 * tol:
-            j += 1
-        group = sorted(range(i, j), key=lambda k: _lex_key(cols[k]))
-        out_vals.extend(vals[k] for k in group)
-        out_cols.extend(cols[k] for k in group)
-        i = j
-    return np.array(out_vals, dtype=float), np.column_stack(out_cols)
+    ordered = _tie_order(vals, cols, tol)
+    out_vals = np.array([vals[k] for k in ordered], dtype=float)
+    return out_vals, np.column_stack([cols[k] for k in ordered])
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,9 @@ class SchmidtDecomposition:
     left: np.ndarray
     right: np.ndarray
 
-    def rank(self, tol: float | None = None) -> int:
-        tol = tolerance() if tol is None else tol
-        return int(np.sum(self.coeffs > tol))
-
-    def reconstruct(self) -> np.ndarray:
-        mat = self.left @ np.diag(self.coeffs) @ self.right.T
-        return mat.reshape(-1)
+    def rank(self) -> int:
+        """Number of coefficients above the tolerance ``tau``."""
+        return int(np.sum(self.coeffs > tolerance()))
 
 
 def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) -> SchmidtDecomposition:
@@ -136,30 +138,12 @@ def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) ->
         raise ValidationError(f"vector size {v.size} != {d_left} * {d_right}")
     mat = v.reshape(d_left, d_right)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    tol = tolerance()
-    lefts = []
-    rights = []
-    for l in range(s.size):
-        ul = u[:, l]
-        phase = 1.0 + 0.0j
-        for x in ul.flat:
-            if abs(x) > 1e-7:
-                phase = x.conjugate() / abs(x)
-                break
-        lefts.append(ul * phase)
-        rights.append(vh[l, :] * phase.conjugate())
-    order = list(range(s.size))
-    i = 0
-    ordered: list[int] = []
-    while i < len(order):
-        j = i + 1
-        while j < len(order) and abs(s[j] - s[i]) <= 10 * tol:
-            j += 1
-        ordered.extend(sorted(order[i:j], key=lambda k: _lex_key(lefts[k])))
-        i = j
+    phases = [_leading_phase(u[:, l]) for l in range(s.size)]
+    lefts = [u[:, l] * phases[l] for l in range(s.size)]
+    ordered = _tie_order(s, lefts, tolerance())
     coeffs = np.array([s[k] for k in ordered], dtype=float)
     left = np.column_stack([lefts[k] for k in ordered])
-    right = np.column_stack([rights[k] for k in ordered])
+    right = np.column_stack([vh[k, :] * phases[k].conjugate() for k in ordered])
     return SchmidtDecomposition(coeffs=coeffs, left=left, right=right)
 
 
@@ -187,33 +171,14 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     return result.reshape(d_keep, d_keep)
 
 
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((rho + dagger(rho)) / 2)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
-
-
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Fidelity in the squared convention; accepts vectors and/or density operators."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1 and b.ndim == 1:
-        val = abs(np.vdot(a, b)) ** 2
-    elif a.ndim == 1:
-        val = float(np.real(np.vdot(a, b @ a)))
-    elif b.ndim == 1:
-        val = float(np.real(np.vdot(b, a @ b)))
-    else:
-        root = _sqrtm_psd(a)
-        inner = root @ b @ root
-        vals = np.clip(np.linalg.eigvalsh((inner + dagger(inner)) / 2), 0.0, None)
-        val = float(np.sum(np.sqrt(vals)) ** 2)
+    """Fidelity of two pure-state vectors in the squared convention, ``|<a|b>|^2``."""
+    val = abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
     return float(min(max(val, 0.0), 1.0 + 1e-12))
 
 
-def majorization_check(x: np.ndarray, y: np.ndarray, tol: float | None = None) -> bool:
+def majorization_check(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
     """Whether ``x`` is majorized by ``y`` (prefix sums, zero-padded, tolerance ``tol``)."""
-    tol = tolerance() if tol is None else tol
     x = np.sort(np.asarray(x, dtype=float))[::-1]
     y = np.sort(np.asarray(y, dtype=float))[::-1]
     n = max(x.size, y.size)
@@ -226,19 +191,18 @@ def majorization_check(x: np.ndarray, y: np.ndarray, tol: float | None = None) -
     return bool(np.all(cx <= cy + tol))
 
 
-def orthonormal_complement(cols: np.ndarray, out_dim: int, count: int | None = None) -> np.ndarray:
+def orthonormal_complement(cols: np.ndarray, out_dim: int) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of ``span(cols)`` in ``C^out_dim``.
 
     Candidates are the standard basis vectors in index order, projected against
-    the accepted set twice for numerical stability; returns ``count`` columns
-    (default: the full complement dimension).
+    the accepted set twice for numerical stability; returns the full
+    complement, ``out_dim - cols.shape[1]`` columns.
     """
     cols = np.asarray(cols, dtype=complex).reshape(out_dim, -1)
     have = cols.shape[1]
-    if count is None:
-        count = out_dim - have
-    if count < 0 or have + count > out_dim:
+    if have > out_dim:
         raise ValidationError("requested complement larger than available dimension")
+    count = out_dim - have
     basis = [cols[:, i] for i in range(have)]
     out: list[np.ndarray] = []
     for i in range(out_dim):

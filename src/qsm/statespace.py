@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import schmidt_decompose, tolerance
+from .numerics import schmidt_decompose
 
 _MARGINAL_AXES = {"R": (0,), "A": (1,), "B": (2,), "RA": (0, 1), "RB": (0, 2), "AB": (1, 2)}
 
@@ -160,6 +160,14 @@ def _real_field(value, field: str) -> float:
     return float(value)
 
 
+def _zero_amplitudes(dims: tuple[int, int, int]) -> np.ndarray:
+    """Zero amplitude tensor; dimensions too large to allocate are a ValidationError."""
+    try:
+        return np.zeros(dims, dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"register dimensions {dims} are too large to allocate") from exc
+
+
 def load_state(path) -> TripartiteState:
     """Load and validate a JSON state file written by :func:`save_state`.
 
@@ -189,7 +197,7 @@ def load_state(path) -> TripartiteState:
         factors_A=factors.get("factorsA"),
         factors_B=factors.get("factorsB"),
     )
-    amps = np.zeros((regs.dim_R, regs.dim_A, regs.dim_B), dtype=complex)
+    amps = _zero_amplitudes((regs.dim_R, regs.dim_A, regs.dim_B))
     seen: set[tuple[int, int, int]] = set()
     rows = doc.get("amps")
     if not isinstance(rows, list) or not rows:
@@ -228,7 +236,7 @@ def _bell(sign: float, kind: str) -> np.ndarray:
 
 
 def _ghz(d: int) -> TripartiteState:
-    amps = np.zeros((d, d, d), dtype=complex)
+    amps = _zero_amplitudes((d, d, d))
     for l in range(d):
         amps[l, l, l] = 1.0 / np.sqrt(float(d))
     return TripartiteState(Registers(d, d, d), amps, name=f"ghz{d}")
@@ -363,10 +371,9 @@ def max_entangled_counterpart(state: TripartiteState) -> TripartiteState:
     return TripartiteState(regs=state.regs, amplitudes=amps, name=name)
 
 
-def schmidt_rank_r(state: TripartiteState, tol: float | None = None) -> int:
+def schmidt_rank_r(state: TripartiteState) -> int:
     """Schmidt rank of the state across the R | AB cut."""
-    tol = tolerance() if tol is None else tol
-    return schmidt_decompose(state.vector, state.regs.dim_R).rank(tol)
+    return schmidt_decompose(state.vector, state.regs.dim_R).rank()
 
 
 def random_state(rng: np.random.Generator, dims: tuple[int, int, int], name: str = "") -> TripartiteState:

@@ -163,6 +163,24 @@ def test_certificate_validation():
         )  # K < 1
 
 
+@pytest.mark.parametrize(
+    "weight, member_scale, epsilon, field",
+    [
+        (math.nan, 1.0, 0.0, "weights"),
+        (1.0, 1.0, math.nan, "epsilon"),
+        (1.0, 1.0, math.inf, "epsilon"),
+        (1.0, math.nan, 0.0, "members"),
+    ],
+    ids=["nan-weight", "nan-epsilon", "inf-epsilon", "nan-member"],
+)
+def test_certificate_rejects_non_finite_fields(weight, member_scale, epsilon, field):
+    state = catalog("ghz", d=2)
+    member = _singleton_target(state, 1) * member_scale
+    cert = EnsembleCertificate((weight,), (member,), 1, 1, epsilon)
+    with pytest.raises(ValidationError, match=field):
+        check_ensemble_certificate(state, cert)
+
+
 # --------------------------------------------------------------------------
 # heuristic search
 

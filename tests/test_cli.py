@@ -109,6 +109,24 @@ def test_malformed_state_file_exits_2_naming_field(tmp_path, dims, rows, field):
     assert field in report["error"]
 
 
+_HUGE = 1_000_000  # a 10^18-entry tensor: numpy refuses it before allocating
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ki", "STATE"], ["bounds", "STATE"], ["catalog", "ghz", "--d", str(_HUGE)]],
+    ids=["ki", "bounds", "catalog-ghz"],
+)
+def test_oversized_dimensions_exit_2_naming_them(tmp_path, argv):
+    path = tmp_path / "huge.json"
+    dims = {"R": _HUGE, "A": _HUGE, "B": _HUGE}
+    path.write_text(json.dumps({"version": 1, "dims": dims, "amps": [[0, 0, 0, 1.0, 0.0]]}))
+    code, report = cli.run([str(path) if arg == "STATE" else arg for arg in argv])
+    assert code == 2
+    assert report["exit_code"] == 2
+    assert f"({_HUGE}, {_HUGE}, {_HUGE})" in report["error"]
+
+
 @pytest.mark.parametrize(
     "command, options, field",
     [

@@ -38,3 +38,32 @@ def test_pyproject_declares_only_numpy():
     with open(pyproject, "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in deps] == ["numpy"]
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module imports is used in it; names in ``__all__`` count as used."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []

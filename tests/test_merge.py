@@ -18,7 +18,7 @@ from qsm.merge import (
     rational_upper_approx,
     verify_merge,
 )
-from qsm.numerics import majorization_check, random_unitary
+from qsm.numerics import majorization_check, random_unitary, tolerance
 from qsm.statespace import (
     Registers,
     TripartiteState,
@@ -247,7 +247,7 @@ def test_resource_spectra_majorization(name, d, mode):
     eig_ab = np.linalg.eigvalsh(state.marginal("AB"))
     left = np.repeat(eig_b / rep.K, rep.K)
     right = np.repeat(eig_ab / L, L)
-    assert majorization_check(left, right)
+    assert majorization_check(left, right, tolerance())
 
 
 def _pad_sender(state):

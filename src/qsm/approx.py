@@ -33,7 +33,6 @@ __all__ = [
     "SmoothingCertificate",
     "best_smoothing_candidate",
     "check_ensemble_certificate",
-    "ensemble_from_merge_outcomes",
     "verify_approximate_merge",
 ]
 
@@ -204,31 +203,6 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
         for weight, member in zip(cert.weights, cert.members)
     )
     return bool(majorized and f2 >= 1.0 - cert.epsilon**2 - 10.0 * tol)
-
-
-def ensemble_from_merge_outcomes(
-    state: TripartiteState, outcomes, K: int, L: int, epsilon: float
-) -> EnsembleCertificate:
-    """Package protocol branch outputs as an ensemble certificate.
-
-    Branch outputs live on (spectator; sender resource part; moved content,
-    receiver, receiver resource part); they are reordered into the
-    certificate layout with the two resource registers last.
-    """
-    dim_r, dim_a, dim_b = state.dims
-    weights = []
-    members = []
-    for outcome in outcomes:
-        tensor = outcome.state.reshape(dim_r, L, dim_a, dim_b, L)
-        members.append(tensor.transpose(0, 2, 3, 1, 4).reshape(-1))
-        weights.append(outcome.probability)
-    return EnsembleCertificate(
-        weights=tuple(weights),
-        members=tuple(members),
-        K=K,
-        L=L,
-        epsilon=epsilon,
-    )
 
 
 def best_smoothing_candidate(

@@ -44,7 +44,6 @@ __all__ = [
     "converse_simple",
     "h_max_conditional",
     "qutrit_counterexample_report",
-    "uniform_resource_majorization",
 ]
 
 # Largest total dimension d_R * d_A * d_B that h_max_conditional accepts.
@@ -91,25 +90,6 @@ def converse_simple(state: TripartiteState) -> dict:
         "catalytic": math.log2(product),
         "noncatalytic": math.log2(_guarded_ceil(product)),
     }
-
-
-def uniform_resource_majorization(
-    eig_b: np.ndarray,
-    eig_ab: np.ndarray,
-    K: int,
-    L: int,
-) -> bool:
-    """Spectra test behind the search bound.
-
-    Checks whether the spectrum of ``1_K/K (x) psi^B`` is majorized by the
-    spectrum of ``1_L/L (x) psi^{AB}``; a merging protocol of cost
-    ``log2 K - log2 L`` can exist only if this holds.
-    """
-    if K < 1 or L < 1:
-        raise ValidationError("resource ranks K and L must be >= 1")
-    x = np.repeat(np.asarray(eig_b, dtype=float) / K, K)
-    y = np.repeat(np.asarray(eig_ab, dtype=float) / L, L)
-    return majorization_check(x, y, tolerance())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,25 +173,31 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of n x n Hermitian matrices; diagonal first."""
-    mats = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    inv = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = inv
-            e[j, i] = inv
-            mats.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j * inv
-            e[j, i] = -1j * inv
-            mats.append(e)
-    return mats
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _hermitian_units(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather form of the orthonormal (Frobenius) Hermitian basis of n x n matrices.
+
+    Returns ``(rows, vals)`` of shape ``(1 + n^2, n)``: column ``k`` of the
+    basis element ``E_a`` holds its one nonzero entry ``vals[a, k]`` in row
+    ``rows[a, k]``; an empty column has ``vals[a, k] = 0``.  Index 0 is the
+    solver's variable t and has no element.  The diagonal units come first,
+    then for each pair ``i < j`` in row-major order the symmetric unit
+    ``(e_ij + e_ji)/sqrt2`` and the antisymmetric unit ``i(e_ij - e_ji)/sqrt2``.
+    """
+    rows = np.zeros((1 + n * n, n), dtype=np.intp)
+    vals = np.zeros((1 + n * n, n), dtype=complex)
+    diag = np.arange(n)
+    rows[1 + diag, diag] = diag
+    vals[1 + diag, diag] = 1.0
+    i, j = np.triu_indices(n, 1)
+    sym = 1 + n + 2 * np.arange(i.size)
+    rows[sym, j], vals[sym, j] = i, _INV_SQRT2
+    rows[sym, i], vals[sym, i] = j, _INV_SQRT2
+    rows[sym + 1, j], vals[sym + 1, j] = i, 1j * _INV_SQRT2
+    rows[sym + 1, i], vals[sym + 1, i] = j, -1j * _INV_SQRT2
+    return rows, vals
 
 
 def _trace_out_A(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -227,6 +213,17 @@ class _MinSpectralNormSolver:
 
     ``Z >= 0``, ``1_R (x) Z >= |psi><psi|``, ``t 1_B >= Z^B``.
 
+    The variables are ``x = (t, z)``, with ``z`` the coordinates of Z in the
+    orthonormal Hermitian basis ``E_a`` of :func:`_hermitian_units`.  Every
+    column of ``E_a`` and of ``1_R (x) E_a`` has at most one nonzero entry,
+    so neither is ever formed: the slacks ``Z`` and ``1_R (x) Z - |psi><psi|``
+    are written entry by entry from ``x``, and each Newton-step product
+    ``S^-1 (1_R (x) E_a)`` is a column gather of ``S^-1`` scaled by that entry,
+    O(m d^2) for m variables and a d x d slack instead of a dense O(m d^3)
+    product.  Each entry so produced is a single rounded product, the same
+    float the dense sums give.  Only the small block ``t 1_B - Z^B``, where
+    the partial trace adds several terms, keeps its coefficient tensor.
+
     A log-barrier path follows the central path of the primal; at every
     centering stage a feasible dual point is extracted from the slack
     inverses, giving a rigorous two-sided interval around the optimum that
@@ -240,33 +237,48 @@ class _MinSpectralNormSolver:
         self.dims = dims
         self.n = n
         self.psi = np.asarray(psi, dtype=complex).reshape(-1)
-        basis = _hermitian_basis(n)
-        m = 1 + n * n
+        rows, vals = _hermitian_units(n)
+        m = rows.shape[0]
         self.m = m
-        f1 = np.zeros((m, n, n), dtype=complex)
-        f2 = np.zeros((m, big, big), dtype=complex)
-        f3 = np.zeros((m, dim_b, dim_b), dtype=complex)
-        f3[0] = np.eye(dim_b)
-        eye_r = np.eye(dim_r)
-        for a, e in enumerate(basis, start=1):
-            f1[a] = e
-            f2[a] = np.kron(eye_r, e)
-            f3[a] = -_trace_out_A(e, dim_a, dim_b)
-        self.coeffs = [f1, f2, f3]
-        self.consts = [
-            np.zeros((n, n), dtype=complex),
-            -np.outer(self.psi, self.psi.conj()),
-            np.zeros((dim_b, dim_b), dtype=complex),
+        self.upper = np.triu_indices(n, 1)
+        # 1_R (x) E_a repeats the columns of E_a on each diagonal block
+        shift = n * np.arange(dim_r)
+        self.gathers = [
+            (rows, vals),
+            ((rows[:, None, :] + shift[:, None]).reshape(m, big), np.tile(vals, dim_r)),
         ]
+        # coefficients of t 1_B - Z^B: an entry (i, k) of E_a survives tr_A
+        # when i and k share their A index
+        a, k = np.nonzero((vals != 0) & (rows // dim_b == np.arange(n) // dim_b))
+        traced = np.zeros((m, dim_b, dim_b), dtype=complex)
+        traced[a, rows[a, k] % dim_b, k % dim_b] = vals[a, k]
+        self.coeff_b = -traced
+        self.coeff_b[0] = np.eye(dim_b)
+        self.minus_projector = -np.outer(self.psi, self.psi.conj())
         # barrier parameter of the product cone = total matrix dimension
         self.nu = n + big + dim_b
 
     def _slacks(self, x: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for const, coeff in zip(self.consts, self.coeffs):
-            s = const + np.tensordot(x, coeff, axes=1)
-            out.append((s + s.conj().T) / 2.0)
-        return out
+        n = self.n
+        dim_r = self.dims[0]
+        i, j = self.upper
+        z = np.zeros((n, n), dtype=complex)
+        z.real[np.diag_indices(n)] = x[1 : 1 + n]
+        z.real[i, j] = z.real[j, i] = x[1 + n :: 2] * _INV_SQRT2
+        z.imag[i, j] = x[2 + n :: 2] * _INV_SQRT2
+        z.imag[j, i] = -z.imag[i, j]
+        # Negation leaves -0.0 where x is zero, while a sum over the basis
+        # gives +0.0; adding +0.0 turns one into the other, so each entry is
+        # bit for bit the sum over a of x_a E_a.
+        z += 0.0
+        # 1_R (x) Z: Z on each diagonal block
+        lifted = np.zeros((dim_r, n, dim_r, n), dtype=complex)
+        lifted[np.arange(dim_r), :, np.arange(dim_r), :] = z
+        sums = [
+            self.minus_projector + lifted.reshape(dim_r * n, dim_r * n),
+            np.tensordot(x, self.coeff_b, axes=1),
+        ]
+        return [z] + [(s + s.conj().T) / 2.0 for s in sums]
 
     @staticmethod
     def _barrier_value(slacks: list[np.ndarray]) -> float:
@@ -281,16 +293,25 @@ class _MinSpectralNormSolver:
 
     def _center(self, x: np.ndarray, tau: float) -> np.ndarray:
         m = self.m
+        slacks = self._slacks(x)
+        phi0 = tau * x[0] + self._barrier_value(slacks)
         for _ in range(60):
-            slacks = self._slacks(x)
             grad = np.zeros(m)
             grad[0] = tau
             hess = np.zeros((m, m))
-            for s, coeff in zip(slacks, self.coeffs):
+            for block, s in enumerate(slacks):
                 inv = np.linalg.inv(s)
                 inv = (inv + inv.conj().T) / 2.0
-                grad -= np.einsum("ij,aji->a", inv, coeff).real
-                prods = np.einsum("ij,ajk->aik", inv, coeff)
+                if block < 2:
+                    rows, vals = self.gathers[block]
+                    # column k of S^-1 E_a is S^-1[:, rows[a, k]] vals[a, k]
+                    cols = inv.T[rows]
+                    cols *= vals[:, :, None]
+                    prods = cols.transpose(0, 2, 1)
+                    grad -= np.einsum("akk->a", prods).real
+                else:
+                    grad -= np.einsum("ij,aji->a", inv, self.coeff_b).real
+                    prods = np.einsum("ij,ajk->aik", inv, self.coeff_b)
                 flat = prods.reshape(m, -1)
                 flat_t = prods.transpose(0, 2, 1).reshape(m, -1)
                 hess += (flat @ flat_t.T).real
@@ -302,14 +323,14 @@ class _MinSpectralNormSolver:
             dec2 = float(-grad @ step)
             if not math.isfinite(dec2) or dec2 <= 1e-7:
                 break
-            phi0 = tau * x[0] + self._barrier_value(slacks)
             scale = 1.0
             moved = False
             for _ in range(50):
                 trial = x + scale * step
-                phi1 = tau * trial[0] + self._barrier_value(self._slacks(trial))
+                trial_slacks = self._slacks(trial)
+                phi1 = tau * trial[0] + self._barrier_value(trial_slacks)
                 if phi1 < phi0 - 1e-4 * scale * dec2 or phi1 < phi0:
-                    x = trial
+                    x, slacks, phi0 = trial, trial_slacks, phi1
                     moved = True
                     break
                 scale *= 0.5
@@ -350,7 +371,8 @@ class _MinSpectralNormSolver:
         hi = math.inf
         target = math.log(2.0) * 9e-7
         tau = 1.0
-        for _ in range(18):
+        stages = 18
+        for _ in range(stages):
             x = self._center(x, tau)
             cert_lo, cert_hi = self._certificate(x)
             lo = max(lo, cert_lo)
@@ -358,9 +380,11 @@ class _MinSpectralNormSolver:
             if lo > 0.0 and hi < math.inf and math.log(hi / lo) <= target:
                 return lo, hi
             tau *= 10.0
+        width = math.log(hi / lo) if lo > 0.0 and hi < math.inf else math.inf
         raise SolverError(
-            "conditional max-entropy solver exhausted its stage cap before "
-            "certifying the requested duality gap"
+            f"conditional max-entropy solver exhausted its {stages} stages before "
+            f"certifying the requested duality gap: last certified interval "
+            f"({lo!r}, {hi!r}), log(hi/lo) = {width!r} > target {target!r}"
         )
 
 

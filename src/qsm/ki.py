@@ -67,21 +67,6 @@ def _steered_unnormalized(state: TripartiteState, lam: np.ndarray) -> np.ndarray
     return np.einsum("rs,rab,scb->ac", np.asarray(lam, dtype=complex), amps, amps.conj())
 
 
-def steered_state(state: TripartiteState, lam: np.ndarray) -> np.ndarray:
-    """Normalized conditional state of A after a PSD steering operator on R."""
-    lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (state.regs.dim_R,) * 2:
-        raise ValidationError(f"steering operator shape {lam.shape} does not match R")
-    evals = np.linalg.eigvalsh((lam + dagger(lam)) / 2)
-    if evals.min() < -10 * tolerance() * max(1.0, float(evals.max())):
-        raise ValidationError("steering operator must be PSD")
-    rho = _steered_unnormalized(state, lam)
-    tr = float(np.trace(rho).real)
-    if tr <= tolerance():
-        raise ValidationError("steering operator has vanishing overlap with the state")
-    return rho / tr
-
-
 # ---------------------------------------------------------------------------
 # Block structures (intermediate decompositions)
 # ---------------------------------------------------------------------------
@@ -100,9 +85,6 @@ class BlockStructure:
     @property
     def J(self) -> int:
         return len(self.spaces)
-
-    def dims(self) -> list[tuple[int, int]]:
-        return [(v.shape[1], v.shape[2]) for v in self.spaces]
 
 
 def refinement_index(decomp: BlockStructure) -> int:
@@ -369,21 +351,11 @@ class KIBlock:
         return self.ws.shape[2]
 
     @property
-    def omega(self) -> np.ndarray:
-        """Density operator of the redundant part on a_j^L."""
-        return self.omega_vec @ dagger(self.omega_vec)
-
-    @property
     def lambda0_L(self) -> float:
         """Largest eigenvalue of omega (1/dim_L for zero-probability blocks)."""
         if self.p <= 0.0 or not len(self.lambdas):
             return 1.0 / self.dim_L
         return float(self.lambdas[0])
-
-    @property
-    def projector(self) -> np.ndarray:
-        flat = self.iso.reshape(self.iso.shape[0], -1)
-        return flat @ dagger(flat)
 
 
 @dataclass(frozen=True)
@@ -633,6 +605,5 @@ __all__ = [
     "l_decompose_step",
     "r_combine_step",
     "refinement_index",
-    "steered_state",
     "steering_generators",
 ]

@@ -315,23 +315,3 @@ def flatten_to_uniform(p: Sequence[float], L: int) -> OneWayProtocol:
         b_ops=b_ops,
         name=f"flatten[{n}->{L}]",
     )
-
-
-def flatten_source_vector(p: Sequence[float]) -> np.ndarray:
-    """Return the purification sum_i sqrt(p_i)|i>|i> matching flatten_to_uniform."""
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    vec = np.zeros(n * n, dtype=complex)
-    vec[:: n + 1] = np.sqrt(np.clip(p, 0.0, None))
-    return vec
-
-
-def flatten_target_vector(L: int, n: int) -> np.ndarray:
-    """The L-level maximally entangled vector embedded in C^L (x) C^n."""
-    if n < L:
-        raise ValidationError(f"receiver dimension {n} smaller than target {L}")
-    vec = np.zeros((L, n), dtype=complex)
-    for l in range(L):
-        vec[l, l] = 1.0 / np.sqrt(float(L))
-    return vec.reshape(-1)
-

@@ -147,30 +147,6 @@ def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) ->
     return SchmidtDecomposition(coeffs=coeffs, left=left, right=right)
 
 
-def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of an operator on a tensor product, keeping ``keep`` factors in order."""
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(int(k) for k in keep)
-    n = len(dims)
-    total = int(np.prod(dims))
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (total, total):
-        raise ValidationError(f"operator shape {rho.shape} does not match dims {dims}")
-    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise ValidationError(f"invalid keep indices {keep} for {n} factors")
-    tensor = rho.reshape(dims + dims)
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for k in range(n):
-        if k not in keep:
-            col[k] = row[k]
-    out_row = [row[k] for k in keep]
-    out_col = [n + k for k in keep]
-    result = np.einsum(tensor, row + col, out_row + out_col)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return result.reshape(d_keep, d_keep)
-
-
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Fidelity of two pure-state vectors in the squared convention, ``|<a|b>|^2``."""
     val = abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
@@ -221,13 +197,3 @@ def orthonormal_complement(cols: np.ndarray, out_dim: int) -> np.ndarray:
     if len(out) < count:
         raise ValidationError("could not complete orthonormal basis (tolerance breakdown)")
     return np.column_stack(out) if out else np.zeros((out_dim, 0), dtype=complex)
-
-
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian with phase-fixed diagonal."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    ph = np.diag(r).copy()
-    ph = ph / np.abs(ph)
-    return q * ph
-

@@ -99,19 +99,6 @@ class TripartiteState:
         return complex(np.vdot(self.vector, other.vector))
 
 
-def swap_ab(state: TripartiteState) -> TripartiteState:
-    """Same state with the roles of A and B interchanged."""
-    regs = Registers(
-        dim_R=state.regs.dim_R,
-        dim_A=state.regs.dim_B,
-        dim_B=state.regs.dim_A,
-        factors_A=state.regs.factors_B,
-        factors_B=state.regs.factors_A,
-    )
-    name = f"{state.name}_swapped" if state.name else ""
-    return TripartiteState(regs=regs, amplitudes=state.amplitudes.transpose(0, 2, 1), name=name)
-
-
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
@@ -383,20 +370,6 @@ def random_state(rng: np.random.Generator, dims: tuple[int, int, int], name: str
     return TripartiteState(Registers(*[int(x) for x in dims]), g, name=name)
 
 
-def sample_schmidt_span_member(state: TripartiteState, rng: np.random.Generator) -> np.ndarray:
-    """Random pure AB-vector in the span of the state's R-Schmidt AB-basis vectors.
-
-    Returns a normalized vector of length dim_A * dim_B lying in the span of the
-    AB-side Schmidt vectors of the given state (the family whose members the
-    merging protocol transfers exactly).
-    """
-    sd = schmidt_decompose(state.vector, state.regs.dim_R)
-    rank = sd.rank()
-    c = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-    c = c / np.linalg.norm(c)
-    return sd.right[:, :rank] @ c
-
-
 __all__ = [
     "Registers",
     "TripartiteState",
@@ -404,9 +377,7 @@ __all__ = [
     "catalog",
     "load_state",
     "save_state",
-    "swap_ab",
     "max_entangled_counterpart",
     "schmidt_rank_r",
     "random_state",
-    "sample_schmidt_span_member",
 ]

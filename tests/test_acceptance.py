@@ -20,14 +20,11 @@ from qsm.bounds import (
     converse_simple,
     h_max_conditional,
     qutrit_counterexample_report,
-    uniform_resource_majorization,
 )
 from qsm.errors import ValidationError
 from qsm.ki import ki_decompose
 from qsm.locc import (
     apply_protocol,
-    flatten_source_vector,
-    flatten_target_vector,
     flatten_to_uniform,
     verify_protocol,
 )
@@ -46,7 +43,14 @@ from qsm.statespace import (
     catalog,
     max_entangled_counterpart,
     random_state,
+)
+
+from helpers import (
+    flatten_source_vector,
+    flatten_target_vector,
+    projector,
     sample_schmidt_span_member,
+    uniform_resource_majorization,
 )
 
 
@@ -149,8 +153,8 @@ def test_criterion_05_block_decomposition_worked_example():
     assert (decomp.blocks[1].dim_L, decomp.blocks[1].dim_R) == (2, 1)
     p0 = np.diag([1.0, 1, 1, 1, 0, 0])
     p1 = np.diag([0.0, 0, 0, 0, 1, 1])
-    assert np.linalg.norm(decomp.blocks[0].projector - p0) <= 1e-8
-    assert np.linalg.norm(decomp.blocks[1].projector - p1) <= 1e-8
+    assert np.linalg.norm(projector(decomp.blocks[0]) - p0) <= 1e-8
+    assert np.linalg.norm(projector(decomp.blocks[1]) - p1) <= 1e-8
     assert decomp.r == 5
     assert decomp.trajectory[-1] == 5
     non = achievable_cost(decomp, "noncatalytic")

@@ -9,14 +9,39 @@ from qsm.approx import (
     EnsembleCertificate,
     best_smoothing_candidate,
     check_ensemble_certificate,
-    ensemble_from_merge_outcomes,
     verify_approximate_merge,
 )
-from qsm.bounds import uniform_resource_majorization
 from qsm.errors import ValidationError
 from qsm.locc import apply_protocol
 from qsm.merge import build_merge_protocol, merge_input_vector
 from qsm.statespace import TripartiteState, catalog, random_state
+
+from helpers import uniform_resource_majorization
+
+
+def ensemble_from_merge_outcomes(
+    state: TripartiteState, outcomes, K: int, L: int, epsilon: float
+) -> EnsembleCertificate:
+    """Package protocol branch outputs as an ensemble certificate.
+
+    Branch outputs live on (spectator; sender resource part; moved content,
+    receiver, receiver resource part); they are reordered into the
+    certificate layout with the two resource registers last.
+    """
+    dim_r, dim_a, dim_b = state.dims
+    weights = []
+    members = []
+    for outcome in outcomes:
+        tensor = outcome.state.reshape(dim_r, L, dim_a, dim_b, L)
+        members.append(tensor.transpose(0, 2, 3, 1, 4).reshape(-1))
+        weights.append(outcome.probability)
+    return EnsembleCertificate(
+        weights=tuple(weights),
+        members=tuple(members),
+        K=K,
+        L=L,
+        epsilon=epsilon,
+    )
 
 
 def _in_ball_rotation(state, epsilon, rng, fraction=0.999):

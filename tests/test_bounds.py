@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qsm.bounds
+import qsm.cli as cli
 from qsm.bounds import (
     SearchReport,
     _spectrum as _search_spectrum,
@@ -15,9 +16,8 @@ from qsm.bounds import (
     converse_simple,
     h_max_conditional,
     qutrit_counterexample_report,
-    uniform_resource_majorization,
 )
-from qsm.errors import ValidationError
+from qsm.errors import SolverError, ValidationError
 from qsm.ki import ki_decompose
 from qsm.merge import achievable_cost
 from qsm.statespace import (
@@ -27,7 +27,10 @@ from qsm.statespace import (
     catalog,
     max_entangled_counterpart,
     random_state,
+    save_state,
 )
+
+from helpers import uniform_resource_majorization
 
 LOG2_3_HALVES = math.log2(1.5)
 # reference optima from an independent high-accuracy solver run
@@ -282,6 +285,147 @@ def test_hmax_trivial_receiver_law():
 def test_hmax_dimension_cap():
     with pytest.raises(ValidationError):
         h_max_conditional(catalog("qutrit_choi"))
+
+
+def test_hmax_stage_exhaustion_reports_last_interval(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        qsm.bounds._MinSpectralNormSolver, "_certificate", lambda self, x: (1.0, 2.0)
+    )
+    state = catalog("ghz", d=2)
+    with pytest.raises(SolverError) as info:
+        h_max_conditional(state)
+    message = str(info.value)
+    assert "exhausted its 18 stages" in message
+    assert "last certified interval (1.0, 2.0)" in message
+    assert f"log(hi/lo) = {math.log(2.0)!r} > target {math.log(2.0) * 9e-7!r}" in message
+
+    path = tmp_path / "ghz2.json"
+    save_state(state, path)
+    code, report = cli.run(["bounds", str(path)])
+    assert code == 3
+    assert report["error"] == message
+
+
+def _dense_hermitian_basis(n):
+    """Orthonormal (Frobenius) basis of n x n Hermitian matrices; diagonal first."""
+    mats = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        mats.append(e)
+    inv = 1.0 / math.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = inv
+            e[j, i] = inv
+            mats.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1j * inv
+            e[j, i] = -1j * inv
+            mats.append(e)
+    return mats
+
+
+class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
+    """The solver with dense coefficient tensors E_a, 1_R (x) E_a and -tr_A E_a.
+
+    Its slacks are tensor contractions and its Newton step forms every
+    product S^-1 F_a in full; the structured solver must match it bit for bit.
+    """
+
+    def __init__(self, psi, dims):
+        super().__init__(psi, dims)
+        dim_r, dim_a, dim_b = dims
+        n, m = self.n, self.m
+        f1 = np.zeros((m, n, n), dtype=complex)
+        f2 = np.zeros((m, dim_r * n, dim_r * n), dtype=complex)
+        f3 = np.zeros((m, dim_b, dim_b), dtype=complex)
+        f3[0] = np.eye(dim_b)
+        eye_r = np.eye(dim_r)
+        for a, e in enumerate(_dense_hermitian_basis(n), start=1):
+            f1[a] = e
+            f2[a] = np.kron(eye_r, e)
+            f3[a] = -qsm.bounds._trace_out_A(e, dim_a, dim_b)
+        self.coeffs = [f1, f2, f3]
+        self.consts = [
+            np.zeros((n, n), dtype=complex),
+            -np.outer(self.psi, self.psi.conj()),
+            np.zeros((dim_b, dim_b), dtype=complex),
+        ]
+
+    def _slacks(self, x):
+        out = []
+        for const, coeff in zip(self.consts, self.coeffs):
+            s = const + np.tensordot(x, coeff, axes=1)
+            out.append((s + s.conj().T) / 2.0)
+        return out
+
+    def _center(self, x, tau):
+        m = self.m
+        for _ in range(60):
+            slacks = self._slacks(x)
+            grad = np.zeros(m)
+            grad[0] = tau
+            hess = np.zeros((m, m))
+            for s, coeff in zip(slacks, self.coeffs):
+                inv = np.linalg.inv(s)
+                inv = (inv + inv.conj().T) / 2.0
+                grad -= np.einsum("ij,aji->a", inv, coeff).real
+                prods = np.einsum("ij,ajk->aik", inv, coeff)
+                flat = prods.reshape(m, -1)
+                flat_t = prods.transpose(0, 2, 1).reshape(m, -1)
+                hess += (flat @ flat_t.T).real
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                ridge = 1e-12 * max(1.0, float(np.abs(np.diag(hess)).max()))
+                step = np.linalg.solve(hess + ridge * np.eye(m), -grad)
+            dec2 = float(-grad @ step)
+            if not math.isfinite(dec2) or dec2 <= 1e-7:
+                break
+            phi0 = tau * x[0] + self._barrier_value(slacks)
+            scale = 1.0
+            moved = False
+            for _ in range(50):
+                trial = x + scale * step
+                phi1 = tau * trial[0] + self._barrier_value(self._slacks(trial))
+                if phi1 < phi0 - 1e-4 * scale * dec2 or phi1 < phi0:
+                    x = trial
+                    moved = True
+                    break
+                scale *= 0.5
+            if not moved:
+                break
+        return x
+
+
+def _oracle_state(name):
+    if name == "ghz2":
+        return catalog("ghz", d=2)
+    shape = tuple(int(c) for c in name)
+    return random_state(np.random.default_rng(sum(shape) * 101), shape)
+
+
+@pytest.mark.parametrize("normal_form", [False, True], ids=["given", "normal-form"])
+@pytest.mark.parametrize("name", ["222", "232", "224", "242", "422", "144", "223", "ghz2"])
+def test_structured_solver_matches_dense_oracle_bit_for_bit(name, normal_form):
+    state = _oracle_state(name)
+    if normal_form:
+        state, _ = _uniform_spectator_form(state)
+    structured = qsm.bounds._MinSpectralNormSolver(state.vector, state.dims)
+    dense = _DenseSolver(state.vector, state.dims)
+    # the starting point of solve() (zero off-diagonal coordinates) and a generic one
+    start = np.zeros(dense.m)
+    start[0] = 3.0 * state.dims[1]
+    start[1 : 1 + dense.n] = 1.5
+    generic = np.random.default_rng(7).normal(size=dense.m)
+    for x in (start, generic):
+        for got, want in zip(structured._slacks(x), dense._slacks(x)):
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+    got = structured.solve()
+    want = dense.solve()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # --------------------------------------------------------------------------

@@ -67,3 +67,52 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Names a module refers to, outside the definition bearing each name and ``__all__``.
+
+    A reference is a name, an attribute, an imported name or a string equal to
+    the name (the bench tracer looks functions up by their string names).
+    """
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        if isinstance(top, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets
+        ):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """No public top-level function or class in ``src/qsm`` is there only for tests."""
+    package = Path(qsm.__file__).resolve().parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    callers = sorted(bench.rglob("*.py"))
+    assert callers
+    referenced = set()
+    for path in sources + callers:
+        referenced |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    offenders = []
+    for path in sources:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_") and node.name not in referenced:
+                    offenders.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert offenders == []

@@ -12,7 +12,7 @@ from qsm.merge import (
     merge_input_vector,
     qubit_optimal_merge,
 )
-from qsm.numerics import dagger, random_unitary, tolerance
+from qsm.numerics import dagger, tolerance
 from qsm.split import build_split_protocol, split_input_vector
 from qsm.statespace import (
     Registers,
@@ -22,6 +22,8 @@ from qsm.statespace import (
     random_state,
     save_state,
 )
+
+from helpers import flatten_source_vector, flatten_target_vector, random_unitary
 
 
 def test_max_entangled_vector():
@@ -192,8 +194,8 @@ def test_flatten_protocol_example():
     p = (0.5, 0.25, 0.25)
     proto = locc.flatten_to_uniform(p, 2)
     assert len(proto.branches) == 2
-    src = locc.flatten_source_vector(p)
-    tgt = locc.flatten_target_vector(2, 3)
+    src = flatten_source_vector(p)
+    tgt = flatten_target_vector(2, 3)
     report = locc.verify_protocol(proto, src, tgt)
     assert report.passed
     outcomes = locc.apply_protocol(proto, src)
@@ -206,7 +208,7 @@ def test_flatten_uniform_identity_like():
     assert len(proto.branches) == 1
     assert np.allclose(proto.a_ops[0], np.eye(4))
     report = locc.verify_protocol(
-        proto, locc.flatten_source_vector(p), locc.flatten_target_vector(4, 4)
+        proto, flatten_source_vector(p), flatten_target_vector(4, 4)
     )
     assert report.passed
 
@@ -224,7 +226,7 @@ def test_flatten_branch_count_bound_random():
         proto = locc.flatten_to_uniform(tuple(p), L)
         assert len(proto.branches) <= n
         report = locc.verify_protocol(
-            proto, locc.flatten_source_vector(p), locc.flatten_target_vector(L, n)
+            proto, flatten_source_vector(p), flatten_target_vector(L, n)
         )
         assert report.passed
 

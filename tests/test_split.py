@@ -19,8 +19,9 @@ from qsm.statespace import (
     TripartiteState,
     catalog,
     random_state,
-    swap_ab,
 )
+
+from helpers import swap_ab
 
 
 def _rank2_in_dim4():

@@ -5,7 +5,8 @@ import pytest
 
 from qsm import statespace
 from qsm.errors import ValidationError
-from qsm.numerics import partial_trace
+
+from helpers import partial_trace, sample_schmidt_span_member, swap_ab
 
 
 def test_registers_validation():
@@ -143,7 +144,7 @@ def test_load_rejects_bad_files(tmp_path):
 
 def test_swap_ab():
     st = statespace.catalog("implication4_psi")
-    sw = statespace.swap_ab(st)
+    sw = swap_ab(st)
     assert np.allclose(sw.marginal("A"), st.marginal("B"))
     assert np.allclose(sw.marginal("B"), st.marginal("A"))
     assert sw.name.endswith("_swapped")
@@ -173,7 +174,7 @@ def test_max_entangled_counterpart_rank_deficient():
 def test_sample_schmidt_span_member():
     st = statespace.catalog("implication3")
     rng = np.random.default_rng(3)
-    v = statespace.sample_schmidt_span_member(st, rng)
+    v = sample_schmidt_span_member(st, rng)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     # member lies in span of the AB Schmidt vectors: projecting onto the
     # AB-support of the R-steered states leaves it unchanged

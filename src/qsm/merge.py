@@ -264,13 +264,17 @@ class _BlockData:
       catalytic mode, ``K`` otherwise);
     - ``target``: flattening target (``L_j`` in catalytic mode, ``dim_R``
       otherwise);
-    - ``slots(pos, u)``: for the ``pos``-th selected level with resource
-      offset ``u``, the ``(returned-resource row, consumed-resource column,
-      teleport index)`` triples.  A zero-weight block has ``per = K`` and
-      d = W = 1, where both modes give the triple ``(0, u, 0)``.
+    - ``w_cnt``: the returned-resource subdivision ``W_j`` in catalytic mode,
+      ``None`` otherwise (see :meth:`slot_table`).
+
+    The parts of every Pauli correction (x, z) of the block's own dimension
+    are computed once, indexed ``[x, z]``: ``tb``, the scaled conjugate Pauli
+    (teleport rows); ``send``, the ``(dA, dim_R)`` sender rows of each live
+    level; ``recv``, the ``(dA, dB)`` receiver block of each (teleport index
+    v, B-factor kr) pair.
     """
 
-    def __init__(self, block, cost: BlockCost, K: int, catalytic: bool):
+    def __init__(self, block, cost: BlockCost, K: int, catalytic: bool, P: int):
         self.index = block.index
         self.iso = block.iso  # (dA, dL, dR)
         self.dim_L = block.dim_L
@@ -278,7 +282,6 @@ class _BlockData:
         self.live = block.p > 0.0
         self.lam = block.lambdas
         self.n_r = block.dim_bR
-        self.ws = block.ws
         if self.live:
             self.u_live = block.omega_vec / np.sqrt(self.lam)[None, :]
         else:
@@ -288,18 +291,92 @@ class _BlockData:
                 )
             self.u_live = np.zeros((self.dim_L, 0), dtype=complex)
         self.u_dead = orthonormal_complement(self.u_live, self.dim_L)
-        self.omega_vec = block.omega_vec
         if catalytic and self.live:
-            d, w_cnt = self.dim_R, cost.W_j
-            self.per, self.target = cost.K_j, cost.L_j
-            self.slots = lambda pos, u: [
-                (pos * w_cnt + w, (u * d + v) * w_cnt + w, v)
+            self.per, self.target, self.w_cnt = cost.K_j, cost.L_j, cost.W_j
+        else:
+            self.per, self.target, self.w_cnt = K, self.dim_R, None
+        # conjugated B-factor columns, indexed [m, kr]
+        self.ws_conj = block.ws.transpose(1, 2, 0).conj()
+        d, dA, dB = self.dim_R, self.iso.shape[0], block.ws.shape[0]
+        self.tb = np.empty((d, d, d, d), dtype=complex)
+        self.send = np.empty((d, d, self.u_live.shape[1], dA, d), dtype=complex)
+        self.recv = np.empty((d, d, d, self.n_r, dA, dB), dtype=complex)
+        for x in range(d):
+            for z in range(d):
+                sig = generalized_pauli(d, x, z)
+                self.tb[x, z] = (np.sqrt(float(d)) / P) * sig.conj()
+                if not self.live:
+                    continue
+                for m in range(self.u_live.shape[1]):
+                    self.send[x, z, m] = self.sender_rows(
+                        self.u_live[:, m], self.tb[x, z]
+                    )
+                # A-part columns for each redundant level, teleport-corrected
+                # quantum index v
+                a_part = np.einsum("alr,lm,rv->amv", self.iso, block.omega_vec, sig)
+                self.recv[x, z] = np.einsum("amv,bmk->vkab", a_part, block.ws)
+
+    def sender_rows(self, vec: np.ndarray, tb: np.ndarray) -> np.ndarray:
+        """(dA, dim_R) sender rows of the block direction ``vec``, one column
+        per teleport index."""
+        return np.einsum("alr,l,rv->av", self.iso.conj(), vec.conj(), tb)
+
+    def slot_table(self, us: Sequence[int]) -> np.ndarray:
+        """``(row, col, v, pos)`` of every slot of the selected levels, in
+        assembly order: the ``pos``-th level, with resource offset
+        ``us[pos]``, writes returned-resource row ``row`` and consumed-resource
+        column ``col`` through teleport index ``v``.  Catalytic:
+        ``(pos·W+w, (u·d+v)·W+w, v)`` for v < d, w < W; otherwise
+        ``(0, u, pos)``.  A zero-weight block has ``per = K`` and d = W = 1,
+        where both modes give ``(0, u, 0)``."""
+        if self.w_cnt is None:
+            slots = [(0, u, pos, pos) for pos, u in enumerate(us)]
+        else:
+            d, w_cnt = self.dim_R, self.w_cnt
+            slots = [
+                (pos * w_cnt + w, (u * d + v) * w_cnt + w, v, pos)
+                for pos, u in enumerate(us)
                 for v in range(d)
                 for w in range(w_cnt)
             ]
-        else:
-            self.per, self.target = K, self.dim_R
-            self.slots = lambda pos, u: [(0, u, pos)]
+        return np.array(slots, dtype=np.intp).reshape(-1, 4)
+
+
+@dataclass(frozen=True)
+class _StepTable:
+    """Index tables of one flattening step of one block, in assembly order.
+
+    - ``levels``: the redundant level of each selected position;
+    - ``send_at``, ``send_src``: the ``(row, col)`` of each sender write and
+      the ``(pos, v)`` of the sender-row column it copies;
+    - ``recv_at``, ``recv_src``: the ``(row, col)`` of each receiver pair,
+      one per sender write and B-factor kr, and the ``(v, kr)`` of its
+      receiver block;
+    - ``ws_conj``: the conjugated B-factor column of each receiver pair.
+    """
+
+    levels: np.ndarray
+    send_at: tuple
+    send_src: tuple
+    recv_at: tuple
+    recv_src: tuple
+    ws_conj: np.ndarray
+
+    @classmethod
+    def build(cls, bd: _BlockData, indices: Sequence[int]) -> "_StepTable":
+        levels, us = np.divmod(np.asarray(indices, dtype=np.intp), bd.per)
+        slots = bd.slot_table(us)
+        row, col, v, pos = slots.T
+        pairs = np.repeat(slots, bd.n_r, axis=0)
+        kr = np.tile(np.arange(bd.n_r), len(slots))
+        return cls(
+            levels=levels,
+            send_at=(row, col),
+            send_src=(pos, v),
+            recv_at=(pairs[:, 0], pairs[:, 1]),
+            recv_src=(pairs[:, 2], kr),
+            ws_conj=bd.ws_conj[levels[pairs[:, 3]], kr],
+        )
 
 
 def _merged_breakpoints(cums: list) -> list:
@@ -344,6 +421,14 @@ def build_merge_protocol(
     outcomes so the measurement is complete.  The receiver's isometry
     re-creates the redundant state, corrects the teleportation, and embeds
     the block label, producing the relocated state exactly in every branch.
+
+    Assembly is table-driven: each block's Pauli parts are computed once per
+    (x, z) and its index tables once per flattening step; each branch then
+    scatter-adds its sender rows and receiver terms with ``np.add.at``, in
+    block, level, slot and B-factor order, so every element receives the
+    same additions in the same order as a per-pair loop would make.  The
+    receiver isometry is the polar part (SVD) of the accumulated matrix,
+    whose singular values must all be 0 or 1.
     """
     if decomp is None:
         decomp = ki_decompose(state)
@@ -357,24 +442,24 @@ def build_merge_protocol(
             "increase delta to coarsen the rational approximation"
         )
     catalytic = mode == "catalytic"
-    data = [
-        _BlockData(b, report.block(b.index), K, catalytic) for b in decomp.blocks
-    ]
     P = 1
-    for bd in data:
-        if bd.live:
-            P = math.lcm(P, bd.dim_R)
+    for b in decomp.blocks:
+        if b.p > 0.0:
+            P = math.lcm(P, b.dim_R)
+    data = [
+        _BlockData(b, report.block(b.index), K, catalytic, P) for b in decomp.blocks
+    ]
+    live = [bd for bd in data if bd.live]
 
     # flattening schedules on the combined (redundant x resource) spectrum
     schedules: dict = {}
     cums = []
-    for bd in data:
-        if not bd.live:
-            continue
+    for bd in live:
         steps = flatten_schedule(np.repeat(bd.lam, bd.per) / bd.per, bd.target)
         probs = [bd.target * st.mass for st in steps]
         cum = list(np.cumsum(probs))
-        schedules[bd.index] = (steps, probs, cum)
+        tables = [_StepTable.build(bd, st.indices) for st in steps]
+        schedules[bd.index] = (steps, probs, cum, tables)
         cums.append(cum)
     grid = _merged_breakpoints(cums)
     nu = [grid[0]] + [b - a for a, b in zip(grid[:-1], grid[1:])]
@@ -385,6 +470,7 @@ def build_merge_protocol(
     labels = []
     a_ops = np.zeros((n, L, dA * K), dtype=complex)
     b_ops = np.zeros((n, out_b_dim, dB * K), dtype=complex)
+    default_b = np.eye(out_b_dim, dtype=complex)[:, : dB * K]
 
     def a_phase(j: int, m3: int) -> complex:
         return np.exp(-2j * np.pi * j * m3 / J) / np.sqrt(float(J))
@@ -392,95 +478,83 @@ def build_merge_protocol(
     def b_phase(j: int, m3: int) -> complex:
         return np.exp(2j * np.pi * j * m3 / J)
 
-    def tele_rows(bd: _BlockData, x: int, z: int) -> np.ndarray:
-        sig = generalized_pauli(bd.dim_R, x % bd.dim_R, z % bd.dim_R)
-        return (np.sqrt(float(bd.dim_R)) / P) * sig.conj()
+    def sender_view(i: int) -> np.ndarray:
+        """``a_ops[i]`` indexed [returned row, consumed column, A index]."""
+        return a_ops[i].reshape(L, dA, K).transpose(0, 2, 1)
 
-    def sender_rows(bd: _BlockData, vec: np.ndarray, tb: np.ndarray) -> np.ndarray:
-        """(dA, dim_R) sender rows of the block direction ``vec``, one column
-        per teleport index."""
-        return np.einsum("alr,l,rv->av", bd.iso.conj(), vec.conj(), tb)
-
-    def receiver_isometry(label: tuple, cols_in: list, cols_out: list) -> np.ndarray:
-        if not cols_in:
-            return np.eye(out_b_dim, dtype=complex)[:, : dB * K]
-        mat = np.zeros((out_b_dim, dB * K), dtype=complex)
-        for vin, vout in zip(cols_in, cols_out):
-            mat += np.outer(vout, vin.conj())
+    def receiver_isometry(label: tuple, acc: np.ndarray) -> np.ndarray:
+        """Polar part of the receiver matrix accumulated as ``acc[l, k, a,
+        b, b']`` (output (a, b, l), input (b', k))."""
+        mat = acc.transpose(2, 3, 0, 4, 1).reshape(out_b_dim, dB * K)
         try:
             u, s, vh = np.linalg.svd(mat, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"branch {label}: receiver isometry completion failed ({exc})"
             ) from exc
-        if np.any(np.minimum(np.abs(s - 1.0), np.abs(s)) > 1e-6):
+        dev = np.minimum(np.abs(s - 1.0), np.abs(s))
+        if np.any(dev > 1e-6):
             raise VerificationError(
-                "receiver isometry completion: singular values deviate from 0/1"
+                f"branch {label}: receiver isometry completion: singular values "
+                f"deviate from 0/1 (worst min(|s-1|, |s|) = {float(dev.max())!r} "
+                "> 1e-06)"
             )
         return u @ vh
 
     for t, width in enumerate(nu):
         mid = grid[t] - 0.5 * width
+        located = []
+        for bd in live:
+            steps, probs, cum, tables = schedules[bd.index]
+            s = _locate(cum, mid)
+            tab = tables[s]
+            scale = np.sqrt(width / probs[s])
+            amps = scale * np.sqrt(steps[s].mass / (bd.lam[tab.levels] / bd.per))
+            located.append((bd, tab, amps))
         for x in range(P):
             for z in range(P):
+                parts = []
+                for bd, tab, amps in located:
+                    xz = (x % bd.dim_R, z % bd.dim_R)
+                    row_av = amps[:, None, None] * bd.send[xz][tab.levels]
+                    pos, v = tab.send_src
+                    recv_blocks = bd.recv[xz][tab.recv_src]
+                    parts.append((bd, tab, row_av[pos, :, v], recv_blocks))
                 for m3 in range(J):
                     i = len(labels)
-                    a_op = a_ops[i].reshape(L, dA, K)
-                    cols_in: list = []
-                    cols_out: list = []
-                    for bd in data:
-                        if not bd.live:
-                            continue
-                        steps, probs, cum = schedules[bd.index]
-                        s = _locate(cum, mid)
-                        scale = np.sqrt(width / probs[s])
-                        mass = steps[s].mass
+                    a_view = sender_view(i)
+                    acc = np.zeros((L, K, dA, dB, dB), dtype=complex)
+                    for bd, tab, send_vals, recv_blocks in parts:
                         ph_a = a_phase(bd.index, m3)
                         ph_b = b_phase(bd.index, m3)
-                        tb = tele_rows(bd, x, z)  # (dim_R, dim_R) scaled conj
-                        sig = generalized_pauli(
-                            bd.dim_R, x % bd.dim_R, z % bd.dim_R
+                        np.add.at(a_view, tab.send_at, ph_a * send_vals)
+                        terms = (ph_b * recv_blocks)[..., None] * (
+                            tab.ws_conj[:, None, None, :]
                         )
-                        # receiver-side block content: A-part columns for each
-                        # redundant level, teleport-corrected quantum index v
-                        a_part = np.einsum(
-                            "alr,lm,rv->amv", bd.iso, bd.omega_vec, sig
-                        )
-                        for pos, flat in enumerate(steps[s].indices):
-                            m, u = divmod(flat, bd.per)
-                            amp = scale * np.sqrt(mass / (bd.lam[m] / bd.per))
-                            row_av = amp * sender_rows(bd, bd.u_live[:, m], tb)
-                            for row, col, v in bd.slots(pos, u):
-                                a_op[row, :, col] += ph_a * row_av[:, v]
-                                for kr in range(bd.n_r):
-                                    vin = np.zeros((dB, K), dtype=complex)
-                                    vin[:, col] = bd.ws[:, m, kr]
-                                    vout = np.zeros((dA, dB, L), dtype=complex)
-                                    vout[:, :, row] = ph_b * np.einsum(
-                                        "am,bm->ab", a_part[:, :, v], bd.ws[:, :, kr]
-                                    )
-                                    cols_in.append(vin.reshape(-1))
-                                    cols_out.append(vout.reshape(-1))
+                        np.add.at(acc, tab.recv_at, terms)
                     labels.append((t, x, z, m3))
-                    b_ops[i] = receiver_isometry(labels[i], cols_in, cols_out)
+                    if any(len(tab.ws_conj) for _, tab, _, _ in parts):
+                        b_ops[i] = receiver_isometry(labels[i], acc)
+                    else:
+                        b_ops[i] = default_b
 
     # zero-probability outcomes covering the dead (zero-amplitude) directions
     m1 = len(nu)
-    default_b = np.eye(out_b_dim, dtype=complex)[:, : dB * K]
     for bd in data:
+        d = bd.dim_R
         for c in range(bd.u_dead.shape[1]):
+            rows = [
+                [bd.sender_rows(bd.u_dead[:, c], bd.tb[x, z]) for z in range(d)]
+                for x in range(d)
+            ]
             for u in range(bd.per):
+                row, col, _, v = bd.slot_table([u]).T
                 for x in range(P):
                     for z in range(P):
+                        vals = rows[x % d][z % d][:, v].T
                         for m3 in range(J):
-                            ph_a = a_phase(bd.index, m3)
-                            row_av = sender_rows(
-                                bd, bd.u_dead[:, c], tele_rows(bd, x, z)
-                            )
                             i = len(labels)
-                            a_op = a_ops[i].reshape(L, dA, K)
-                            for row, col, v in bd.slots(0, u):
-                                a_op[row, :, col] = ph_a * row_av[:, v]
+                            sender_view(i)[row, col] = a_phase(bd.index, m3) * vals
                             labels.append((m1, x, z, m3))
                             b_ops[i] = default_b
                 m1 += 1

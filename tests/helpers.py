@@ -115,3 +115,47 @@ def flatten_target_vector(L: int, n: int) -> np.ndarray:
     for l in range(L):
         vec[l, l] = 1.0 / np.sqrt(float(L))
     return vec.reshape(-1)
+
+
+
+def planted_ki_state(
+    rng: np.random.Generator,
+    blocks: Sequence[tuple[int, int, int]],
+    dim_r: int,
+) -> tuple[TripartiteState, list]:
+    """State with a planted Koashi-Imoto structure on A, rotated locally.
+
+    ``blocks`` lists ``(dim_L, dim_R, dim_bR)`` per block j.  The state is
+    ⊕_j √p_j |ω_j⟩|φ_j⟩ on R ⊗ (⊕_j a_j^L ⊗ a_j^R) ⊗ (⊕_j b_j^L ⊗ b_j^R):
+    ω_j has full Schmidt rank dim_L on a_j^L ⊗ b_j^L with a random rational
+    spectrum (integers 1..4, normalized, so a catalytic cost needs no long
+    rational fit), φ_j is a random vector on R ⊗ a_j^R ⊗ b_j^R, the p_j are
+    random, and Haar-random unitaries act on A and on B afterwards.  Returns
+    the state and the planted ``(dim_L, dim_R, p_j, spectrum of ω_j)`` of
+    each block.
+    """
+    if any(dim_r * dbr < dr for _, dr, dbr in blocks):
+        raise ValueError("each φ_j needs dim_r · dim_bR >= dim_R to fill a_j^R")
+    d_a = sum(dl * dr for dl, dr, _ in blocks)
+    d_b = sum(dl * dbr for dl, _, dbr in blocks)
+    weights = rng.uniform(0.5, 1.5, size=len(blocks))
+    weights = weights / weights.sum()
+    amps = np.zeros((dim_r, d_a, d_b), dtype=complex)
+    planted = []
+    off_a = off_b = 0
+    for (dl, dr, dbr), p in zip(blocks, weights):
+        lam = np.sort(rng.integers(1, 5, size=dl))[::-1] / 1.0
+        lam = lam / lam.sum()
+        phi = rng.normal(size=(dim_r, dr, dbr)) + 1j * rng.normal(size=(dim_r, dr, dbr))
+        phi = phi / np.linalg.norm(phi)
+        # A index l * dim_R + q, B index l' * dim_bR + q'
+        part = np.sqrt(p) * np.einsum("lk,rqs->rlqks", np.diag(np.sqrt(lam)), phi)
+        amps[:, off_a:off_a + dl * dr, off_b:off_b + dl * dbr] = part.reshape(
+            dim_r, dl * dr, dl * dbr
+        )
+        planted.append((dl, dr, float(p), lam))
+        off_a += dl * dr
+        off_b += dl * dbr
+    u_a, u_b = random_unitary(rng, d_a), random_unitary(rng, d_b)
+    amps = np.einsum("xa,rab,yb->rxy", u_a, amps, u_b)
+    return TripartiteState(Registers(dim_r, d_a, d_b), amps), planted

@@ -227,6 +227,30 @@ def test_merge_svd_failure_exits_3_naming_branch(tmp_path, monkeypatch, mode):
     assert "results" not in report
 
 
+@pytest.mark.parametrize("mode", ["catalytic", "noncatalytic"])
+def test_merge_receiver_deviation_exits_3_with_numbers(tmp_path, monkeypatch, mode):
+    path = _state_file(tmp_path, "implication3")
+    original, original_svd = cli.build_merge_protocol, np.linalg.svd
+
+    def half_svd(*args, **kwargs):
+        u, s, vh = original_svd(*args, **kwargs)
+        return u, np.concatenate([[0.5], s[1:]]), vh
+
+    def build_with_half_value(state, **kwargs):
+        decomp = ki_decompose(state)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", half_svd)
+            return original(state, decomp, **kwargs)
+
+    monkeypatch.setattr(cli, "build_merge_protocol", build_with_half_value)
+    code, report = cli.run(["merge", str(path), "--mode", mode])
+    assert code == 3
+    assert "branch (0, 0, 0, 0)" in report["error"]
+    assert "singular values deviate from 0/1" in report["error"]
+    assert "min(|s-1|, |s|) = 0.5 > 1e-06" in report["error"]
+    assert "results" not in report
+
+
 def test_bounds_cli_small_and_large(tmp_path):
     small = _state_file(tmp_path, "implication3")
     code, report = cli.run(["bounds", str(small), "--kmax", "8", "--lmax", "8"])

@@ -5,7 +5,7 @@ from qsm import ki, statespace
 from qsm.errors import ValidationError
 from qsm.numerics import dagger, tolerance
 
-from helpers import projector, random_unitary
+from helpers import planted_ki_state, projector, random_unitary
 
 
 def _proj(cols):
@@ -401,3 +401,39 @@ def test_batched_witness_screen_matches_sequential(monkeypatch):
         calls.clear()
         ki.ki_decompose(st)
         assert 0 < len(calls) <= 3 * st.regs.dim_R**2 + 2
+
+
+def _planted_specs(count: int, seed: int) -> list:
+    """Seeded ``(blocks, dim_r)`` specs: J in {2, 3}, dim_L, dim_R and dim_bR
+    up to 3, some block with at least two redundant levels, and every φ_j
+    able to fill its a_j^R."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        dim_r = int(rng.integers(2, 4))
+        blocks = [
+            tuple(int(k) for k in rng.integers(1, 4, size=3))
+            for _ in range(rng.integers(2, 4))
+        ]
+        if max(dl for dl, _, _ in blocks) < 2:
+            continue
+        if any(dim_r * dbr < dr for _, dr, dbr in blocks):
+            continue
+        specs.append((blocks, dim_r))
+    return specs
+
+
+@pytest.mark.parametrize("k,spec", list(enumerate(_planted_specs(40, 606))))
+def test_planted_structure_recovered(k, spec):
+    """ki_decompose returns the planted J, (dim_L, dim_R) pairs, p_j and ω_j
+    spectra of a locally rotated ⊕_j √p_j |ω_j⟩|φ_j⟩."""
+    blocks, dim_r = spec
+    state, planted = planted_ki_state(np.random.default_rng([606, k]), blocks, dim_r)
+    dec = ki.ki_decompose(state)
+    assert dec.J == len(blocks)
+    got = sorted((b.dim_L, b.dim_R, b.p, tuple(b.lambdas)) for b in dec.blocks)
+    want = sorted((dl, dr, p, tuple(lam)) for dl, dr, p, lam in planted)
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    for g, w in zip(got, want):
+        assert g[2] == pytest.approx(w[2], abs=1e-9)
+        assert np.allclose(g[3], w[3], atol=1e-9, rtol=0.0)

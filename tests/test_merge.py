@@ -1,14 +1,18 @@
 """Tests for achievable merging costs and the exact protocol construction."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qsm.errors import SolverError, ValidationError
 from qsm.ki import ki_decompose
-from qsm.locc import verify_protocol
+from qsm.locc import flatten_schedule, generalized_pauli, verify_protocol
 from qsm.merge import (
+    _locate,
+    _merged_breakpoints,
     achievable_cost,
     build_merge_protocol,
     merge_input_vector,
@@ -18,7 +22,7 @@ from qsm.merge import (
     rational_upper_approx,
     verify_merge,
 )
-from qsm.numerics import majorization_check, tolerance
+from qsm.numerics import majorization_check, orthonormal_complement, tolerance
 from qsm.statespace import (
     Registers,
     TripartiteState,
@@ -27,7 +31,7 @@ from qsm.statespace import (
     random_state,
 )
 
-from helpers import random_unitary, sample_schmidt_span_member
+from helpers import planted_ki_state, random_unitary, sample_schmidt_span_member
 
 PHI2 = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
@@ -282,6 +286,205 @@ def test_random_states_merge_exactly_both_modes():
                 merge_target_vector(state, build.report.L),
             )
             assert rep.passed, (state.dims, mode)
+
+
+# --------------------------------------------------------------------------
+# bit-for-bit oracle: branch assembly as a per-pair loop
+# --------------------------------------------------------------------------
+
+
+def _per_pair_oracle(state, decomp, mode, delta):
+    """Per-pair branch assembly: each (level, slot, B-factor) pair allocates
+    full-length ``vin``/``vout`` vectors and adds ``np.outer(vout, vin*)`` to
+    a dense receiver matrix.  Returns ``(labels, a_ops, b_ops, name)``."""
+    report = achievable_cost(decomp, mode=mode, delta=delta)
+    K, L, J = report.K, report.L, decomp.J
+    dA, dB = state.regs.dim_A, state.regs.dim_B
+    catalytic = mode == "catalytic"
+    data = []
+    for block in decomp.blocks:
+        bd = SimpleNamespace(
+            index=block.index, iso=block.iso, dim_L=block.dim_L, dim_R=block.dim_R,
+            live=block.p > 0.0, lam=block.lambdas, n_r=block.dim_bR, ws=block.ws,
+            omega_vec=block.omega_vec,
+        )
+        if bd.live:
+            bd.u_live = block.omega_vec / np.sqrt(bd.lam)[None, :]
+        else:
+            bd.u_live = np.zeros((bd.dim_L, 0), dtype=complex)
+        bd.u_dead = orthonormal_complement(bd.u_live, bd.dim_L)
+        cost = report.block(block.index)
+        if catalytic and bd.live:
+            d, w_cnt = bd.dim_R, cost.W_j
+            bd.per, bd.target = cost.K_j, cost.L_j
+            bd.slots = lambda pos, u, d=d, w_cnt=w_cnt: [
+                (pos * w_cnt + w, (u * d + v) * w_cnt + w, v)
+                for v in range(d)
+                for w in range(w_cnt)
+            ]
+        else:
+            bd.per, bd.target = K, bd.dim_R
+            bd.slots = lambda pos, u: [(0, u, pos)]
+        data.append(bd)
+    P = 1
+    for bd in data:
+        if bd.live:
+            P = math.lcm(P, bd.dim_R)
+    schedules, cums = {}, []
+    for bd in data:
+        if bd.live:
+            steps = flatten_schedule(np.repeat(bd.lam, bd.per) / bd.per, bd.target)
+            probs = [bd.target * st.mass for st in steps]
+            cum = list(np.cumsum(probs))
+            schedules[bd.index] = (steps, probs, cum)
+            cums.append(cum)
+    grid = _merged_breakpoints(cums)
+    nu = [grid[0]] + [b - a for a, b in zip(grid[:-1], grid[1:])]
+    out_b_dim = dA * dB * L
+    n = (len(nu) + sum(bd.u_dead.shape[1] * bd.per for bd in data)) * P * P * J
+    labels = []
+    a_ops = np.zeros((n, L, dA * K), dtype=complex)
+    b_ops = np.zeros((n, out_b_dim, dB * K), dtype=complex)
+
+    def a_phase(j, m3):
+        return np.exp(-2j * np.pi * j * m3 / J) / np.sqrt(float(J))
+
+    def b_phase(j, m3):
+        return np.exp(2j * np.pi * j * m3 / J)
+
+    def tele_rows(bd, x, z):
+        sig = generalized_pauli(bd.dim_R, x % bd.dim_R, z % bd.dim_R)
+        return (np.sqrt(float(bd.dim_R)) / P) * sig.conj()
+
+    def sender_rows(bd, vec, tb):
+        return np.einsum("alr,l,rv->av", bd.iso.conj(), vec.conj(), tb)
+
+    def receiver_isometry(cols_in, cols_out):
+        if not cols_in:
+            return np.eye(out_b_dim, dtype=complex)[:, : dB * K]
+        mat = np.zeros((out_b_dim, dB * K), dtype=complex)
+        for vin, vout in zip(cols_in, cols_out):
+            mat += np.outer(vout, vin.conj())
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        assert np.all(np.minimum(np.abs(s - 1.0), np.abs(s)) <= 1e-6)
+        return u @ vh
+
+    for t, width in enumerate(nu):
+        mid = grid[t] - 0.5 * width
+        for x in range(P):
+            for z in range(P):
+                for m3 in range(J):
+                    i = len(labels)
+                    a_op = a_ops[i].reshape(L, dA, K)
+                    cols_in, cols_out = [], []
+                    for bd in data:
+                        if not bd.live:
+                            continue
+                        steps, probs, cum = schedules[bd.index]
+                        s = _locate(cum, mid)
+                        scale = np.sqrt(width / probs[s])
+                        mass = steps[s].mass
+                        ph_a, ph_b = a_phase(bd.index, m3), b_phase(bd.index, m3)
+                        tb = tele_rows(bd, x, z)
+                        sig = generalized_pauli(bd.dim_R, x % bd.dim_R, z % bd.dim_R)
+                        a_part = np.einsum("alr,lm,rv->amv", bd.iso, bd.omega_vec, sig)
+                        for pos, flat in enumerate(steps[s].indices):
+                            m, u = divmod(flat, bd.per)
+                            amp = scale * np.sqrt(mass / (bd.lam[m] / bd.per))
+                            row_av = amp * sender_rows(bd, bd.u_live[:, m], tb)
+                            for row, col, v in bd.slots(pos, u):
+                                a_op[row, :, col] += ph_a * row_av[:, v]
+                                for kr in range(bd.n_r):
+                                    vin = np.zeros((dB, K), dtype=complex)
+                                    vin[:, col] = bd.ws[:, m, kr]
+                                    vout = np.zeros((dA, dB, L), dtype=complex)
+                                    vout[:, :, row] = ph_b * np.einsum(
+                                        "am,bm->ab", a_part[:, :, v], bd.ws[:, :, kr]
+                                    )
+                                    cols_in.append(vin.reshape(-1))
+                                    cols_out.append(vout.reshape(-1))
+                    labels.append((t, x, z, m3))
+                    b_ops[i] = receiver_isometry(cols_in, cols_out)
+    m1 = len(nu)
+    default_b = np.eye(out_b_dim, dtype=complex)[:, : dB * K]
+    for bd in data:
+        for c in range(bd.u_dead.shape[1]):
+            for u in range(bd.per):
+                for x in range(P):
+                    for z in range(P):
+                        for m3 in range(J):
+                            ph_a = a_phase(bd.index, m3)
+                            tb = tele_rows(bd, x, z)
+                            row_av = sender_rows(bd, bd.u_dead[:, c], tb)
+                            i = len(labels)
+                            a_op = a_ops[i].reshape(L, dA, K)
+                            for row, col, v in bd.slots(0, u):
+                                a_op[row, :, col] = ph_a * row_av[:, v]
+                            labels.append((m1, x, z, m3))
+                            b_ops[i] = default_b
+                m1 += 1
+    return labels, a_ops, b_ops, f"merge-{mode}[K={K},L={L}]"
+
+
+def _smoothed_candidate(state, epsilon, seed):
+    """The first random in-ball candidate of ``approx --heuristic``."""
+    vec = state.vector
+    rng = np.random.default_rng(seed)
+    theta_max = math.acos(math.sqrt(1.0 - (epsilon / 2.0) ** 2)) * 0.999
+    g = rng.normal(size=vec.size) + 1j * rng.normal(size=vec.size)
+    g = g - np.vdot(vec, g) * vec
+    theta = theta_max * float(rng.uniform(0.0, 1.0))
+    cand = math.cos(theta) * vec + math.sin(theta) * (g / np.linalg.norm(g))
+    return TripartiteState(state.regs, cand.reshape(state.dims))
+
+
+# planted (dim_L, dim_R, dim_bR) blocks and the spectator dimension: several
+# redundant levels and B-factors per block, so receiver entries sum many terms
+PLANTED_CASES = [
+    ([(2, 1, 2), (1, 2, 1)], 2),
+    ([(2, 2, 2), (2, 1, 1)], 2),
+    ([(3, 1, 2), (1, 1, 1), (2, 1, 1)], 2),
+    ([(2, 1, 3), (2, 2, 3)], 2),
+    ([(2, 3, 1), (3, 1, 2)], 3),
+]
+
+
+def _oracle_corpus():
+    """(name, state, delta) of the catalog, seeded random, A-padded,
+    smoothed-candidate and planted states."""
+    cases = [(f"ghz{d}", catalog("ghz", d=d), 1e-6) for d in (2, 3, 4)]
+    cases += [(n, catalog(n), 1e-6) for n in ("appendixD", "implication2")]
+    rng = np.random.default_rng(404)
+    for dims in [(2, 2, 2), (2, 3, 2), (3, 4, 3), (4, 6, 4), (2, 5, 3), (3, 3, 3)]:
+        cases.append((f"random{dims}", random_state(rng, dims), 1e-6))
+    # R is trivial: the catalytic fit of a generic lambda0 needs a wide slack
+    cases.append(("random(1, 4, 4)", random_state(rng, (1, 4, 4)), 0.5))
+    for dims in [(2, 2, 2), (2, 3, 2)]:
+        cases.append((f"padded{dims}", _pad_sender(random_state(rng, dims)), 1e-6))
+    smoothed = _smoothed_candidate(catalog("implication2"), 0.1, 1)
+    cases.append(("implication2-smoothed", smoothed, 1e-6))
+    for k, (blocks, dim_r) in enumerate(PLANTED_CASES):
+        state, _ = planted_ki_state(np.random.default_rng([505, k]), blocks, dim_r)
+        cases.append((f"planted{blocks}", state, 1e-6))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["catalytic", "noncatalytic"])
+def test_branch_assembly_matches_per_pair_oracle(mode):
+    """The table-driven assembly gives every bit of the per-pair loop."""
+    padded = 0
+    for name, state, delta in _oracle_corpus():
+        dec = ki_decompose(state)
+        padded += name.startswith("padded") and any(b.p == 0.0 for b in dec.blocks)
+        protocol = build_merge_protocol(state, dec, mode=mode, delta=delta).protocol
+        labels, a_ops, b_ops, pname = _per_pair_oracle(state, dec, mode, delta)
+        assert list(protocol.branches) == labels, name
+        assert protocol.name == pname, name
+        assert protocol.a_ops.shape == a_ops.shape, name
+        assert protocol.b_ops.shape == b_ops.shape, name
+        assert protocol.a_ops.tobytes() == a_ops.tobytes(), name
+        assert protocol.b_ops.tobytes() == b_ops.tobytes(), name
+    assert padded == 2
 
 
 def test_input_and_target_vectors_normalized():

@@ -166,10 +166,8 @@ def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> 
 def _certificate_target(state: TripartiteState, L: int) -> np.ndarray:
     """True target in certificate layout: the state moved, plus the rank-L pair."""
     dim_r, dim_a, dim_b = state.dims
-    out = np.zeros((dim_r, dim_a, dim_b, L, L), dtype=complex)
-    for l in range(L):
-        out[:, :, :, l, l] = state.amplitudes / math.sqrt(float(L))
-    return out.reshape(-1)
+    target = merge_target_vector(state, L).reshape(dim_r, L, dim_a, dim_b, L)
+    return target.transpose(0, 2, 3, 1, 4).reshape(-1)
 
 
 def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate) -> bool:

@@ -37,28 +37,24 @@ from .statespace import TripartiteState
 # ---------------------------------------------------------------------------
 
 
+def _probe_vectors(dim: int) -> list[np.ndarray]:
+    """|k>, then |k>+|l> and |k>+i|l> for every k < l (unnormalized)."""
+    eye = np.eye(dim, dtype=complex)
+    return list(eye) + [
+        eye[k] + phase * eye[l]
+        for k in range(dim)
+        for l in range(k + 1, dim)
+        for phase in (1.0, 1.0j)
+    ]
+
+
 def steering_generators(dim_R: int) -> list[np.ndarray]:
     """PSD operators on R whose real span is all Hermitian operators.
 
     Returns the rank-one projectors onto |k>, |k>+|l>, and |k>+i|l> (the
     latter two unnormalized), dim_R^2 operators in total.
     """
-    gens: list[np.ndarray] = []
-    for k in range(dim_R):
-        e = np.zeros((dim_R, 1), dtype=complex)
-        e[k] = 1.0
-        gens.append(e @ dagger(e))
-    for k in range(dim_R):
-        for l in range(k + 1, dim_R):
-            v = np.zeros((dim_R, 1), dtype=complex)
-            v[k] = 1.0
-            v[l] = 1.0
-            gens.append(v @ dagger(v))
-            w = np.zeros((dim_R, 1), dtype=complex)
-            w[k] = 1.0
-            w[l] = 1.0j
-            gens.append(w @ dagger(w))
-    return gens
+    return [np.outer(v, v.conj()) for v in _probe_vectors(dim_R)]
 
 
 def _steered_unnormalized(state: TripartiteState, lam: np.ndarray) -> np.ndarray:
@@ -119,18 +115,8 @@ def _proportional(rho: np.ndarray, rho_ref: np.ndarray, tol: float) -> bool:
 
 def _r_factor_vectors(dim: int) -> list[np.ndarray]:
     """Candidate |a> vectors in an R-factor: basis states plus pairwise mixes."""
-    out = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            v = np.zeros(dim, dtype=complex)
-            v[k] = 1.0
-            v[l] = 1.0
-            out.append(v / np.sqrt(2.0))
-            w = np.zeros(dim, dtype=complex)
-            w[k] = 1.0
-            w[l] = 1.0j
-            out.append(w / np.sqrt(2.0))
-    return out
+    probes = _probe_vectors(dim)
+    return probes[:dim] + [v / np.sqrt(2.0) for v in probes[dim:]]
 
 
 def _split_eigenspaces(eta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:

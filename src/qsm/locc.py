@@ -18,8 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, VerificationError
+from .errors import SolverError, ValidationError, VerificationError
 from .numerics import isometry_deviation, tolerance
+
+# Bytes a protocol may take, as check_protocol_budget counts them: 2 GiB
+# admits every catalog and bench build and splits up to (1, 20, 20).
+PROTOCOL_BYTE_BUDGET = 2**31
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
@@ -39,6 +43,22 @@ def generalized_pauli(d: int, x: int, z: int) -> np.ndarray:
     op = np.zeros((d, d), dtype=complex)
     op[(ls + x) % d, ls] = np.exp(2j * np.pi * z * ls / d)
     return op
+
+
+def check_protocol_budget(n: int, a_shape: tuple, b_shape: tuple, hint: str = "") -> None:
+    """Raise :class:`SolverError` if ``n`` branches with operator shapes
+    ``a_shape = (a_out, a_in)`` and ``b_shape = (b_out, b_in)`` need more than
+    :data:`PROTOCOL_BYTE_BUDGET` bytes, counted as ``16·(n·(a_out·a_in +
+    b_out·b_in) + a_in² + b_out·b_in)``: both stacks, the completeness Gram
+    and one per-branch receiver matrix.  ``hint`` ends the message."""
+    (a_out, a_in), (b_out, b_in) = a_shape, b_shape
+    count = 16 * (n * (a_out * a_in + b_out * b_in) + a_in**2 + b_out * b_in)
+    if count > PROTOCOL_BYTE_BUDGET:
+        raise SolverError(
+            f"protocol of {n} branches too large to build: stacks "
+            f"{(n, a_out, a_in)} and {(n, b_out, b_in)} need {count} bytes, "
+            f"over the budget of {PROTOCOL_BYTE_BUDGET} bytes{hint}"
+        )
 
 
 @dataclass(frozen=True)

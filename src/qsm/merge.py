@@ -25,6 +25,7 @@ from .ki import KIDecomposition, ki_decompose
 from .locc import (
     OneWayProtocol,
     VerificationReport,
+    check_protocol_budget,
     flatten_schedule,
     generalized_pauli,
     verify_protocol,
@@ -428,7 +429,10 @@ def build_merge_protocol(
     block, level, slot and B-factor order, so every element receives the
     same additions in the same order as a per-pair loop would make.  The
     receiver isometry is the polar part (SVD) of the accumulated matrix,
-    whose singular values must all be 0 or 1.
+    whose singular values must all be 0 or 1.  A protocol over the byte
+    budget of :func:`~qsm.locc.check_protocol_budget` raises
+    :class:`SolverError` (exit 3) before allocation, and before the
+    flattening schedules when one grid interval is already over it.
     """
     if decomp is None:
         decomp = ki_decompose(state)
@@ -436,16 +440,14 @@ def build_merge_protocol(
     K, L = report.K, report.L
     J = decomp.J
     dA, dB = state.regs.dim_A, state.regs.dim_B
-    if dA * K > 4096 or dA * dB * L > 65536:
-        raise SolverError(
-            f"protocol registers too large to materialize (K={K}, L={L}); "
-            "increase delta to coarsen the rational approximation"
-        )
     catalytic = mode == "catalytic"
     P = 1
     for b in decomp.blocks:
         if b.p > 0.0:
             P = math.lcm(P, b.dim_R)
+    a_shape, b_shape = (L, dA * K), (dA * dB * L, dB * K)
+    hint = "; increase delta to coarsen the rational approximation" if catalytic else ""
+    check_protocol_budget(P * P * J, a_shape, b_shape, hint)
     data = [
         _BlockData(b, report.block(b.index), K, catalytic, P) for b in decomp.blocks
     ]
@@ -464,13 +466,13 @@ def build_merge_protocol(
     grid = _merged_breakpoints(cums)
     nu = [grid[0]] + [b - a for a, b in zip(grid[:-1], grid[1:])]
 
-    out_b_dim = dA * dB * L
     dead_count = sum(bd.u_dead.shape[1] * bd.per for bd in data)
     n = (len(nu) + dead_count) * P * P * J
+    check_protocol_budget(n, a_shape, b_shape, hint)
     labels = []
-    a_ops = np.zeros((n, L, dA * K), dtype=complex)
-    b_ops = np.zeros((n, out_b_dim, dB * K), dtype=complex)
-    default_b = np.eye(out_b_dim, dtype=complex)[:, : dB * K]
+    a_ops = np.zeros((n, *a_shape), dtype=complex)
+    b_ops = np.zeros((n, *b_shape), dtype=complex)
+    default_b = np.eye(*b_shape, dtype=complex)
 
     def a_phase(j: int, m3: int) -> complex:
         return np.exp(-2j * np.pi * j * m3 / J) / np.sqrt(float(J))
@@ -485,7 +487,7 @@ def build_merge_protocol(
     def receiver_isometry(label: tuple, acc: np.ndarray) -> np.ndarray:
         """Polar part of the receiver matrix accumulated as ``acc[l, k, a,
         b, b']`` (output (a, b, l), input (b', k))."""
-        mat = acc.transpose(2, 3, 0, 4, 1).reshape(out_b_dim, dB * K)
+        mat = acc.transpose(2, 3, 0, 4, 1).reshape(b_shape)
         try:
             u, s, vh = np.linalg.svd(mat, full_matrices=False)
         except np.linalg.LinAlgError as exc:

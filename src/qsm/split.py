@@ -22,6 +22,7 @@ from .locc import (
     OneWayProtocol,
     VerificationReport,
     apply_protocol,
+    check_protocol_budget,
     generalized_pauli,
     max_entangled_vector,
     verify_protocol,
@@ -109,16 +110,20 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
     and decompresses onto the transmitted register's Schmidt support.
     Branches labelled ``("kernel", c, k)`` complete the measurement on the
     unused part of the third register and never fire on the given state.
+    A protocol over the byte budget of :func:`~qsm.locc.check_protocol_budget`
+    raises :class:`~qsm.errors.SolverError` (exit 3) before allocation.
     """
     dim_r, dim_a, dim_c = state.dims
     sd = _transmit_schmidt(state)
     K = sd.rank()
+    a_shape, b_shape = (dim_a, dim_a * dim_c * K), (dim_c, K)
+    check_protocol_budget(dim_c * K, a_shape, b_shape)
     support = sd.right[:, :K]  # dim_c x K, orthonormal columns
     eye_a = np.eye(dim_a)
     scale = 1.0 / math.sqrt(float(K))
     labels = []
-    a_ops = np.zeros((dim_c * K, dim_a, dim_a * dim_c * K), dtype=complex)
-    b_ops = np.zeros((dim_c * K, dim_c, K), dtype=complex)
+    a_ops = np.zeros((dim_c * K, *a_shape), dtype=complex)
+    b_ops = np.zeros((dim_c * K, *b_shape), dtype=complex)
     for x in range(K):
         for z in range(K):
             sigma = generalized_pauli(K, x, z)

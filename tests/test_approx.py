@@ -11,7 +11,8 @@ from qsm.approx import (
     check_ensemble_certificate,
     verify_approximate_merge,
 )
-from qsm.errors import ValidationError
+from qsm import locc
+from qsm.errors import SolverError, ValidationError
 from qsm.locc import apply_protocol
 from qsm.merge import build_merge_protocol, merge_input_vector
 from qsm.statespace import TripartiteState, catalog, random_state
@@ -232,3 +233,12 @@ def test_best_smoothing_epsilon_zero_is_exact():
     cert = best_smoothing_candidate(state, 0.0, candidates=8, seed=3)
     assert cert.input_fidelity_sq == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(cert.candidate.vector, state.vector)
+
+
+def test_best_smoothing_skips_over_budget_candidates(monkeypatch):
+    """A candidate whose protocol is over the byte budget is skipped like any
+    solver failure; with every candidate over it, the search names the count."""
+    monkeypatch.setattr(locc, "PROTOCOL_BYTE_BUDGET", 1024)
+    with pytest.raises(SolverError, match=r"last failure: protocol of \d+ branches.* "
+                       r"need \d+ bytes, over the budget of 1024 bytes"):
+        best_smoothing_candidate(catalog("implication3"), 0.2, candidates=4, seed=5)

@@ -3,6 +3,7 @@ determinism, and the documented usage examples."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import qsm
 import qsm.cli as cli
 from qsm.errors import VerificationError
 from qsm.ki import ki_decompose
+from qsm.statespace import random_state, save_state
 
 
 def _state_file(tmp_path, name, d=None):
@@ -296,6 +298,15 @@ def test_reports_are_deterministic_modulo_wall_time(tmp_path):
     assert rep1 == rep2
 
 
+def _child_env(**extra):
+    """Environment for a child interpreter that imports this copy of ``qsm``."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(qsm.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_parser_reuse_matches_fresh_runs(tmp_path):
     """One process running several subcommands reports what fresh processes do."""
     path = _state_file(tmp_path, "ghz", d=2)
@@ -305,10 +316,7 @@ def test_parser_reuse_matches_fresh_runs(tmp_path):
         ["bounds", str(path), "--kmax", "4", "--lmax", "3"],
         ["merge", str(path), "--mode", "noncatalytic"],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(qsm.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     codes = []
     for argv in argvs:
         code, report = cli.run(argv)
@@ -323,6 +331,46 @@ def test_parser_reuse_matches_fresh_runs(tmp_path):
         assert code == fresh.returncode
         assert json.loads(json.dumps(cli._jsonable(report))) == expected
     assert codes == [0, 64, 0, 0]
+
+
+# Runs each argv through cli.run under a 3 GiB address-space limit, so that a
+# build the byte budget fails to refuse stops with MemoryError instead of
+# filling the machine's memory.
+_LIMITED_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import qsm.cli as cli
+print(json.dumps([cli.run(argv)[1] for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_over_budget_protocols_exit_3_naming_bytes(tmp_path):
+    """Catalytic merges of seeded (1,4,4) states and the split of a (1,24,24)
+    state would need far more than the protocol byte budget: each exits 3
+    naming the count and the budget, and seeds 0, 2 and 3 are refused on one
+    grid interval (1 branch), before the flattening schedules run."""
+    argvs = []
+    for seed in range(4):
+        path = tmp_path / f"r144-{seed}.json"
+        save_state(random_state(np.random.default_rng(seed), (1, 4, 4)), path)
+        argvs.append(["merge", str(path), "--quiet"])
+    path = tmp_path / "r1-24-24.json"
+    save_state(random_state(np.random.default_rng(0), (1, 24, 24)), path)
+    argvs.append(["split", str(path), "--quiet"])
+    child = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env=_child_env(OPENBLAS_NUM_THREADS="1"),
+    )
+    assert child.returncode == 0, child.stderr
+    reports = json.loads(child.stdout)
+    assert [r["exit_code"] for r in reports] == [3] * 5
+    for report in reports:
+        assert re.search(r"need \d+ bytes, over the budget of 2147483648 bytes", report["error"])
+    for seed in (0, 2, 3):
+        assert reports[seed]["error"].startswith("protocol of 1 branches too large")
+    assert "increase delta" in reports[0]["error"]
+    assert "(576, 24, 13824)" in reports[4]["error"]
 
 
 def test_quiet_suppresses_stderr(capsys):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from qsm import locc
+from qsm.errors import SolverError
 from qsm.ki import ki_decompose
 from qsm.merge import achievable_cost
 from qsm.split import (
@@ -73,8 +75,15 @@ def test_split_rank2_embedded_in_dim4():
     assert ver.branch_count == 4
 
 
-def test_split_protocol_shapes_and_kernel_branches():
+def test_split_protocol_shapes_and_kernel_branches(monkeypatch):
     state = _rank2_in_dim4()
+    # 8 branches, a_ops 2 x 16, b_ops 4 x 2: a budget of exactly the counted
+    # bytes builds, one byte less refuses
+    counted = 16 * (8 * (2 * 16 + 4 * 2) + 16**2 + 4 * 2)
+    monkeypatch.setattr(locc, "PROTOCOL_BYTE_BUDGET", counted - 1)
+    with pytest.raises(SolverError, match=f"need {counted} bytes"):
+        build_split_protocol(state)
+    monkeypatch.setattr(locc, "PROTOCOL_BYTE_BUDGET", counted)
     protocol = build_split_protocol(state)
     # 4 teleportation branches + (4-2)*2 kernel-completion branches
     assert len(protocol.branches) == 8

@@ -15,7 +15,7 @@ when one exists, otherwise kept as a standalone zero-probability block).
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,27 +138,28 @@ class SteeredOperators:
     """The unnormalized steered operators of one state, each computed once.
 
     ``full`` is steered by the identity on R and ``generators[g]`` by the
-    g-th operator of :func:`steering_generators`.  ``combine`` holds the
-    R-combining candidates (the identity, then ``1 + gen`` and ``1 + 2 gen``
-    for each generator in order); it is built on first use, since only a
-    structure with two or more blocks needs it.
+    g-th operator of :func:`steering_generators`.  :meth:`combine` yields
+    the R-combining candidates: the identity, then ``1 + gen`` and
+    ``1 + 2 gen`` for each generator in order.  Each candidate after
+    ``full`` is built on first use and kept, since most combines fire on
+    ``full`` and only a structure with two or more blocks asks at all.
     """
 
     def __init__(self, state: TripartiteState):
         self._state = state
-        self.full = _steered_unnormalized(state, np.eye(state.regs.dim_R, dtype=complex))
-        self.generators = np.stack(
-            [_steered_unnormalized(state, gen) for gen in steering_generators(state.regs.dim_R)]
-        )
+        eye = np.eye(state.regs.dim_R, dtype=complex)
+        gens = steering_generators(state.regs.dim_R)
+        self.full = _steered_unnormalized(state, eye)
+        self.generators = np.stack([_steered_unnormalized(state, gen) for gen in gens])
+        self._combine_lams = [lam for gen in gens for lam in (eye + gen, eye + 2 * gen)]
+        self._combine: list[np.ndarray] = []
 
-    @functools.cached_property
-    def combine(self) -> tuple[np.ndarray, ...]:
-        eye = np.eye(self._state.regs.dim_R, dtype=complex)
-        ops = [self.full]
-        for gen in steering_generators(self._state.regs.dim_R):
-            ops.append(_steered_unnormalized(self._state, eye + gen))
-            ops.append(_steered_unnormalized(self._state, eye + 2 * gen))
-        return tuple(ops)
+    def combine(self) -> Iterator[np.ndarray]:
+        yield self.full
+        for k, lam in enumerate(self._combine_lams):
+            if k == len(self._combine):
+                self._combine.append(_steered_unnormalized(self._state, lam))
+            yield self._combine[k]
 
 
 def _generator_witness(
@@ -201,8 +202,14 @@ def l_decompose_step(
     compressed steered states, and splits that L-factor by the eigenvalue sign
     of the difference of the trace-normalized pair.  ``steered`` holds the
     steered operators of ``state``.
+
+    Blocks with ``dim_L == 1`` are skipped without a compression: a split
+    needs ``0 < n_plus < dim_L`` eigenvalues on the plus side, so such a
+    block can never split, whatever the tolerance.
     """
     for j0, space in enumerate(decomp.spaces):
+        if space.shape[1] == 1:
+            continue
         dim_R = space.shape[2]
         t_full = _compressed(space, steered.full)
         diagonals = [t_full[:, b, :, b] for b in range(dim_R)]
@@ -248,7 +255,7 @@ def r_combine_step(
     for j0 in range(decomp.J):
         for j1 in range(j0 + 1, decomp.J):
             v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
-            for op in steered.combine:
+            for op in steered.combine():
                 scale = max(1.0, abs(float(np.trace(op).real)))
                 cross = np.einsum("alr,ab,bms->lrms", v1.conj(), op, v0)
                 for b in range(v1.shape[2]):

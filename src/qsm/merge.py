@@ -404,6 +404,11 @@ def _locate(cum: list, point: float) -> int:
     return len(cum) - 1
 
 
+# bound on the bytes of one assembly batch's receiver accumulator plus its
+# largest scatter-term array, so that batching leaves peak memory flat
+_BATCH_BYTES = 128 * 1024
+
+
 def build_merge_protocol(
     state: TripartiteState,
     decomp: Optional[KIDecomposition] = None,
@@ -424,12 +429,15 @@ def build_merge_protocol(
     the block label, producing the relocated state exactly in every branch.
 
     Assembly is table-driven: each block's Pauli parts are computed once per
-    (x, z) and its index tables once per flattening step; each branch then
-    scatter-adds its sender rows and receiver terms with ``np.add.at``, in
-    block, level, slot and B-factor order, so every element receives the
+    (x, z) and its index tables once per flattening step.  A grid interval's
+    branches are assembled in batches of consecutive labels, bounded by
+    ``_BATCH_BYTES``: per block, one ``np.add.at`` with the branch index
+    leading scatter-adds the batch's sender rows and receiver terms in
+    branch, level, slot and B-factor order, so every element receives the
     same additions in the same order as a per-pair loop would make.  The
-    receiver isometry is the polar part (SVD) of the accumulated matrix,
-    whose singular values must all be 0 or 1.  A protocol over the byte
+    receiver isometry is the polar part of the accumulated matrix, from one
+    stacked SVD per batch; the singular values of each branch, checked in
+    label order, must all be 0 or 1.  A protocol over the byte
     budget of :func:`~qsm.locc.check_protocol_budget` raises
     :class:`SolverError` (exit 3) before allocation, and before the
     flattening schedules when one grid interval is already over it.
@@ -484,61 +492,79 @@ def build_merge_protocol(
         """``a_ops[i]`` indexed [returned row, consumed column, A index]."""
         return a_ops[i].reshape(L, dA, K).transpose(0, 2, 1)
 
-    def receiver_isometry(label: tuple, acc: np.ndarray) -> np.ndarray:
-        """Polar part of the receiver matrix accumulated as ``acc[l, k, a,
-        b, b']`` (output (a, b, l), input (b', k))."""
-        mat = acc.transpose(2, 3, 0, 4, 1).reshape(b_shape)
+    def receiver_isometries(first: int, mats: np.ndarray) -> np.ndarray:
+        """Polar parts of the stacked receiver matrices of branches ``first``,
+        ``first + 1``, ...; their singular values must all be 0 or 1."""
         try:
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            u, s, vh = np.linalg.svd(mats, full_matrices=False)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"branch {label}: receiver isometry completion failed ({exc})"
-            ) from exc
+            if len(mats) == 1:
+                raise SolverError(
+                    f"branch {labels[first]}: receiver isometry completion failed ({exc})"
+                ) from exc
+            # one at a time, only to name the failing branch
+            return np.concatenate(
+                [receiver_isometries(first + k, mats[k : k + 1]) for k in range(len(mats))]
+            )
         dev = np.minimum(np.abs(s - 1.0), np.abs(s))
-        if np.any(dev > 1e-6):
+        bad = np.flatnonzero(np.any(dev > 1e-6, axis=1))
+        if len(bad):
+            k = bad[0]
             raise VerificationError(
-                f"branch {label}: receiver isometry completion: singular values "
-                f"deviate from 0/1 (worst min(|s-1|, |s|) = {float(dev.max())!r} "
-                "> 1e-06)"
+                f"branch {labels[first + k]}: receiver isometry completion: singular "
+                f"values deviate from 0/1 (worst min(|s-1|, |s|) = "
+                f"{float(dev[k].max())!r} > 1e-06)"
             )
         return u @ vh
 
+    # branches of one grid interval, in label order (x, z, m3)
+    xs, zs, m3s = (a.reshape(-1) for a in np.indices((P, P, J)))
+    phases = [
+        tuple(np.array([f(bd.index, m3) for m3 in range(J)])[m3s] for f in (a_phase, b_phase))
+        for bd in live
+    ]
     for t, width in enumerate(nu):
         mid = grid[t] - 0.5 * width
         located = []
-        for bd in live:
+        for bd, (ph_a, ph_b) in zip(live, phases):
             steps, probs, cum, tables = schedules[bd.index]
             s = _locate(cum, mid)
             tab = tables[s]
             scale = np.sqrt(width / probs[s])
             amps = scale * np.sqrt(steps[s].mass / (bd.lam[tab.levels] / bd.per))
-            located.append((bd, tab, amps))
-        for x in range(P):
-            for z in range(P):
-                parts = []
-                for bd, tab, amps in located:
-                    xz = (x % bd.dim_R, z % bd.dim_R)
-                    row_av = amps[:, None, None] * bd.send[xz][tab.levels]
-                    pos, v = tab.send_src
-                    recv_blocks = bd.recv[xz][tab.recv_src]
-                    parts.append((bd, tab, row_av[pos, :, v], recv_blocks))
-                for m3 in range(J):
-                    i = len(labels)
-                    a_view = sender_view(i)
-                    acc = np.zeros((L, K, dA, dB, dB), dtype=complex)
-                    for bd, tab, send_vals, recv_blocks in parts:
-                        ph_a = a_phase(bd.index, m3)
-                        ph_b = b_phase(bd.index, m3)
-                        np.add.at(a_view, tab.send_at, ph_a * send_vals)
-                        terms = (ph_b * recv_blocks)[..., None] * (
-                            tab.ws_conj[:, None, None, :]
-                        )
-                        np.add.at(acc, tab.recv_at, terms)
-                    labels.append((t, x, z, m3))
-                    if any(len(tab.ws_conj) for _, tab, _, _ in parts):
-                        b_ops[i] = receiver_isometry(labels[i], acc)
-                    else:
-                        b_ops[i] = default_b
+            located.append((bd, tab, amps, ph_a, ph_b))
+        first = len(labels)
+        labels += [(t, int(x), int(z), int(m3)) for x, z, m3 in zip(xs, zs, m3s)]
+        pairs = max(len(tab.ws_conj) for _, tab, _, _, _ in located)
+        size = max(1, _BATCH_BYTES // (16 * dA * dB * dB * (L * K + pairs)))
+        for lo in range(0, len(xs), size):
+            sel = slice(lo, lo + size)
+            x_b, z_b = xs[sel], zs[sel]
+            nb = len(x_b)
+            i0 = first + lo
+            # [branch, returned row, consumed column, A index]
+            a_view = a_ops[i0 : i0 + nb].reshape(nb, L, dA, K).transpose(0, 1, 3, 2)
+            acc = np.zeros((nb, L, K, dA, dB, dB), dtype=complex)
+            for bd, tab, amps, ph_a, ph_b in located:
+                xz = (x_b % bd.dim_R, z_b % bd.dim_R)
+                row_av = amps[:, None, None] * bd.send[xz][:, tab.levels]
+                pos, v = tab.send_src
+                send_vals = ph_a[sel, None, None] * row_av[:, pos, :, v].transpose(1, 0, 2)
+                branch = np.repeat(np.arange(nb), len(pos))
+                at = tuple(np.tile(ix, nb) for ix in tab.send_at)
+                np.add.at(a_view, (branch, *at), send_vals.reshape(-1, dA))
+                recv_blocks = bd.recv[xz][(slice(None), *tab.recv_src)]
+                terms = (ph_b[sel, None, None, None] * recv_blocks)[..., None] * (
+                    tab.ws_conj[None, :, None, None, :]
+                )
+                branch = np.repeat(np.arange(nb), len(tab.ws_conj))
+                at = tuple(np.tile(ix, nb) for ix in tab.recv_at)
+                np.add.at(acc, (branch, *at), terms.reshape(-1, dA, dB, dB))
+            if pairs:
+                mats = acc.transpose(0, 3, 4, 1, 5, 2).reshape(nb, *b_shape)
+                b_ops[i0 : i0 + nb] = receiver_isometries(i0, mats)
+            else:
+                b_ops[i0 : i0 + nb] = default_b
 
     # zero-probability outcomes covering the dead (zero-amplitude) directions
     m1 = len(nu)

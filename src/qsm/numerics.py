@@ -73,7 +73,10 @@ def _lex_key(v: np.ndarray) -> tuple:
 
 
 def _tie_order(values: np.ndarray, vectors: list[np.ndarray], tol: float) -> list[int]:
-    """Indices of descending ``values`` with runs equal within ``10 * tol`` sorted by ``_lex_key``."""
+    """Indices of descending ``values`` with runs equal within ``10 * tol`` sorted by ``_lex_key``.
+
+    A run of one value is its own order, so its vector is never keyed.
+    """
     order: list[int] = []
     i = 0
     n = len(values)
@@ -81,7 +84,10 @@ def _tie_order(values: np.ndarray, vectors: list[np.ndarray], tol: float) -> lis
         j = i + 1
         while j < n and abs(values[j] - values[i]) <= 10 * tol:
             j += 1
-        order.extend(sorted(range(i, j), key=lambda k: _lex_key(vectors[k])))
+        if j == i + 1:
+            order.append(i)
+        else:
+            order.extend(sorted(range(i, j), key=lambda k: _lex_key(vectors[k])))
         i = j
     return order
 

@@ -213,6 +213,7 @@ def test_merge_svd_failure_exits_3_naming_branch(tmp_path, monkeypatch, mode):
     original = cli.build_merge_protocol
 
     def failing_svd(*args, **kwargs):
+        # fails a whole stacked batch as well as each single matrix
         raise np.linalg.LinAlgError("SVD did not converge")
 
     def build_without_svd(state, **kwargs):
@@ -236,7 +237,9 @@ def test_merge_receiver_deviation_exits_3_with_numbers(tmp_path, monkeypatch, mo
 
     def half_svd(*args, **kwargs):
         u, s, vh = original_svd(*args, **kwargs)
-        return u, np.concatenate([[0.5], s[1:]]), vh
+        s = s.copy()
+        s.flat[0] = 0.5  # first singular value of the first (stacked) matrix
+        return u, s, vh
 
     def build_with_half_value(state, **kwargs):
         decomp = ki_decompose(state)

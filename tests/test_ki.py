@@ -403,6 +403,37 @@ def test_batched_witness_screen_matches_sequential(monkeypatch):
         assert 0 < len(calls) <= 3 * st.regs.dim_R**2 + 2
 
 
+def test_l_screen_never_compresses_a_block_that_cannot_split(monkeypatch):
+    """A split needs 0 < n_plus < dim_L, so blocks with dim_L == 1 are skipped."""
+    dims_l = []
+    original = ki._compressed
+
+    def spy(space, op):
+        dims_l.append(space.shape[1])
+        return original(space, op)
+
+    monkeypatch.setattr(ki, "_compressed", spy)
+    for st in _oracle_states():
+        ki.ki_decompose(st)
+    assert dims_l and min(dims_l) > 1
+
+
+def test_combine_candidates_are_built_on_first_use(monkeypatch):
+    """A generic (4,6,4) state combines on ``full``; no other candidate is built."""
+    calls = []
+    original = ki._steered_unnormalized
+
+    def counting(state, lam):
+        calls.append(lam.shape)
+        return original(state, lam)
+
+    monkeypatch.setattr(ki, "_steered_unnormalized", counting)
+    st = statespace.random_state(np.random.default_rng(464), (4, 6, 4))
+    decomp = ki.ki_decompose(st)
+    assert [(b.dim_L, b.dim_R) for b in decomp.blocks] == [(1, 6)]  # R-combines ran
+    assert len(calls) <= st.regs.dim_R**2 + 1
+
+
 def _planted_specs(count: int, seed: int) -> list:
     """Seeded ``(blocks, dim_r)`` specs: J in {2, 3}, dim_L, dim_R and dim_bR
     up to 3, some block with at least two redundant levels, and every φ_j

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qsm import merge
 from qsm.errors import SolverError, ValidationError
 from qsm.ki import ki_decompose
 from qsm.locc import flatten_schedule, generalized_pauli, verify_protocol
@@ -470,21 +471,37 @@ def _oracle_corpus():
 
 
 @pytest.mark.parametrize("mode", ["catalytic", "noncatalytic"])
-def test_branch_assembly_matches_per_pair_oracle(mode):
-    """The table-driven assembly gives every bit of the per-pair loop."""
+def test_branch_assembly_matches_per_pair_oracle(mode, monkeypatch):
+    """The batched assembly gives every bit of the per-pair loop, at the
+    default batch byte bound and at bounds small enough to cut grid
+    intervals into batches of one to four branches."""
     padded = 0
+    small_batches = set()
+    original_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        small_batches.add(len(a))
+        return original_svd(a, *args, **kwargs)
+
     for name, state, delta in _oracle_corpus():
         dec = ki_decompose(state)
         padded += name.startswith("padded") and any(b.p == 0.0 for b in dec.blocks)
-        protocol = build_merge_protocol(state, dec, mode=mode, delta=delta).protocol
         labels, a_ops, b_ops, pname = _per_pair_oracle(state, dec, mode, delta)
-        assert list(protocol.branches) == labels, name
-        assert protocol.name == pname, name
-        assert protocol.a_ops.shape == a_ops.shape, name
-        assert protocol.b_ops.shape == b_ops.shape, name
-        assert protocol.a_ops.tobytes() == a_ops.tobytes(), name
-        assert protocol.b_ops.tobytes() == b_ops.tobytes(), name
+        for bound in (None, 1, 2048, 4096):
+            with monkeypatch.context() as patch:
+                if bound is not None:
+                    patch.setattr(merge, "_BATCH_BYTES", bound)
+                    patch.setattr(np.linalg, "svd", recording_svd)
+                protocol = build_merge_protocol(state, dec, mode=mode, delta=delta).protocol
+            where = (name, bound)
+            assert list(protocol.branches) == labels, where
+            assert protocol.name == pname, where
+            assert protocol.a_ops.shape == a_ops.shape, where
+            assert protocol.b_ops.shape == b_ops.shape, where
+            assert protocol.a_ops.tobytes() == a_ops.tobytes(), where
+            assert protocol.b_ops.tobytes() == b_ops.tobytes(), where
     assert padded == 2
+    assert small_batches == {1, 2, 3, 4}
 
 
 def test_input_and_target_vectors_normalized():

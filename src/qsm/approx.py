@@ -59,8 +59,8 @@ class SmoothingCertificate:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValidationError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    if not 0.0 <= epsilon <= 1.0:  # above 1 the bound 1 - epsilon^2 says nothing
+        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
 def verify_approximate_merge(

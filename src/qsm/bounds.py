@@ -25,8 +25,7 @@ import math
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .merge import _guarded_ceil
-from .numerics import majorization_check, tolerance
+from .numerics import guarded_ceil, majorization_check, tolerance
 from .statespace import (
     TripartiteState,
     catalog,
@@ -36,6 +35,7 @@ from .statespace import (
 
 __all__ = [
     "H_MAX_DIM_CAP",
+    "SEARCH_CAP",
     "ConverseReport",
     "QutritChannelReport",
     "SearchReport",
@@ -48,6 +48,8 @@ __all__ = [
 
 # Largest total dimension d_R * d_A * d_B that h_max_conditional accepts.
 H_MAX_DIM_CAP = 16
+# Largest K_max or L_max that converse_search accepts (64x the default).
+SEARCH_CAP = 4096
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ def converse_simple(state: TripartiteState) -> dict:
     product = lam0 * dim
     return {
         "catalytic": math.log2(product),
-        "noncatalytic": math.log2(_guarded_ceil(product)),
+        "noncatalytic": math.log2(guarded_ceil(product)),
     }
 
 
@@ -123,13 +125,15 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
     ``1_{K-1}/(K-1)``, and majorization survives a tensor product with a fixed
     vector, so a passing ``(K, L)`` makes every ``(K' >= K, L' <= L)`` pass.
     One sweep over ``K`` therefore raises a pointer to the largest passing
-    ``L``, which never moves back, with at most ``K_max + L_max`` tests.  The
+    ``L``, which never moves back, with at most ``K_max + L_max`` tests, and
+    stops once ``L`` reaches ``L_max``, where no later ``K`` is cheaper.  The
     report records the minimum of ``log2 K - log2 L`` over passing pairs
     (noncatalytic: ``L = 1``), the witnessing pair, and the analytic
     top-eigenvalue bound, which is a true infimum bound independent of the caps.
     """
-    if K_max < 1 or L_max < 1:
-        raise ValidationError("search caps K_max and L_max must be >= 1")
+    for name, cap in (("K_max", K_max), ("L_max", L_max)):
+        if not 1 <= cap <= SEARCH_CAP:
+            raise ValidationError(f"search cap {name} must lie in 1..{SEARCH_CAP}, got {cap}")
     eig_b = _spectrum(state.marginal("B"))
     eig_ab = _spectrum(state.marginal("AB"))
     tol = tolerance()
@@ -153,6 +157,8 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
         if bits < best_bits - 1e-12:
             best_bits = bits
             best_pair = (K, L)
+        if L == L_max:  # every later K costs more at the same L
+            break
 
     lam0_ab = float(eig_ab[0])
     analytic = math.log2(float(eig_b[0]) / lam0_ab) if lam0_ab > 0 else math.inf

@@ -187,21 +187,21 @@ def apply_protocol(protocol: OneWayProtocol, vec: np.ndarray) -> list:
 
 
 def verify_protocol(
-    protocol: OneWayProtocol, vec: np.ndarray, target: np.ndarray
+    protocol: OneWayProtocol, outcomes: list, target: np.ndarray
 ) -> VerificationReport:
-    """Check that every branch maps ``vec`` onto ``target`` exactly.
+    """Score the ``outcomes`` of one :func:`apply_protocol` run of ``protocol``
+    against ``target``: every branch must land on it exactly.
 
-    Each branch output with probability above tolerance is compared with
-    ``target`` by the squared overlap ``|<target|out>|^2``, so a global phase
-    per branch is allowed.  The protocol passes when every such fidelity is at
-    least ``1 - 10 tau`` and its completeness residual is at most ``10 tau``.
+    Each outcome is compared with ``target`` by the squared overlap
+    ``|<target|out>|^2``, so a global phase per branch is allowed.  The
+    protocol passes when every such fidelity is at least ``1 - 10 tau`` and
+    its completeness residual is at most ``10 tau``.
     """
     tol = tolerance()
     target = np.asarray(target, dtype=complex).reshape(-1)
     t_norm = np.linalg.norm(target)
     if not abs(t_norm - 1.0) <= 1e-6:
         raise ValidationError(f"target vector norm {t_norm} is not 1")
-    outcomes = apply_protocol(protocol, vec)
     min_fid = 1.0
     total = 0.0
     for out in outcomes:

@@ -25,12 +25,13 @@ from .ki import KIDecomposition, ki_decompose
 from .locc import (
     OneWayProtocol,
     VerificationReport,
+    apply_protocol,
     check_protocol_budget,
     flatten_schedule,
     generalized_pauli,
     verify_protocol,
 )
-from .numerics import dagger, orthonormal_complement, tolerance
+from .numerics import dagger, guarded_ceil, orthonormal_complement, tolerance
 from .statespace import TripartiteState
 
 
@@ -80,12 +81,6 @@ def rational_upper_approx(lam0: float, delta: float) -> Fraction:
             f"2^{delta} window; increase delta"
         )
     return best
-
-
-def _guarded_ceil(x: float) -> int:
-    """Ceiling that forgives float noise within 100x tolerance of an integer."""
-    tol = tolerance()
-    return max(1, math.ceil(x - 100 * tol))
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +157,7 @@ def achievable_cost(
     j0 = _select_leading_block(pre)
 
     if mode == "noncatalytic":
-        K = max(_guarded_ceil(bc.product) for bc in pre if bc.eligible)
+        K = max(guarded_ceil(bc.product) for bc in pre if bc.eligible)
         return CostReport(
             mode=mode,
             K=K,
@@ -596,17 +591,12 @@ def build_merge_protocol(
     return MergeBuild(protocol=protocol, report=report)
 
 
-def verify_merge(
-    state: TripartiteState,
-    decomp: Optional[KIDecomposition] = None,
-    mode: str = "catalytic",
-    delta: float = 1e-6,
-) -> VerificationReport:
-    """Build the merging protocol and check every branch against the target."""
-    build = build_merge_protocol(state, decomp, mode=mode, delta=delta)
+def verify_merge(state: TripartiteState, build: MergeBuild) -> VerificationReport:
+    """Run the merging protocol of ``build`` once on ``state`` with its rank-K
+    resource and check every branch against the target."""
     vec = merge_input_vector(state, build.report.K)
-    target = merge_target_vector(state, build.report.L)
-    return verify_protocol(build.protocol, vec, target)
+    outcomes = apply_protocol(build.protocol, vec)
+    return verify_protocol(build.protocol, outcomes, merge_target_vector(state, build.report.L))
 
 
 # --------------------------------------------------------------------------

@@ -8,11 +8,14 @@ computations) relies on the conventions fixed here:
 * eigen- and Schmidt decompositions sorted by descending value with a
   deterministic tie-break (vectors phase-normalized so their first
   significant component is real positive, ties ordered lexicographically),
-* fidelity of pure states in the squared convention, ``F = |<a|b>|^2``.
+* fidelity of pure states in the squared convention, ``F = |<a|b>|^2``,
+* resource ranks rounded up by :func:`guarded_ceil`, which forgives float
+  noise within ``100 tau`` of an integer.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,6 +38,11 @@ def tolerance() -> float:
     if not 0.0 < value < 1.0:
         raise ValidationError(f"QSM_TOL must lie in (0, 1), got {value}")
     return value
+
+
+def guarded_ceil(x: float) -> int:
+    """Ceiling that forgives float noise within 100x tolerance of an integer."""
+    return max(1, math.ceil(x - 100 * tolerance()))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ is a maximally entangled state whose rank equals the Schmidt rank of the
 transmitted register's marginal: the sender compresses that register onto
 its Schmidt support, teleports the compressed content, and the receiver
 decompresses.  :func:`split_cost` reports the cost, :func:`build_split_protocol`
-constructs the protocol, and :func:`verify_split` simulates every branch.
+constructs the protocol, and :func:`verify_split` simulates every branch once
+and witnesses rank monotonicity on that run.
 """
 
 from __future__ import annotations
@@ -148,53 +149,44 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
 
 def verify_split(
     state: TripartiteState, protocol: OneWayProtocol | None = None
-) -> VerificationReport:
-    """Simulate every branch of the splitting protocol against the state itself.
+) -> tuple[VerificationReport, list]:
+    """Simulate every branch of the splitting protocol once, against the state itself.
 
     The target is the same amplitude tensor with the third register now held
     by the receiver; verification demands exact branch fidelities and
-    measurement completeness.  ``protocol`` defaults to
-    ``build_split_protocol(state)``; its receiver input dimension is the
-    resource rank.
+    measurement completeness.  Returns the :class:`~qsm.locc.VerificationReport`
+    and the :func:`rank_monotonicity_witness` records of that same run.
+    ``protocol`` defaults to ``build_split_protocol(state)``; its receiver
+    input dimension is the resource rank.
     """
     protocol = build_split_protocol(state) if protocol is None else protocol
     vec = split_input_vector(state, protocol.b_in_dim)
-    return verify_protocol(protocol, vec, state.vector)
+    outcomes = apply_protocol(protocol, vec)
+    report = verify_protocol(protocol, outcomes, state.vector)
+    return report, rank_monotonicity_witness(state, vec, outcomes)
 
 
-def rank_monotonicity_witness(
-    state: TripartiteState, protocol: OneWayProtocol | None = None
-) -> list:
+def rank_monotonicity_witness(state: TripartiteState, vec: np.ndarray, outcomes: list) -> list:
     """Schmidt rank across the receiver | rest cut, before and after each branch.
 
-    Local processing plus classical communication can never raise this rank;
-    the returned records ``{"label", "probability", "rank_before",
-    "rank_after"}`` (live branches only) witness that.  ``protocol``
-    defaults to ``build_split_protocol(state)``; its receiver input
-    dimension is the resource rank.
+    ``vec`` is the input of one run of the splitting protocol (from
+    :func:`split_input_vector`) and ``outcomes`` the live branches that run
+    returned.  Local processing plus classical communication can never raise
+    this rank; the returned records ``{"label", "probability",
+    "rank_before", "rank_after"}`` witness that.
     """
     tol = tolerance()
-    protocol = build_split_protocol(state) if protocol is None else protocol
-    K = protocol.b_in_dim
-    vec = split_input_vector(state, K)
-    before = int(
-        np.sum(np.linalg.svd(vec.reshape(-1, K), compute_uv=False) > tol)
-    )
+    K = math.isqrt(vec.size // state.vector.size)  # vec is the state times a K x K resource
+    before = int(np.sum(np.linalg.svd(vec.reshape(-1, K), compute_uv=False) > tol))
     records = []
-    for outcome in apply_protocol(protocol, vec):
-        dim_c = state.dims[2]
-        after = int(
-            np.sum(
-                np.linalg.svd(outcome.state.reshape(-1, dim_c), compute_uv=False)
-                > tol
-            )
-        )
+    for outcome in outcomes:
+        svals = np.linalg.svd(outcome.state.reshape(-1, state.dims[2]), compute_uv=False)
         records.append(
             {
                 "label": outcome.label,
                 "probability": outcome.probability,
                 "rank_before": before,
-                "rank_after": after,
+                "rank_after": int(np.sum(svals > tol)),
             }
         )
     return records

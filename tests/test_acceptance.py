@@ -36,7 +36,7 @@ from qsm.merge import (
     qubit_optimal_merge,
     verify_merge,
 )
-from qsm.split import rank_monotonicity_witness, split_cost, verify_split
+from qsm.split import split_cost, verify_split
 from qsm.statespace import (
     Registers,
     TripartiteState,
@@ -83,7 +83,7 @@ def test_criterion_01_ghz_merge_is_free():
         cat = achievable_cost(decomp, "catalytic")
         assert cat.cost_bits <= 1e-6
         for mode in ("noncatalytic", "catalytic"):
-            rep = verify_merge(state, decomp=decomp, mode=mode)
+            rep = verify_merge(state, build_merge_protocol(state, decomp, mode=mode))
             assert rep.passed
             assert rep.min_branch_fidelity >= 1.0 - 1e-8
 
@@ -97,7 +97,7 @@ def test_criterion_02_dim12_sender_gains_one_bit():
     non = achievable_cost(decomp, "noncatalytic")
     assert non.cost_bits == 0.0
     for mode in ("catalytic", "noncatalytic"):
-        assert verify_merge(state, decomp=decomp, mode=mode).passed
+        assert verify_merge(state, build_merge_protocol(state, decomp, mode=mode)).passed
 
 
 def test_criterion_03_achievable_exceeds_both_converses():
@@ -105,7 +105,7 @@ def test_criterion_03_achievable_exceeds_both_converses():
     decomp = ki_decompose(state)
     for mode in ("catalytic", "noncatalytic"):
         assert achievable_cost(decomp, mode).cost_bits == 1.0
-        assert verify_merge(state, decomp=decomp, mode=mode).passed
+        assert verify_merge(state, build_merge_protocol(state, decomp, mode=mode)).passed
     simple = converse_simple(state)
     assert simple["catalytic"] == pytest.approx(math.log2(1.5), abs=1e-9)
     h_max = h_max_conditional(state)
@@ -120,9 +120,8 @@ def test_criterion_04_qubit_pair_optimal_costs():
     rep = qubit_optimal_merge(psi)
     assert rep.cost_bits == 1.0
     assert rep.K == 2
-    ver = verify_protocol(
-        rep.protocol, merge_input_vector(psi, rep.K), merge_target_vector(psi, 1)
-    )
+    outcomes = apply_protocol(rep.protocol, merge_input_vector(psi, rep.K))
+    ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(psi, 1))
     assert ver.passed
     # receiver marginal is away from uniform, so one shared bit is optimal
     assert np.max(np.abs(psi.marginal("B") - np.eye(2) / 2)) > 1e-3
@@ -132,9 +131,8 @@ def test_criterion_04_qubit_pair_optimal_costs():
     assert rep.cost_bits == 0.0
     assert rep.K == 1
     assert rep.mixed_unitary is not None
-    ver = verify_protocol(
-        rep.protocol, merge_input_vector(prime, 1), merge_target_vector(prime, 1)
-    )
+    outcomes = apply_protocol(rep.protocol, merge_input_vector(prime, 1))
+    ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(prime, 1))
     assert ver.passed
     # sender's measurement leaves spectator and receiver maximally entangled
     target_coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -159,7 +157,7 @@ def test_criterion_05_block_decomposition_worked_example():
     assert decomp.trajectory[-1] == 5
     non = achievable_cost(decomp, "noncatalytic")
     assert non.cost_bits == 0.0
-    assert verify_merge(state, decomp=decomp, mode="noncatalytic").passed
+    assert verify_merge(state, build_merge_protocol(state, decomp, mode="noncatalytic")).passed
 
 
 def test_criterion_06_split_costs_and_rank_monotonicity():
@@ -168,8 +166,9 @@ def test_criterion_06_split_costs_and_rank_monotonicity():
         rep = split_cost(state)
         assert rep.rank == d
         assert rep.cost_bits == pytest.approx(math.log2(d), abs=1e-12)
-        assert verify_split(state).passed
-        for record in rank_monotonicity_witness(state):
+        ver, records = verify_split(state)
+        assert ver.passed
+        for record in records:
             assert record["rank_after"] <= record["rank_before"]
 
     # rank-2 third register inside a 4-dimensional space
@@ -181,8 +180,9 @@ def test_criterion_06_split_costs_and_rank_monotonicity():
     rep = split_cost(state)
     assert rep.rank == 2
     assert rep.cost_bits == 1.0
-    assert verify_split(state).passed
-    for record in rank_monotonicity_witness(state):
+    ver, records = verify_split(state)
+    assert ver.passed
+    for record in records:
         assert record["rank_after"] <= record["rank_before"]
 
 
@@ -215,7 +215,7 @@ def test_criterion_08_random_state_property_suite():
         state = random_state(rng, dims, name=f"acc8_{idx}")
         decomp = ki_decompose(state)
         build = build_merge_protocol(state, decomp, mode="noncatalytic")
-        K, L = build.report.K, build.report.L
+        K = build.report.K
         # (a) measurement completeness of the explicit protocol
         assert build.protocol.completeness_residual() <= 1e-8
         # (b) the searched converse never exceeds the achieved cost
@@ -234,11 +234,7 @@ def test_criterion_08_random_state_property_suite():
         # (e) one protocol serves the whole marginal family
         if idx % 10 == 0:
             mate = max_entangled_counterpart(state)
-            ver = verify_protocol(
-                build.protocol,
-                merge_input_vector(mate, K),
-                merge_target_vector(mate, L),
-            )
+            ver = verify_merge(mate, build)
             assert ver.passed
             for _ in range(5):
                 member = sample_schmidt_span_member(state, span_rng)
@@ -246,11 +242,7 @@ def test_criterion_08_random_state_property_suite():
                     Registers(1, dims[1], dims[2]),
                     member.reshape(1, dims[1], dims[2]),
                 )
-                ver = verify_protocol(
-                    build.protocol,
-                    merge_input_vector(member_state, K),
-                    merge_target_vector(member_state, L),
-                )
+                ver = verify_merge(member_state, build)
                 assert ver.passed
             family_checked += 1
     assert h_max_checked >= 40

@@ -142,10 +142,15 @@ def test_oversized_dimensions_exit_2_naming_them(tmp_path, argv):
         ("approx", ["--epsilon", "0.1", "--delta", "nan"], "delta"),
         ("approx", ["--epsilon", "0.1", "--heuristic", "2", "--mode", "catalytic",
                     "--delta", "nan"], "delta"),
+        ("approx", ["--epsilon", "3"], "epsilon"),
+        ("approx", ["--epsilon", "1.5", "--heuristic", "2"], "epsilon"),
+        ("bounds", ["--kmax", "4097"], "K_max"),
+        ("bounds", ["--lmax", "4097"], "L_max"),
     ],
     ids=["merge-delta-nan", "merge-delta-inf", "approx-epsilon-nan", "approx-epsilon-inf",
          "heuristic-epsilon-nan", "noncatalytic-delta-nan", "noncatalytic-delta-negative",
-         "approx-delta-nan", "heuristic-delta-nan"],
+         "approx-delta-nan", "heuristic-delta-nan", "approx-epsilon-above-1",
+         "heuristic-epsilon-above-1", "bounds-kmax-above-cap", "bounds-lmax-above-cap"],
 )
 def test_non_finite_parameter_exits_2_naming_field(tmp_path, command, options, field):
     path = _state_file(tmp_path, "implication3")
@@ -205,6 +210,36 @@ def test_split_cli_builds_protocol_once(tmp_path, monkeypatch):
     before.pop("wall_time_s")
     after.pop("wall_time_s")
     assert json.dumps(after, default=str) == json.dumps(before, default=str)
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["split", "--verify"], "split.build_split_protocol"),
+        (["merge", "--verify", "--mode", "catalytic"], "merge.build_merge_protocol"),
+        (["merge", "--verify", "--mode", "noncatalytic"], "merge.build_merge_protocol"),
+    ],
+    ids=["split", "merge-catalytic", "merge-noncatalytic"],
+)
+def test_verify_builds_once_and_simulates_once(tmp_path, monkeypatch, argv, build):
+    """A verified split or merge builds its protocol once and runs it once."""
+    path = _state_file(tmp_path, "implication2")
+    calls = []
+    for target in (build, "locc.apply_protocol"):
+        module, name = target.split(".")
+        original = getattr(sys.modules[f"qsm.{module}"], name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for holder in [m for n, m in sys.modules.items() if n.startswith("qsm.")]:
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, spy)
+    code, report = cli.run([argv[0], str(path), *argv[1:]])
+    assert code == 0
+    assert report["results"]["verification"]["passed"] is True
+    assert sorted(calls) == ["apply_protocol", build.split(".")[1]]
 
 
 @pytest.mark.parametrize("mode", ["catalytic", "noncatalytic"])

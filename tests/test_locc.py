@@ -112,14 +112,15 @@ def test_verify_protocol_rejects_non_finite_vectors():
     target = np.array([1, 0], dtype=complex)
     vec = np.kron(target, locc.max_entangled_vector(2))
     with pytest.raises(ValidationError, match="input vector"):
-        locc.verify_protocol(proto, np.full(8, np.nan), target)
+        locc.verify_protocol(proto, locc.apply_protocol(proto, np.full(8, np.nan)), target)
     with pytest.raises(ValidationError, match="input vector"):
         locc.apply_protocol(proto, np.full(8, np.inf))
+    outcomes = locc.apply_protocol(proto, vec)
     with pytest.raises(ValidationError, match="target vector"):
-        locc.verify_protocol(proto, vec, np.array([np.nan, 0], dtype=complex))
+        locc.verify_protocol(proto, outcomes, np.array([np.nan, 0], dtype=complex))
     with pytest.raises(ValidationError, match="target vector"):
-        locc.verify_protocol(proto, vec, np.array([np.inf, 0], dtype=complex))
-    assert locc.verify_protocol(proto, vec, target).passed
+        locc.verify_protocol(proto, outcomes, np.array([np.inf, 0], dtype=complex))
+    assert locc.verify_protocol(proto, outcomes, target).passed
 
 
 def test_teleport_qubit_plus_state():
@@ -141,7 +142,7 @@ def test_teleport_qutrit_random():
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
     vec = np.kron(psi, locc.max_entangled_vector(3))
-    report = locc.verify_protocol(proto, vec, psi)
+    report = locc.verify_protocol(proto, locc.apply_protocol(proto, vec), psi)
     assert report.passed
     assert report.min_branch_fidelity > 1 - 1e-8
     assert report.branch_count == 9
@@ -153,7 +154,8 @@ def test_teleport_entanglement_swap():
     bell = locc.max_entangled_vector(2).reshape(2, 2)
     # input on (R, Q, Abar, Bbar) with Q the teleported half
     vec = np.einsum("rq,ab->rqab", bell, locc.max_entangled_vector(2).reshape(2, 2))
-    report = locc.verify_protocol(proto, vec.reshape(-1), locc.max_entangled_vector(2))
+    outcomes = locc.apply_protocol(proto, vec.reshape(-1))
+    report = locc.verify_protocol(proto, outcomes, locc.max_entangled_vector(2))
     assert report.passed
 
 
@@ -196,9 +198,9 @@ def test_flatten_protocol_example():
     assert len(proto.branches) == 2
     src = flatten_source_vector(p)
     tgt = flatten_target_vector(2, 3)
-    report = locc.verify_protocol(proto, src, tgt)
-    assert report.passed
     outcomes = locc.apply_protocol(proto, src)
+    report = locc.verify_protocol(proto, outcomes, tgt)
+    assert report.passed
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -208,7 +210,7 @@ def test_flatten_uniform_identity_like():
     assert len(proto.branches) == 1
     assert np.allclose(proto.a_ops[0], np.eye(4))
     report = locc.verify_protocol(
-        proto, flatten_source_vector(p), flatten_target_vector(4, 4)
+        proto, locc.apply_protocol(proto, flatten_source_vector(p)), flatten_target_vector(4, 4)
     )
     assert report.passed
 
@@ -226,7 +228,7 @@ def test_flatten_branch_count_bound_random():
         proto = locc.flatten_to_uniform(tuple(p), L)
         assert len(proto.branches) <= n
         report = locc.verify_protocol(
-            proto, flatten_source_vector(p), flatten_target_vector(L, n)
+            proto, locc.apply_protocol(proto, flatten_source_vector(p)), flatten_target_vector(L, n)
         )
         assert report.passed
 
@@ -236,7 +238,7 @@ def test_verify_protocol_detects_wrong_target():
     zero = np.array([1, 0], dtype=complex)
     one = np.array([0, 1], dtype=complex)
     vec = np.kron(zero, locc.max_entangled_vector(2))
-    report = locc.verify_protocol(proto, vec, one)
+    report = locc.verify_protocol(proto, locc.apply_protocol(proto, vec), one)
     assert not report.passed
     assert report.min_branch_fidelity < 1e-9
 
@@ -252,7 +254,7 @@ def test_verify_protocol_detects_perturbed_branch():
     # |+> input makes the dropped phase correction visible
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vec = np.kron(plus, locc.max_entangled_vector(2))
-    report = locc.verify_protocol(tampered, vec, plus)
+    report = locc.verify_protocol(tampered, locc.apply_protocol(tampered, vec), plus)
     assert not report.passed
 
 

@@ -10,7 +10,7 @@ import pytest
 from qsm import merge
 from qsm.errors import SolverError, ValidationError
 from qsm.ki import ki_decompose
-from qsm.locc import flatten_schedule, generalized_pauli, verify_protocol
+from qsm.locc import apply_protocol, flatten_schedule, generalized_pauli, verify_protocol
 from qsm.merge import (
     _locate,
     _merged_breakpoints,
@@ -154,9 +154,8 @@ def test_merge_protocol_exact_on_catalog(name, d, mode, branch_count):
     assert len(build.protocol.branches) == branch_count
     K = build.report.K
     L = build.report.L if mode == "catalytic" else 1
-    rep = verify_protocol(
-        build.protocol, merge_input_vector(state, K), merge_target_vector(state, L)
-    )
+    outcomes = apply_protocol(build.protocol, merge_input_vector(state, K))
+    rep = verify_protocol(build.protocol, outcomes, merge_target_vector(state, L))
     assert rep.passed
     assert rep.min_branch_fidelity >= 1.0 - 1e-10
     assert rep.completeness_residual <= 1e-10
@@ -183,7 +182,7 @@ def test_ghz_branch_labels():
 
 def test_verify_merge_convenience():
     state = catalog("appendixD")
-    rep = verify_merge(state, mode="catalytic")
+    rep = verify_merge(state, build_merge_protocol(state, mode="catalytic"))
     assert rep.passed
 
 
@@ -200,11 +199,8 @@ def test_same_protocol_merges_whole_family(name, d):
     and random members of the Schmidt-span family, all exactly."""
     state, dec = _decomp(name, d=d)
     build = build_merge_protocol(state, dec, mode="catalytic")
-    K, L = build.report.K, build.report.L
     me = max_entangled_counterpart(state)
-    rep = verify_protocol(
-        build.protocol, merge_input_vector(me, K), merge_target_vector(me, L)
-    )
+    rep = verify_merge(me, build)
     assert rep.passed
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -213,11 +209,7 @@ def test_same_protocol_merges_whole_family(name, d):
             Registers(1, state.regs.dim_A, state.regs.dim_B),
             member.reshape(1, state.regs.dim_A, state.regs.dim_B),
         )
-        rep = verify_protocol(
-            build.protocol,
-            merge_input_vector(member_state, K),
-            merge_target_vector(member_state, L),
-        )
+        rep = verify_merge(member_state, build)
         assert rep.passed
 
 
@@ -281,11 +273,7 @@ def test_random_states_merge_exactly_both_modes():
             assert any(b.p == 0.0 for b in dec.blocks), state.dims
         for mode in ("catalytic", "noncatalytic"):
             build = build_merge_protocol(state, dec, mode=mode)
-            rep = verify_protocol(
-                build.protocol,
-                merge_input_vector(state, build.report.K),
-                merge_target_vector(state, build.report.L),
-            )
+            rep = verify_merge(state, build)
             assert rep.passed, (state.dims, mode)
 
 
@@ -537,9 +525,8 @@ def test_qubit_optimal_zero_cost_cases():
         assert rep.K == 1
         assert rep.mixed_unitary is not None
         assert len(rep.protocol.branches) <= 4
-        ver = verify_protocol(
-            rep.protocol, merge_input_vector(state, 1), merge_target_vector(state, 1)
-        )
+        outcomes = apply_protocol(rep.protocol, merge_input_vector(state, 1))
+        ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(state, 1))
         assert ver.passed
 
 
@@ -550,9 +537,8 @@ def test_qubit_optimal_one_bit_case():
     assert rep.K == 2
     assert rep.mixed_unitary is None
     assert len(rep.protocol.branches) == 4
-    ver = verify_protocol(
-        rep.protocol, merge_input_vector(state, 2), merge_target_vector(state, 1)
-    )
+    outcomes = apply_protocol(rep.protocol, merge_input_vector(state, 2))
+    ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(state, 1))
     assert ver.passed
 
 

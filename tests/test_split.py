@@ -42,7 +42,7 @@ def test_split_ghz(d):
     assert report.rank == d
     assert report.cost_bits == pytest.approx(math.log2(d), abs=1e-12)
     assert report.asymptotic_rate == pytest.approx(math.log2(d), abs=1e-9)
-    ver = verify_split(state)
+    ver, _ = verify_split(state)
     assert ver.passed
     assert ver.branch_count == d * d
     assert ver.min_branch_fidelity >= 1.0 - 1e-8
@@ -57,7 +57,7 @@ def test_split_product_third_register():
     assert report.rank == 1
     assert report.cost_bits == 0.0
     assert report.asymptotic_rate == pytest.approx(0.0, abs=1e-12)
-    ver = verify_split(state)
+    ver, _ = verify_split(state)
     assert ver.passed
     assert ver.branch_count == 1  # receiver prepares locally, no resource used
 
@@ -70,7 +70,7 @@ def test_split_rank2_embedded_in_dim4():
     assert report.asymptotic_rate == pytest.approx(
         -(0.7 * math.log2(0.7) + 0.3 * math.log2(0.3)), abs=1e-9
     )
-    ver = verify_split(state)
+    ver, _ = verify_split(state)
     assert ver.passed
     assert ver.branch_count == 4
 
@@ -117,7 +117,7 @@ def test_split_entropy_never_exceeds_cost():
 def test_split_random_states_verified():
     rng = np.random.default_rng(22)
     for dims in ((2, 2, 2), (2, 3, 3), (3, 2, 4)):
-        assert verify_split(random_state(rng, dims)).passed
+        assert verify_split(random_state(rng, dims))[0].passed
 
 
 def test_split_borderline_rank_warning():
@@ -133,8 +133,11 @@ def test_split_borderline_rank_warning():
 
 def test_rank_monotonicity_witness():
     for state in (catalog("ghz", d=3), _rank2_in_dim4()):
-        records = rank_monotonicity_witness(state)
-        assert records == rank_monotonicity_witness(state, build_split_protocol(state))
+        _, records = verify_split(state)
+        protocol = build_split_protocol(state)
+        assert records == verify_split(state, protocol)[1]
+        vec = split_input_vector(state, protocol.b_in_dim)
+        assert records == rank_monotonicity_witness(state, vec, locc.apply_protocol(protocol, vec))
         assert records
         assert sum(r["probability"] for r in records) == pytest.approx(1.0, abs=1e-9)
         for rec in records:

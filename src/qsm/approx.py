@@ -19,12 +19,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
 from .locc import apply_protocol
-from .merge import (
-    build_merge_protocol,
-    check_delta,
-    merge_input_vector,
-    merge_target_vector,
-)
+from .merge import build_merge_protocol, check_delta, merge_target_vector
 from .numerics import majorization_check, tolerance
 from .statespace import TripartiteState
 
@@ -74,10 +69,10 @@ def verify_approximate_merge(
 
     Requires ``F^2(state, candidate) >= 1 - (epsilon/2)**2`` (the candidate
     must sit inside the ``epsilon/2`` purified-distance ball); builds the
-    exact protocol for the candidate, applies it to the true state, and
-    checks that the output-mixture fidelity to the true target is at least
-    ``1 - epsilon**2``, which the triangle inequality for the purified
-    distance guarantees.
+    exact protocol for the candidate, applies it to the true state with the
+    candidate's rank-K resource pair, and checks that the output-mixture
+    fidelity to the true target is at least ``1 - epsilon**2``, which the
+    triangle inequality for the purified distance guarantees.
     """
     if state.dims != candidate.dims:
         raise ValidationError(
@@ -95,7 +90,7 @@ def verify_approximate_merge(
     K, L = build.report.K, build.report.L
     target = merge_target_vector(state, L)
     f2_out = 0.0
-    for outcome in apply_protocol(build.protocol, merge_input_vector(state, K)):
+    for outcome in apply_protocol(build.protocol, state.amplitudes, K):
         f2_out += outcome.probability * abs(np.vdot(target, outcome.state)) ** 2
     if f2_out < 1.0 - epsilon**2 - 10.0 * tol:
         raise VerificationError(

@@ -26,15 +26,6 @@ from .numerics import isometry_deviation, tolerance
 PROTOCOL_BYTE_BUDGET = 2**31
 
 
-def max_entangled_vector(d: int) -> np.ndarray:
-    """Return the maximally entangled vector (1/sqrt(d)) sum_l |l>|l> in C^{d*d}."""
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
-    vec = np.zeros(d * d, dtype=complex)
-    vec[:: d + 1] = 1.0 / np.sqrt(float(d))
-    return vec
-
-
 def generalized_pauli(d: int, x: int, z: int) -> np.ndarray:
     """Return X^x Z^z on C^d with X|l> = |l+1 mod d> and Z|l> = e^{2 pi i l/d}|l>."""
     if d < 1:
@@ -149,27 +140,52 @@ class VerificationReport:
     passed: bool
 
 
-def apply_protocol(protocol: OneWayProtocol, vec: np.ndarray) -> list:
-    """Run every branch on ``vec``; return outcomes with probability above tolerance.
+def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: int) -> list:
+    """Run every branch on ``amplitudes`` (x) Phi_K, K = ``pair_rank``; return
+    the outcomes with probability above tolerance.
 
-    The input vector lives on (spectator x a_in x b_in); the spectator
-    dimension is inferred from the vector length.
+    Phi_K = sum_k |k>|k>/sqrt(K) is the shared maximally entangled pair; its
+    two halves are the last factor of the sender's and the receiver's input
+    registers.  ``amplitudes`` lives on (spectator x a_in/K x b_in/K), the
+    spectator dimension inferred from its size; K = 1 runs the protocol on
+    ``amplitudes`` alone.  The pair is never stored: the amplitudes are
+    divided by sqrt(K) once, giving the entries a stored psi (x) Phi_K holds
+    on the pair's diagonal, and each receiver operator is read
+    pair-index-first as a (K, b_out, b_in/K) copy, so its contraction sums
+    only the b_in/K terms that are nonzero there.  ``tests/test_locc.py``
+    checks the outcomes byte for byte against contracting the full registers
+    of the stored product.
     """
     tol = tolerance()
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(vec)
+    a_in, b_in = protocol.a_in_dim, protocol.b_in_dim
+    K = pair_rank
+    if (
+        isinstance(K, bool)
+        or not isinstance(K, (int, np.integer))
+        or K < 1
+        or a_in % K
+        or b_in % K
+    ):
+        raise ValidationError(
+            f"pair rank {K!r} must be a positive int dividing both registers "
+            f"{a_in}x{b_in}"
+        )
+    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(amps)
     if not abs(norm - 1.0) <= 1e-6:
         raise ValidationError(f"input vector norm {norm} is not 1")
-    a_in, b_in = protocol.a_in_dim, protocol.b_in_dim
-    if vec.size % (a_in * b_in) != 0:
+    a_own, b_own = a_in // K, b_in // K
+    if amps.size % (a_own * b_own) != 0:
         raise ValidationError(
-            f"input dimension {vec.size} incompatible with registers {a_in}x{b_in}"
+            f"input dimension {amps.size} incompatible with registers "
+            f"{a_in}x{b_in} holding a pair of rank {K}"
         )
-    tensor = vec.reshape(-1, a_in, b_in)
+    tensor = amps.reshape(-1, a_own, b_own) / np.sqrt(float(K))
     outcomes = []
     total = 0.0
     for label, a_op, b_op in zip(protocol.branches, protocol.a_ops, protocol.b_ops):
-        half = np.einsum("iab,yb->iay", tensor, b_op)
+        b_pair = np.ascontiguousarray(b_op.reshape(-1, b_own, K).transpose(2, 0, 1))
+        half = np.einsum("iab,kyb->iaky", tensor, b_pair).reshape(len(tensor), a_in, -1)
         out = np.einsum("xa,iay->ixy", a_op, half)
         prob = float(np.linalg.norm(out) ** 2)
         total += prob

@@ -211,19 +211,8 @@ def achievable_cost(
 
 
 # --------------------------------------------------------------------------
-# protocol input / target vectors
+# protocol target vector
 # --------------------------------------------------------------------------
-
-
-def merge_input_vector(state: TripartiteState, K: int) -> np.ndarray:
-    """State vector of psi (x) the rank-K maximally entangled resource, on
-    registers (R; A x Abar_K; B x Bbar_K)."""
-    dims = state.regs
-    amps = state.amplitudes
-    out = np.zeros((dims.dim_R, dims.dim_A, K, dims.dim_B, K), dtype=complex)
-    for k in range(K):
-        out[:, :, k, :, k] = amps / np.sqrt(float(K))
-    return out.reshape(-1)
 
 
 def merge_target_vector(state: TripartiteState, L: int) -> np.ndarray:
@@ -592,10 +581,9 @@ def build_merge_protocol(
 
 
 def verify_merge(state: TripartiteState, build: MergeBuild) -> VerificationReport:
-    """Run the merging protocol of ``build`` once on ``state`` with its rank-K
-    resource and check every branch against the target."""
-    vec = merge_input_vector(state, build.report.K)
-    outcomes = apply_protocol(build.protocol, vec)
+    """Run the merging protocol of ``build`` once on ``state`` (x) Phi_K, with
+    Phi_K its rank-K resource pair, and check every branch against the target."""
+    outcomes = apply_protocol(build.protocol, state.amplitudes, build.report.K)
     return verify_protocol(build.protocol, outcomes, merge_target_vector(state, build.report.L))
 
 

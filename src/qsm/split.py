@@ -25,7 +25,6 @@ from .locc import (
     apply_protocol,
     check_protocol_budget,
     generalized_pauli,
-    max_entangled_vector,
     verify_protocol,
 )
 from .numerics import schmidt_decompose, tolerance
@@ -36,7 +35,6 @@ __all__ = [
     "build_split_protocol",
     "rank_monotonicity_witness",
     "split_cost",
-    "split_input_vector",
     "verify_split",
 ]
 
@@ -91,17 +89,6 @@ def split_cost(state: TripartiteState) -> SplitReport:
     return SplitReport(rank=rank, cost_bits=cost, asymptotic_rate=entropy)
 
 
-def split_input_vector(state: TripartiteState, K: int) -> np.ndarray:
-    """Initial global vector: the state plus a rank-``K`` shared resource.
-
-    Register order is (spectator; second, third, sender resource half;
-    receiver resource half), matching the protocol's input layout.
-    """
-    phi = max_entangled_vector(K).reshape(K, K)
-    vec = np.einsum("iac,kl->iackl", state.amplitudes, phi)
-    return vec.reshape(-1)
-
-
 def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
     """Compression + teleportation protocol transmitting the third register.
 
@@ -152,32 +139,32 @@ def verify_split(
 ) -> tuple[VerificationReport, list]:
     """Simulate every branch of the splitting protocol once, against the state itself.
 
-    The target is the same amplitude tensor with the third register now held
-    by the receiver; verification demands exact branch fidelities and
-    measurement completeness.  Returns the :class:`~qsm.locc.VerificationReport`
-    and the :func:`rank_monotonicity_witness` records of that same run.
-    ``protocol`` defaults to ``build_split_protocol(state)``; its receiver
-    input dimension is the resource rank.
+    The protocol runs on the state together with a maximally entangled pair
+    whose rank is the protocol's receiver input dimension.  The target is the
+    same amplitude tensor with the third register now held by the receiver;
+    verification demands exact branch fidelities and measurement
+    completeness.  Returns the :class:`~qsm.locc.VerificationReport` and the
+    :func:`rank_monotonicity_witness` records of that same run.
+    ``protocol`` defaults to ``build_split_protocol(state)``.
     """
     protocol = build_split_protocol(state) if protocol is None else protocol
-    vec = split_input_vector(state, protocol.b_in_dim)
-    outcomes = apply_protocol(protocol, vec)
+    K = protocol.b_in_dim
+    outcomes = apply_protocol(protocol, state.amplitudes, K)
     report = verify_protocol(protocol, outcomes, state.vector)
-    return report, rank_monotonicity_witness(state, vec, outcomes)
+    return report, rank_monotonicity_witness(state, K, outcomes)
 
 
-def rank_monotonicity_witness(state: TripartiteState, vec: np.ndarray, outcomes: list) -> list:
+def rank_monotonicity_witness(state: TripartiteState, pair_rank: int, outcomes: list) -> list:
     """Schmidt rank across the receiver | rest cut, before and after each branch.
 
-    ``vec`` is the input of one run of the splitting protocol (from
-    :func:`split_input_vector`) and ``outcomes`` the live branches that run
-    returned.  Local processing plus classical communication can never raise
-    this rank; the returned records ``{"label", "probability",
-    "rank_before", "rank_after"}`` witness that.
+    ``outcomes`` are the live branches of one run of the splitting protocol
+    on the state and a maximally entangled pair of rank ``pair_rank``.
+    Before the run the receiver holds only its half of that pair, so the
+    rank before is ``pair_rank``.  Local processing plus classical
+    communication can never raise this rank; the returned records
+    ``{"label", "probability", "rank_before", "rank_after"}`` witness that.
     """
     tol = tolerance()
-    K = math.isqrt(vec.size // state.vector.size)  # vec is the state times a K x K resource
-    before = int(np.sum(np.linalg.svd(vec.reshape(-1, K), compute_uv=False) > tol))
     records = []
     for outcome in outcomes:
         svals = np.linalg.svd(outcome.state.reshape(-1, state.dims[2]), compute_uv=False)
@@ -185,7 +172,7 @@ def rank_monotonicity_witness(state: TripartiteState, vec: np.ndarray, outcomes:
             {
                 "label": outcome.label,
                 "probability": outcome.probability,
-                "rank_before": before,
+                "rank_before": pair_rank,
                 "rank_after": int(np.sum(svals > tol)),
             }
         )

@@ -3,6 +3,7 @@ library itself never needs, kept here so ``src/qsm`` holds no test-only code."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +99,37 @@ def sample_schmidt_span_member(state: TripartiteState, rng: np.random.Generator)
     return sd.right[:, :rank] @ c
 
 
+def max_entangled_vector(d: int) -> np.ndarray:
+    """Return the maximally entangled vector (1/sqrt(d)) sum_l |l>|l> in C^{d*d}."""
+    if d < 1:
+        raise ValidationError(f"dimension must be positive, got {d}")
+    vec = np.zeros(d * d, dtype=complex)
+    vec[:: d + 1] = 1.0 / np.sqrt(float(d))
+    return vec
+
+
+def merge_input_vector(state: TripartiteState, K: int) -> np.ndarray:
+    """State vector of psi (x) the rank-K maximally entangled resource, on
+    registers (R; A x Abar_K; B x Bbar_K)."""
+    dims = state.regs
+    amps = state.amplitudes
+    out = np.zeros((dims.dim_R, dims.dim_A, K, dims.dim_B, K), dtype=complex)
+    for k in range(K):
+        out[:, :, k, :, k] = amps / np.sqrt(float(K))
+    return out.reshape(-1)
+
+
+def split_input_vector(state: TripartiteState, K: int) -> np.ndarray:
+    """Initial global vector: the state plus a rank-``K`` shared resource.
+
+    Register order is (spectator; second, third, sender resource half;
+    receiver resource half), matching the split protocol's input layout.
+    """
+    phi = max_entangled_vector(K).reshape(K, K)
+    vec = np.einsum("iac,kl->iackl", state.amplitudes, phi)
+    return vec.reshape(-1)
+
+
 def flatten_source_vector(p: Sequence[float]) -> np.ndarray:
     """Return the purification sum_i sqrt(p_i)|i>|i> matching flatten_to_uniform."""
     p = np.asarray(p, dtype=float)
@@ -116,6 +148,17 @@ def flatten_target_vector(L: int, n: int) -> np.ndarray:
         vec[l, l] = 1.0 / np.sqrt(float(L))
     return vec.reshape(-1)
 
+
+def smoothed_candidate(state, epsilon, seed):
+    """The first random in-ball candidate of ``approx --heuristic``."""
+    vec = state.vector
+    rng = np.random.default_rng(seed)
+    theta_max = math.acos(math.sqrt(1.0 - (epsilon / 2.0) ** 2)) * 0.999
+    g = rng.normal(size=vec.size) + 1j * rng.normal(size=vec.size)
+    g = g - np.vdot(vec, g) * vec
+    theta = theta_max * float(rng.uniform(0.0, 1.0))
+    cand = math.cos(theta) * vec + math.sin(theta) * (g / np.linalg.norm(g))
+    return TripartiteState(state.regs, cand.reshape(state.dims))
 
 
 def planted_ki_state(

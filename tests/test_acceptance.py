@@ -31,7 +31,6 @@ from qsm.locc import (
 from qsm.merge import (
     achievable_cost,
     build_merge_protocol,
-    merge_input_vector,
     merge_target_vector,
     qubit_optimal_merge,
     verify_merge,
@@ -120,7 +119,7 @@ def test_criterion_04_qubit_pair_optimal_costs():
     rep = qubit_optimal_merge(psi)
     assert rep.cost_bits == 1.0
     assert rep.K == 2
-    outcomes = apply_protocol(rep.protocol, merge_input_vector(psi, rep.K))
+    outcomes = apply_protocol(rep.protocol, psi.amplitudes, rep.K)
     ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(psi, 1))
     assert ver.passed
     # receiver marginal is away from uniform, so one shared bit is optimal
@@ -131,7 +130,7 @@ def test_criterion_04_qubit_pair_optimal_costs():
     assert rep.cost_bits == 0.0
     assert rep.K == 1
     assert rep.mixed_unitary is not None
-    outcomes = apply_protocol(rep.protocol, merge_input_vector(prime, 1))
+    outcomes = apply_protocol(rep.protocol, prime.amplitudes, 1)
     ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(prime, 1))
     assert ver.passed
     # sender's measurement leaves spectator and receiver maximally entangled
@@ -287,7 +286,7 @@ def test_criterion_10_flattening_oracle():
         protocol = flatten_to_uniform(p, L)
         assert len(protocol.branches) <= n
         target = flatten_target_vector(L, n)
-        outcomes = apply_protocol(protocol, flatten_source_vector(p))
+        outcomes = apply_protocol(protocol, flatten_source_vector(p), 1)
         assert outcomes
         for outcome in outcomes:
             fid = abs(np.vdot(target, outcome.state)) ** 2

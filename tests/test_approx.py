@@ -14,7 +14,7 @@ from qsm.approx import (
 from qsm import locc
 from qsm.errors import SolverError, ValidationError
 from qsm.locc import apply_protocol
-from qsm.merge import build_merge_protocol, merge_input_vector
+from qsm.merge import build_merge_protocol
 from qsm.statespace import TripartiteState, catalog, random_state
 
 from helpers import uniform_resource_majorization
@@ -156,7 +156,7 @@ def test_singleton_certificate_reduces_to_exact_condition():
 def test_certificate_from_exact_merge_run():
     state = catalog("implication3")
     build = build_merge_protocol(state, mode="noncatalytic")
-    outcomes = apply_protocol(build.protocol, merge_input_vector(state, build.report.K))
+    outcomes = apply_protocol(build.protocol, state.amplitudes, build.report.K)
     cert = ensemble_from_merge_outcomes(
         state, outcomes, build.report.K, build.report.L, 0.0
     )

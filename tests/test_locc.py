@@ -7,13 +7,9 @@ import qsm.cli as cli
 from qsm import locc
 from qsm.errors import ValidationError
 from qsm.ki import ki_decompose
-from qsm.merge import (
-    build_merge_protocol,
-    merge_input_vector,
-    qubit_optimal_merge,
-)
+from qsm.merge import build_merge_protocol, qubit_optimal_merge
 from qsm.numerics import dagger, tolerance
-from qsm.split import build_split_protocol, split_input_vector
+from qsm.split import build_split_protocol
 from qsm.statespace import (
     Registers,
     TripartiteState,
@@ -23,13 +19,22 @@ from qsm.statespace import (
     save_state,
 )
 
-from helpers import flatten_source_vector, flatten_target_vector, random_unitary
+from helpers import (
+    flatten_source_vector,
+    flatten_target_vector,
+    max_entangled_vector,
+    merge_input_vector,
+    planted_ki_state,
+    random_unitary,
+    smoothed_candidate,
+    split_input_vector,
+)
 
 
 def test_max_entangled_vector():
-    v = locc.max_entangled_vector(2)
+    v = max_entangled_vector(2)
     assert np.allclose(v, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
-    assert np.isclose(np.linalg.norm(locc.max_entangled_vector(5)), 1.0)
+    assert np.isclose(np.linalg.norm(max_entangled_vector(5)), 1.0)
 
 
 def test_generalized_pauli():
@@ -110,12 +115,13 @@ def test_protocol_validation():
 def test_verify_protocol_rejects_non_finite_vectors():
     proto = locc.teleportation_protocol(2)
     target = np.array([1, 0], dtype=complex)
-    vec = np.kron(target, locc.max_entangled_vector(2))
     with pytest.raises(ValidationError, match="input vector"):
-        locc.verify_protocol(proto, locc.apply_protocol(proto, np.full(8, np.nan)), target)
+        locc.verify_protocol(proto, locc.apply_protocol(proto, np.full(2, np.nan), 2), target)
     with pytest.raises(ValidationError, match="input vector"):
-        locc.apply_protocol(proto, np.full(8, np.inf))
-    outcomes = locc.apply_protocol(proto, vec)
+        locc.apply_protocol(proto, np.full(2, np.inf), 2)
+    with pytest.raises(ValidationError, match="input vector"):
+        locc.apply_protocol(proto, np.array([np.nan, 1.0]), 2)
+    outcomes = locc.apply_protocol(proto, target, 2)
     with pytest.raises(ValidationError, match="target vector"):
         locc.verify_protocol(proto, outcomes, np.array([np.nan, 0], dtype=complex))
     with pytest.raises(ValidationError, match="target vector"):
@@ -127,8 +133,7 @@ def test_teleport_qubit_plus_state():
     proto = locc.teleportation_protocol(2)
     assert len(proto.branches) == 4
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    vec = np.kron(plus, locc.max_entangled_vector(2))
-    outcomes = locc.apply_protocol(proto, vec)
+    outcomes = locc.apply_protocol(proto, plus, 2)
     assert len(outcomes) == 4
     for out in outcomes:
         assert out.probability == pytest.approx(0.25, abs=1e-9)
@@ -141,8 +146,7 @@ def test_teleport_qutrit_random():
     assert len(proto.branches) == 9
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
-    vec = np.kron(psi, locc.max_entangled_vector(3))
-    report = locc.verify_protocol(proto, locc.apply_protocol(proto, vec), psi)
+    report = locc.verify_protocol(proto, locc.apply_protocol(proto, psi, 3), psi)
     assert report.passed
     assert report.min_branch_fidelity > 1 - 1e-8
     assert report.branch_count == 9
@@ -151,18 +155,17 @@ def test_teleport_qutrit_random():
 def test_teleport_entanglement_swap():
     # teleporting half of a Bell pair moves the entanglement to (spectator, B)
     proto = locc.teleportation_protocol(2)
-    bell = locc.max_entangled_vector(2).reshape(2, 2)
-    # input on (R, Q, Abar, Bbar) with Q the teleported half
-    vec = np.einsum("rq,ab->rqab", bell, locc.max_entangled_vector(2).reshape(2, 2))
-    outcomes = locc.apply_protocol(proto, vec.reshape(-1))
-    report = locc.verify_protocol(proto, outcomes, locc.max_entangled_vector(2))
+    bell = max_entangled_vector(2)
+    # input on (R, Q) with Q the teleported half; the pair adds (Abar, Bbar)
+    outcomes = locc.apply_protocol(proto, bell, 2)
+    report = locc.verify_protocol(proto, outcomes, bell)
     assert report.passed
 
 
 def test_teleport_trivial_dimension():
     proto = locc.teleportation_protocol(1)
     assert len(proto.branches) == 1
-    outcomes = locc.apply_protocol(proto, np.array([1.0 + 0j]))
+    outcomes = locc.apply_protocol(proto, np.array([1.0 + 0j]), 1)
     assert outcomes[0].probability == pytest.approx(1.0)
 
 
@@ -198,7 +201,7 @@ def test_flatten_protocol_example():
     assert len(proto.branches) == 2
     src = flatten_source_vector(p)
     tgt = flatten_target_vector(2, 3)
-    outcomes = locc.apply_protocol(proto, src)
+    outcomes = locc.apply_protocol(proto, src, 1)
     report = locc.verify_protocol(proto, outcomes, tgt)
     assert report.passed
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
@@ -210,7 +213,7 @@ def test_flatten_uniform_identity_like():
     assert len(proto.branches) == 1
     assert np.allclose(proto.a_ops[0], np.eye(4))
     report = locc.verify_protocol(
-        proto, locc.apply_protocol(proto, flatten_source_vector(p)), flatten_target_vector(4, 4)
+        proto, locc.apply_protocol(proto, flatten_source_vector(p), 1), flatten_target_vector(4, 4)
     )
     assert report.passed
 
@@ -228,7 +231,7 @@ def test_flatten_branch_count_bound_random():
         proto = locc.flatten_to_uniform(tuple(p), L)
         assert len(proto.branches) <= n
         report = locc.verify_protocol(
-            proto, locc.apply_protocol(proto, flatten_source_vector(p)), flatten_target_vector(L, n)
+            proto, locc.apply_protocol(proto, flatten_source_vector(p), 1), flatten_target_vector(L, n)
         )
         assert report.passed
 
@@ -237,8 +240,7 @@ def test_verify_protocol_detects_wrong_target():
     proto = locc.teleportation_protocol(2)
     zero = np.array([1, 0], dtype=complex)
     one = np.array([0, 1], dtype=complex)
-    vec = np.kron(zero, locc.max_entangled_vector(2))
-    report = locc.verify_protocol(proto, locc.apply_protocol(proto, vec), one)
+    report = locc.verify_protocol(proto, locc.apply_protocol(proto, zero, 2), one)
     assert not report.passed
     assert report.min_branch_fidelity < 1e-9
 
@@ -253,15 +255,39 @@ def test_verify_protocol_detects_perturbed_branch():
     )
     # |+> input makes the dropped phase correction visible
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    vec = np.kron(plus, locc.max_entangled_vector(2))
-    report = locc.verify_protocol(tampered, locc.apply_protocol(tampered, vec), plus)
+    report = locc.verify_protocol(tampered, locc.apply_protocol(tampered, plus, 2), plus)
     assert not report.passed
 
 
 def test_apply_protocol_dimension_mismatch():
     proto = locc.teleportation_protocol(2)
-    with pytest.raises(ValidationError):
-        locc.apply_protocol(proto, np.ones(3, dtype=complex) / np.sqrt(3))
+    with pytest.raises(ValidationError, match="rank 2"):
+        locc.apply_protocol(proto, np.ones(3, dtype=complex) / np.sqrt(3), 2)
+    assert len(locc.apply_protocol(proto, np.eye(2)[0], np.int64(2))) == 4  # numpy ints count
+
+
+@pytest.mark.parametrize(
+    "rank, size, pattern",
+    [
+        (True, 4, r"pair rank True .* registers 4x2"),
+        (2.0, 2, r"pair rank 2\.0 .* registers 4x2"),
+        ("2", 2, r"pair rank '2' .* registers 4x2"),
+        (None, 2, r"pair rank None .* registers 4x2"),
+        (0, 2, r"pair rank 0 .* registers 4x2"),
+        (-2, 2, r"pair rank -2 .* registers 4x2"),
+        (3, 2, r"pair rank 3 .* registers 4x2"),  # divides neither register
+        (4, 1, r"pair rank 4 .* registers 4x2"),  # divides a_in only
+        (2, 3, r"input dimension 3 .* registers 4x2 .* rank 2"),
+        (1, 4, r"input dimension 4 .* registers 4x2 .* rank 1"),
+    ],
+)
+def test_apply_protocol_rejects_bad_pair_rank(rank, size, pattern):
+    """The pair rank is a positive int dividing both input registers, and the
+    amplitudes fill whole spectator rows of what is left of them."""
+    proto = locc.teleportation_protocol(2)  # registers 4 x 2
+    amps = np.ones(size, dtype=complex) / np.sqrt(size)
+    with pytest.raises(ValidationError, match=pattern):
+        locc.apply_protocol(proto, amps, rank)
 
 
 def test_protocol_json_roundtrip_fields(tmp_path):
@@ -307,17 +333,40 @@ def test_flatten_rejects_bad_level_count():
         locc.flatten_schedule([0.5, 0.5], 0)
 
 
-def _apply_branch_oracle(a_op, b_op, vec, a_in, b_in):
-    """Per-branch application as it was before the stacks: fresh copies of
-    both operators, the spectator dimension inferred from the vector."""
-    tensor = np.asarray(vec, dtype=complex).reshape(-1, a_in, b_in)
-    half = np.einsum("iab,yb->iay", tensor, np.array(b_op))
-    return np.einsum("xa,iay->ixy", np.array(a_op), half)
+def _materialised_outcomes(protocol, vec, indices):
+    """``(label, probability, state)`` of the live branches among ``indices``,
+    computed as the runner did when it took psi (x) Phi_K as one dense
+    vector: the full input registers contracted, with fresh copies of both
+    operators."""
+    tol = tolerance()
+    tensor = np.asarray(vec, dtype=complex).reshape(-1, protocol.a_in_dim, protocol.b_in_dim)
+    expected = []
+    for i in indices:
+        half = np.einsum("iab,yb->iay", tensor, np.array(protocol.b_ops[i]))
+        out = np.einsum("xa,iay->ixy", np.array(protocol.a_ops[i]), half)
+        prob = float(np.linalg.norm(out) ** 2)
+        if prob > tol:
+            expected.append((protocol.branches[i], prob, out.reshape(-1) / np.sqrt(prob)))
+    return expected
+
+
+def _assert_matches_materialised(protocol, amplitudes, K, vec, stride=1):
+    """Running ``protocol`` on ``amplitudes`` with a rank-``K`` pair gives every
+    byte of the dense loop on ``vec``, on the branches 0, stride, 2 stride, ..."""
+    indices = range(0, len(protocol.branches), stride)
+    expected = _materialised_outcomes(protocol, vec, indices)
+    kept = {protocol.branches[i] for i in indices}
+    outcomes = [o for o in locc.apply_protocol(protocol, amplitudes, K) if o.label in kept]
+    assert [o.label for o in outcomes] == [e[0] for e in expected], protocol.name
+    for outcome, (label, prob, state) in zip(outcomes, expected):
+        assert outcome.probability == prob, (protocol.name, label)
+        assert outcome.state.tobytes() == state.tobytes(), (protocol.name, label)
+    return len(expected)
 
 
 def _stacked_cases():
-    """(protocol, input vector) for merge in both modes, split and the
-    qubit merge on catalog and seeded random states."""
+    """(protocol, amplitudes, pair rank, dense input vector) for merge in both
+    modes, split and the qubit merge on catalog and seeded random states."""
     states = [catalog("ghz", d=3)] + [
         catalog(name)
         for name in (
@@ -341,17 +390,18 @@ def _stacked_cases():
     for state in states:
         for mode in ("catalytic", "noncatalytic"):
             build = build_merge_protocol(state, mode=mode)
-            yield build.protocol, merge_input_vector(state, build.report.K)
+            K = build.report.K
+            yield build.protocol, state.amplitudes, K, merge_input_vector(state, K)
         protocol = build_split_protocol(state)
-        yield protocol, split_input_vector(state, protocol.b_in_dim)
+        K = protocol.b_in_dim
+        yield protocol, state.amplitudes, K, split_input_vector(state, K)
     prime = catalog("implication4_psi_prime")
-    yield qubit_optimal_merge(prime).protocol, merge_input_vector(prime, 1)
+    yield qubit_optimal_merge(prime).protocol, prime.amplitudes, 1, merge_input_vector(prime, 1)
 
 
 def test_stacked_application_matches_per_branch_oracle():
-    tol = tolerance()
     count = 0
-    for protocol, vec in _stacked_cases():
+    for protocol, amplitudes, K, vec in _stacked_cases():
         count += 1
         for stack in (protocol.a_ops, protocol.b_ops):
             assert stack.ndim == 3
@@ -360,17 +410,79 @@ def test_stacked_application_matches_per_branch_oracle():
                 stack[0, 0, 0] = 1.0
         assert len(protocol.branches) == protocol.a_ops.shape[0]
         assert len(protocol.branches) == protocol.b_ops.shape[0]
-        expected = []
-        for label, a_op, b_op in zip(protocol.branches, protocol.a_ops, protocol.b_ops):
-            out = _apply_branch_oracle(
-                a_op, b_op, vec, protocol.a_in_dim, protocol.b_in_dim
-            )
-            prob = float(np.linalg.norm(out) ** 2)
-            if prob > tol:
-                expected.append((label, prob, out.reshape(-1) / np.sqrt(prob)))
-        outcomes = locc.apply_protocol(protocol, vec)
-        assert [o.label for o in outcomes] == [e[0] for e in expected], protocol.name
-        for outcome, (_, prob, state) in zip(outcomes, expected):
-            assert outcome.probability == prob
-            assert np.array_equal(outcome.state, state)
+        _assert_matches_materialised(protocol, amplitudes, K, vec)
     assert count == 34
+
+
+CATALOG_STATES = [("ghz", 2), ("ghz", 3), ("ghz", 4)] + [
+    (name, None)
+    for name in (
+        "appendixD",
+        "implication2",
+        "implication3",
+        "implication4_psi",
+        "implication4_psi_prime",
+        "qutrit_choi",
+    )
+]
+
+
+def _merge_cases(states):
+    for state in states:
+        for mode in ("catalytic", "noncatalytic"):
+            build = build_merge_protocol(state, mode=mode)
+            K = build.report.K
+            yield build.protocol, state.amplitudes, K, merge_input_vector(state, K)
+
+
+def _pair_cases(group):
+    """(protocol, amplitudes, pair rank, dense input vector) of one group."""
+    if group == "catalog-merge":
+        yield from _merge_cases(catalog(name, d=d) for name, d in CATALOG_STATES)
+    elif group == "random-merge":
+        rng = np.random.default_rng(707)
+        states = [random_state(rng, dims) for dims in ((2, 2, 2), (2, 3, 2), (3, 4, 3), (4, 6, 4))]
+        for k, blocks in enumerate(([(2, 2, 2), (2, 1, 1)], [(2, 1, 3), (2, 2, 3)])):
+            states.append(planted_ki_state(np.random.default_rng([707, k]), blocks, 2)[0])
+        yield from _merge_cases(states)
+    elif group == "catalog-split":
+        for name, d in CATALOG_STATES:
+            state = catalog(name, d=d)
+            protocol = build_split_protocol(state)
+            K = protocol.b_in_dim
+            yield protocol, state.amplitudes, K, split_input_vector(state, K)
+    else:
+        rng = np.random.default_rng(808)
+        for d in (2, 3, 4):
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi /= np.linalg.norm(psi)
+            yield locc.teleportation_protocol(d), psi, d, np.kron(psi, max_entangled_vector(d))
+
+
+@pytest.mark.parametrize(
+    "group, count",
+    [("catalog-merge", 18), ("random-merge", 12), ("catalog-split", 9), ("teleport", 3)],
+)
+def test_pair_aware_apply_matches_materialised_input(group, count):
+    """The runner never stores psi (x) Phi_K, yet gives every byte of the
+    dense-input loop: labels, probabilities and output states."""
+    cases = list(_pair_cases(group))
+    assert len(cases) == count
+    assert max(K for _, _, K, _ in cases) > 1
+    for protocol, amplitudes, K, vec in cases:
+        assert _assert_matches_materialised(protocol, amplitudes, K, vec) > 0
+
+
+def test_pair_aware_apply_matches_materialised_input_on_approx_candidate():
+    """A rank-12 candidate of ``approx --epsilon 0.1`` on implication2, run on
+    the true state.  Stride 13 through the 12 x 12 Pauli labels (x, z) keeps
+    12 branches, one for every value of x and of z."""
+    state = catalog("implication2")
+    build = build_merge_protocol(smoothed_candidate(state, 0.1, 0), mode="noncatalytic")
+    K = build.report.K
+    assert K == 12 and len(build.protocol.branches) == K * K
+    stride = K + 1
+    kept = build.protocol.branches[::stride]
+    assert {label[1] for label in kept} == {label[2] for label in kept} == set(range(K))
+    vec = merge_input_vector(state, K)
+    assert _assert_matches_materialised(build.protocol, state.amplitudes, K, vec, stride) > 0

@@ -16,7 +16,6 @@ from qsm.merge import (
     _merged_breakpoints,
     achievable_cost,
     build_merge_protocol,
-    merge_input_vector,
     merge_target_vector,
     mixed_unitary_decomposition_qubit,
     qubit_optimal_merge,
@@ -32,7 +31,13 @@ from qsm.statespace import (
     random_state,
 )
 
-from helpers import planted_ki_state, random_unitary, sample_schmidt_span_member
+from helpers import (
+    merge_input_vector,
+    planted_ki_state,
+    random_unitary,
+    sample_schmidt_span_member,
+    smoothed_candidate,
+)
 
 PHI2 = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
@@ -154,7 +159,7 @@ def test_merge_protocol_exact_on_catalog(name, d, mode, branch_count):
     assert len(build.protocol.branches) == branch_count
     K = build.report.K
     L = build.report.L if mode == "catalytic" else 1
-    outcomes = apply_protocol(build.protocol, merge_input_vector(state, K))
+    outcomes = apply_protocol(build.protocol, state.amplitudes, K)
     rep = verify_protocol(build.protocol, outcomes, merge_target_vector(state, L))
     assert rep.passed
     assert rep.min_branch_fidelity >= 1.0 - 1e-10
@@ -415,18 +420,6 @@ def _per_pair_oracle(state, decomp, mode, delta):
     return labels, a_ops, b_ops, f"merge-{mode}[K={K},L={L}]"
 
 
-def _smoothed_candidate(state, epsilon, seed):
-    """The first random in-ball candidate of ``approx --heuristic``."""
-    vec = state.vector
-    rng = np.random.default_rng(seed)
-    theta_max = math.acos(math.sqrt(1.0 - (epsilon / 2.0) ** 2)) * 0.999
-    g = rng.normal(size=vec.size) + 1j * rng.normal(size=vec.size)
-    g = g - np.vdot(vec, g) * vec
-    theta = theta_max * float(rng.uniform(0.0, 1.0))
-    cand = math.cos(theta) * vec + math.sin(theta) * (g / np.linalg.norm(g))
-    return TripartiteState(state.regs, cand.reshape(state.dims))
-
-
 # planted (dim_L, dim_R, dim_bR) blocks and the spectator dimension: several
 # redundant levels and B-factors per block, so receiver entries sum many terms
 PLANTED_CASES = [
@@ -450,7 +443,7 @@ def _oracle_corpus():
     cases.append(("random(1, 4, 4)", random_state(rng, (1, 4, 4)), 0.5))
     for dims in [(2, 2, 2), (2, 3, 2)]:
         cases.append((f"padded{dims}", _pad_sender(random_state(rng, dims)), 1e-6))
-    smoothed = _smoothed_candidate(catalog("implication2"), 0.1, 1)
+    smoothed = smoothed_candidate(catalog("implication2"), 0.1, 1)
     cases.append(("implication2-smoothed", smoothed, 1e-6))
     for k, (blocks, dim_r) in enumerate(PLANTED_CASES):
         state, _ = planted_ki_state(np.random.default_rng([505, k]), blocks, dim_r)
@@ -525,7 +518,7 @@ def test_qubit_optimal_zero_cost_cases():
         assert rep.K == 1
         assert rep.mixed_unitary is not None
         assert len(rep.protocol.branches) <= 4
-        outcomes = apply_protocol(rep.protocol, merge_input_vector(state, 1))
+        outcomes = apply_protocol(rep.protocol, state.amplitudes, 1)
         ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(state, 1))
         assert ver.passed
 
@@ -537,7 +530,7 @@ def test_qubit_optimal_one_bit_case():
     assert rep.K == 2
     assert rep.mixed_unitary is None
     assert len(rep.protocol.branches) == 4
-    outcomes = apply_protocol(rep.protocol, merge_input_vector(state, 2))
+    outcomes = apply_protocol(rep.protocol, state.amplitudes, 2)
     ver = verify_protocol(rep.protocol, outcomes, merge_target_vector(state, 1))
     assert ver.passed
 

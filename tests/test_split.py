@@ -13,7 +13,6 @@ from qsm.split import (
     build_split_protocol,
     rank_monotonicity_witness,
     split_cost,
-    split_input_vector,
     verify_split,
 )
 from qsm.statespace import (
@@ -23,7 +22,7 @@ from qsm.statespace import (
     random_state,
 )
 
-from helpers import swap_ab
+from helpers import split_input_vector, swap_ab
 
 
 def _rank2_in_dim4():
@@ -136,8 +135,12 @@ def test_rank_monotonicity_witness():
         _, records = verify_split(state)
         protocol = build_split_protocol(state)
         assert records == verify_split(state, protocol)[1]
-        vec = split_input_vector(state, protocol.b_in_dim)
-        assert records == rank_monotonicity_witness(state, vec, locc.apply_protocol(protocol, vec))
+        K = protocol.b_in_dim
+        outcomes = locc.apply_protocol(protocol, state.amplitudes, K)
+        assert records == rank_monotonicity_witness(state, K, outcomes)
+        # the receiver | rest rank of the materialised input psi (x) Phi_K
+        before = np.linalg.matrix_rank(split_input_vector(state, K).reshape(-1, K))
+        assert {r["rank_before"] for r in records} == {before}
         assert records
         assert sum(r["probability"] for r in records) == pytest.approx(1.0, abs=1e-9)
         for rec in records:

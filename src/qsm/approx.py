@@ -218,6 +218,8 @@ def best_smoothing_candidate(
     check_delta(delta)
     if candidates < 0:
         raise ValidationError(f"candidate count must be nonnegative, got {candidates}")
+    if seed < 0:
+        raise ValidationError(f"heuristic seed must be nonnegative, got {seed}")
     best: SmoothingCertificate | None = None
     failures: list[str] = []
 

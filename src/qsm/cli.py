@@ -318,6 +318,8 @@ def _run_approx(args):
 
 
 def _run_verify_corpus(args):
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     checks = []
 
     def record(name, passed, detail=""):

@@ -255,8 +255,9 @@ class _BlockData:
     The parts of every Pauli correction (x, z) of the block's own dimension
     are computed once, indexed ``[x, z]``: ``tb``, the scaled conjugate Pauli
     (teleport rows); ``send``, the ``(dA, dim_R)`` sender rows of each live
-    level; ``recv``, the ``(dA, dB)`` receiver block of each (teleport index
-    v, B-factor kr) pair.
+    level; ``a_part``, the teleport-corrected A-part of each live level.  The
+    receiver blocks of one correction, ``dB·n_r/dim_L`` times larger, come
+    from :meth:`recv_table` when a batch of its branches is assembled.
     """
 
     def __init__(self, block, cost: BlockCost, K: int, catalytic: bool, P: int):
@@ -267,6 +268,7 @@ class _BlockData:
         self.live = block.p > 0.0
         self.lam = block.lambdas
         self.n_r = block.dim_bR
+        self.ws = block.ws
         if self.live:
             self.u_live = block.omega_vec / np.sqrt(self.lam)[None, :]
         else:
@@ -282,10 +284,10 @@ class _BlockData:
             self.per, self.target, self.w_cnt = K, self.dim_R, None
         # conjugated B-factor columns, indexed [m, kr]
         self.ws_conj = block.ws.transpose(1, 2, 0).conj()
-        d, dA, dB = self.dim_R, self.iso.shape[0], block.ws.shape[0]
+        d, dA = self.dim_R, self.iso.shape[0]
         self.tb = np.empty((d, d, d, d), dtype=complex)
         self.send = np.empty((d, d, self.u_live.shape[1], dA, d), dtype=complex)
-        self.recv = np.empty((d, d, d, self.n_r, dA, dB), dtype=complex)
+        self.a_part = np.empty((d, d, dA, self.u_live.shape[1], d), dtype=complex)
         for x in range(d):
             for z in range(d):
                 sig = generalized_pauli(d, x, z)
@@ -298,8 +300,12 @@ class _BlockData:
                     )
                 # A-part columns for each redundant level, teleport-corrected
                 # quantum index v
-                a_part = np.einsum("alr,lm,rv->amv", self.iso, block.omega_vec, sig)
-                self.recv[x, z] = np.einsum("amv,bmk->vkab", a_part, block.ws)
+                self.a_part[x, z] = np.einsum("alr,lm,rv->amv", self.iso, block.omega_vec, sig)
+
+    def recv_table(self, x: int, z: int) -> np.ndarray:
+        """``(dim_R, n_r, dA, dB)`` receiver blocks of the Pauli correction
+        (x, z), indexed [teleport index v, B-factor kr]."""
+        return np.einsum("amv,bmk->vkab", self.a_part[x, z], self.ws)
 
     def sender_rows(self, vec: np.ndarray, tb: np.ndarray) -> np.ndarray:
         """(dA, dim_R) sender rows of the block direction ``vec``, one column
@@ -327,25 +333,36 @@ class _BlockData:
         return np.array(slots, dtype=np.intp).reshape(-1, 4)
 
 
+def _rounds(row: np.ndarray, col: np.ndarray) -> tuple:
+    """Scatter rounds of the entries ``(row, col)``: round o lists, in table
+    order, the entries that are the o-th to hit their ``(row, col)``.  No two
+    entries of a round share an element, so one buffered ``+=`` per round,
+    round by round, adds into every element in table order."""
+    hits: dict = {}
+    rank = np.empty(len(row), dtype=np.intp)
+    for e, key in enumerate(zip(row.tolist(), col.tolist())):
+        rank[e] = hits[key] = hits.get(key, -1) + 1
+    return tuple(np.flatnonzero(rank == o) for o in range(rank.max(initial=-1) + 1))
+
+
 @dataclass(frozen=True)
 class _StepTable:
-    """Index tables of one flattening step of one block, in assembly order.
+    """Index tables of one flattening step of one block, in assembly order,
+    cut into the :func:`_rounds` of their ``(row, col)``.
 
     - ``levels``: the redundant level of each selected position;
-    - ``send_at``, ``send_src``: the ``(row, col)`` of each sender write and
+    - ``send_rounds``: per round, the ``(row, col)`` of each sender write and
       the ``(pos, v)`` of the sender-row column it copies;
-    - ``recv_at``, ``recv_src``: the ``(row, col)`` of each receiver pair,
-      one per sender write and B-factor kr, and the ``(v, kr)`` of its
-      receiver block;
-    - ``ws_conj``: the conjugated B-factor column of each receiver pair.
+    - ``recv_rounds``: per round, the ``(row, col)`` of each receiver pair
+      (one per sender write and B-factor kr), the ``(v, kr)`` of its receiver
+      block and its conjugated B-factor column, shaped to broadcast;
+    - ``pairs``: the number of receiver pairs.
     """
 
     levels: np.ndarray
-    send_at: tuple
-    send_src: tuple
-    recv_at: tuple
-    recv_src: tuple
-    ws_conj: np.ndarray
+    send_rounds: tuple
+    recv_rounds: tuple
+    pairs: int
 
     @classmethod
     def build(cls, bd: _BlockData, indices: Sequence[int]) -> "_StepTable":
@@ -354,13 +371,15 @@ class _StepTable:
         row, col, v, pos = slots.T
         pairs = np.repeat(slots, bd.n_r, axis=0)
         kr = np.tile(np.arange(bd.n_r), len(slots))
+        ws_conj = bd.ws_conj[levels[pairs[:, 3]], kr]
         return cls(
             levels=levels,
-            send_at=(row, col),
-            send_src=(pos, v),
-            recv_at=(pairs[:, 0], pairs[:, 1]),
-            recv_src=(pairs[:, 2], kr),
-            ws_conj=bd.ws_conj[levels[pairs[:, 3]], kr],
+            send_rounds=tuple((row[r], col[r], pos[r], v[r]) for r in _rounds(row, col)),
+            recv_rounds=tuple(
+                (*pairs[r, :3].T, kr[r], ws_conj[None, r, None, None, :])
+                for r in _rounds(pairs[:, 0], pairs[:, 1])
+            ),
+            pairs=len(pairs),
         )
 
 
@@ -388,8 +407,10 @@ def _locate(cum: list, point: float) -> int:
     return len(cum) - 1
 
 
-# bound on the bytes of one assembly batch's receiver accumulator plus its
-# largest scatter-term array, so that batching leaves peak memory flat
+# bound on the bytes of one assembly batch's receiver accumulator plus the
+# scatter terms of all its receiver pairs, so that batching leaves peak memory
+# flat; only one scatter round's terms are live at a time, so the formula
+# over-counts
 _BATCH_BYTES = 128 * 1024
 
 
@@ -412,14 +433,16 @@ def build_merge_protocol(
     re-creates the redundant state, corrects the teleportation, and embeds
     the block label, producing the relocated state exactly in every branch.
 
-    Assembly is table-driven: each block's Pauli parts are computed once per
-    (x, z) and its index tables once per flattening step.  A grid interval's
-    branches are assembled in batches of consecutive labels, bounded by
-    ``_BATCH_BYTES``: per block, one ``np.add.at`` with the branch index
-    leading scatter-adds the batch's sender rows and receiver terms in
-    branch, level, slot and B-factor order, so every element receives the
-    same additions in the same order as a per-pair loop would make.  The
-    receiver isometry is the polar part of the accumulated matrix, from one
+    Assembly is table-driven: each block's sender rows and A-parts are
+    computed once per (x, z), its index tables and scatter rounds once per
+    flattening step, and its receiver blocks per batch, for the corrections
+    of the batch's branches only.  A grid interval's branches are assembled in
+    batches of consecutive labels, bounded by ``_BATCH_BYTES``: per block,
+    the batch's sender rows and receiver terms are added round by round,
+    one buffered ``+=`` per round, with the terms of one round alive at a
+    time, so every element receives the same additions in the same order,
+    from the same zero fill, as a per-pair loop would make.  The receiver
+    isometry is the polar part of the accumulated matrix, from one
     stacked SVD per batch; the singular values of each branch, checked in
     label order, must all be 0 or 1.  A protocol over the byte
     budget of :func:`~qsm.locc.check_protocol_budget` raises
@@ -519,7 +542,7 @@ def build_merge_protocol(
             located.append((bd, tab, amps, ph_a, ph_b))
         first = len(labels)
         labels += [(t, int(x), int(z), int(m3)) for x, z, m3 in zip(xs, zs, m3s)]
-        pairs = max(len(tab.ws_conj) for _, tab, _, _, _ in located)
+        pairs = max(tab.pairs for _, tab, _, _, _ in located)
         size = max(1, _BATCH_BYTES // (16 * dA * dB * dB * (L * K + pairs)))
         for lo in range(0, len(xs), size):
             sel = slice(lo, lo + size)
@@ -532,18 +555,15 @@ def build_merge_protocol(
             for bd, tab, amps, ph_a, ph_b in located:
                 xz = (x_b % bd.dim_R, z_b % bd.dim_R)
                 row_av = amps[:, None, None] * bd.send[xz][:, tab.levels]
-                pos, v = tab.send_src
-                send_vals = ph_a[sel, None, None] * row_av[:, pos, :, v].transpose(1, 0, 2)
-                branch = np.repeat(np.arange(nb), len(pos))
-                at = tuple(np.tile(ix, nb) for ix in tab.send_at)
-                np.add.at(a_view, (branch, *at), send_vals.reshape(-1, dA))
-                recv_blocks = bd.recv[xz][(slice(None), *tab.recv_src)]
-                terms = (ph_b[sel, None, None, None] * recv_blocks)[..., None] * (
-                    tab.ws_conj[None, :, None, None, :]
-                )
-                branch = np.repeat(np.arange(nb), len(tab.ws_conj))
-                at = tuple(np.tile(ix, nb) for ix in tab.recv_at)
-                np.add.at(acc, (branch, *at), terms.reshape(-1, dA, dB, dB))
+                for row, col, pos, v in tab.send_rounds:
+                    vals = row_av[:, pos, :, v].transpose(1, 0, 2)  # [branch, write, A index]
+                    a_view[:, row, col] += ph_a[sel, None, None] * vals
+                # receiver tables of the batch's distinct corrections; branch i's is which[i]
+                codes, which = np.unique(xz[0] * bd.dim_R + xz[1], return_inverse=True)
+                recv = np.stack([bd.recv_table(*divmod(int(c), bd.dim_R)) for c in codes])
+                for row, col, v, kr, ws_conj in tab.recv_rounds:
+                    blocks = recv[which[:, None], v, kr]
+                    acc[:, row, col] += (ph_b[sel, None, None, None] * blocks)[..., None] * ws_conj
             if pairs:
                 mats = acc.transpose(0, 3, 4, 1, 5, 2).reshape(nb, *b_shape)
                 b_ops[i0 : i0 + nb] = receiver_isometries(i0, mats)

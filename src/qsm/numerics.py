@@ -56,7 +56,9 @@ def isometry_deviation(m: np.ndarray) -> float:
     NaN entries give NaN, so callers compare with ``not deviation <= bound``.
     """
     gram = dagger(m) @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
+    gram = gram.astype(np.result_type(gram, 1.0), copy=False)  # integer input
+    gram.flat[:: gram.shape[1] + 1] -= 1.0  # the identity, in place
+    return float(np.max(np.abs(gram)))
 
 
 def _leading_phase(v: np.ndarray) -> complex:

@@ -325,6 +325,18 @@ def test_approx_cli_candidate_and_heuristic(tmp_path):
     assert report["results"]["cost_bits"] <= 1.0 + 1e-9
 
 
+def test_negative_seed_is_a_validation_error(tmp_path):
+    path = _state_file(tmp_path, "ghz", d=2)
+    argvs = [
+        ["approx", str(path), "--epsilon", "0.1", "--heuristic", "2", "--seed", "-1"],
+        ["verify-corpus", "--seed", "-1"],
+    ]
+    for argv in argvs:
+        code, report = cli.run(argv)
+        assert code == cli.EXIT_VALIDATION == 2, report
+        assert "seed must be nonnegative, got -1" in report["error"]
+
+
 def test_reports_are_deterministic_modulo_wall_time(tmp_path):
     path = _state_file(tmp_path, "implication3")
     argv = ["approx", str(path), "--epsilon", "0.1", "--heuristic", "4", "--seed", "11"]

@@ -1,6 +1,7 @@
 """Tests for achievable merging costs and the exact protocol construction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -421,13 +422,16 @@ def _per_pair_oracle(state, decomp, mode, delta):
 
 
 # planted (dim_L, dim_R, dim_bR) blocks and the spectator dimension: several
-# redundant levels and B-factors per block, so receiver entries sum many terms
+# redundant levels and B-factors per block, so receiver entries sum many terms;
+# in the last, three redundant levels share a resource offset in one
+# noncatalytic flattening step, so a sender entry sums three terms
 PLANTED_CASES = [
     ([(2, 1, 2), (1, 2, 1)], 2),
     ([(2, 2, 2), (2, 1, 1)], 2),
     ([(3, 1, 2), (1, 1, 1), (2, 1, 1)], 2),
     ([(2, 1, 3), (2, 2, 3)], 2),
     ([(2, 3, 1), (3, 1, 2)], 3),
+    ([(3, 3, 2)], 2),
 ]
 
 
@@ -455,14 +459,26 @@ def _oracle_corpus():
 def test_branch_assembly_matches_per_pair_oracle(mode, monkeypatch):
     """The batched assembly gives every bit of the per-pair loop, at the
     default batch byte bound and at bounds small enough to cut grid
-    intervals into batches of one to four branches."""
+    intervals into batches of one to four branches.  Some sender and some
+    receiver entry sum three or more terms, so the order of the scatter
+    rounds shows in the bits (two additions commute exactly)."""
     padded = 0
     small_batches = set()
     original_svd = np.linalg.svd
+    original_table = merge._StepTable.build.__func__
+    rounds = {"send": 0, "recv": 0}
 
     def recording_svd(a, *args, **kwargs):
         small_batches.add(len(a))
         return original_svd(a, *args, **kwargs)
+
+    def recording_table(cls, bd, indices):
+        table = original_table(cls, bd, indices)
+        rounds["send"] = max(rounds["send"], len(table.send_rounds))
+        rounds["recv"] = max(rounds["recv"], len(table.recv_rounds))
+        return table
+
+    monkeypatch.setattr(merge._StepTable, "build", classmethod(recording_table))
 
     for name, state, delta in _oracle_corpus():
         dec = ki_decompose(state)
@@ -483,6 +499,25 @@ def test_branch_assembly_matches_per_pair_oracle(mode, monkeypatch):
             assert protocol.b_ops.tobytes() == b_ops.tobytes(), where
     assert padded == 2
     assert small_batches == {1, 2, 3, 4}
+    if mode == "noncatalytic":
+        assert rounds["send"] >= 3, rounds
+    assert rounds["recv"] >= 3, rounds
+
+
+def test_candidate_build_keeps_no_large_temporaries():
+    """Building the K = 12 implication2 candidate holds little beyond its two
+    stacks: no store of every Pauli correction's receiver blocks, no scatter
+    terms of a whole batch."""
+    state = smoothed_candidate(catalog("implication2"), 0.1, 0)
+    dec = ki_decompose(state)
+    tracemalloc.start()
+    try:
+        protocol = build_merge_protocol(state, dec, mode="noncatalytic").protocol
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert protocol.name == "merge-noncatalytic[K=12,L=1]"
+    assert peak - protocol.a_ops.nbytes - protocol.b_ops.nbytes < 16 * 2**20
 
 
 def test_input_and_target_vectors_normalized():

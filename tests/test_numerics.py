@@ -1,10 +1,19 @@
+import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qsm import numerics
 from qsm.errors import ValidationError
+from qsm.split import build_split_protocol
+from qsm.statespace import catalog
 
 from helpers import partial_trace, random_unitary
+from test_cli import _child_env
 
 
 RNG = np.random.default_rng(20260823)
@@ -111,9 +120,86 @@ def test_isometry_deviation():
     assert numerics.isometry_deviation(u[:, :2]) <= 1e-9
     assert not numerics.isometry_deviation(u[:2, :]) <= 1e-9  # wide, not an isometry
     assert numerics.isometry_deviation(2.0 * np.eye(3)) == pytest.approx(3.0)
+    assert numerics.isometry_deviation(2 * np.eye(3, dtype=int)) == 3.0
     m = u.copy()
     m[0, 0] = np.nan
     assert not numerics.isometry_deviation(m) <= 1e-9
+
+
+def _dense_deviation(m):
+    """``isometry_deviation`` as the plain formula: one Gram, a dense identity."""
+    return float(np.max(np.abs(numerics.dagger(m) @ m - np.eye(m.shape[1]))))
+
+
+def _split_stack():
+    """The 1440 x 1440 sender stack of the implication2 split protocol."""
+    protocol = build_split_protocol(catalog("implication2"))
+    return protocol.a_ops.reshape(-1, protocol.a_in_dim)
+
+
+def _deviation_cases():
+    """The implication2 split stack, seeded isometries whose deviation is a
+    few ulps (so it moves with any Gram entry), tall and wide non-isometries."""
+    rng = np.random.default_rng(61)
+
+    def gaussian(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    cases = [_split_stack()]
+    shapes = [(40, 9), (90, 33), (160, 71), (300, 130), (400, 257), (520, 300), (720, 513)]
+    cases += [np.linalg.qr(gaussian(*shape))[0] for shape in shapes]
+    cases += [gaussian(40, 7), gaussian(100, 30), gaussian(3, 8)]  # last one wide
+    return cases
+
+
+def test_isometry_deviation_matches_dense_formula():
+    """Same float bits as the dense formula, and NaN stays NaN."""
+    for m in _deviation_cases():
+        assert numerics.isometry_deviation(m) == _dense_deviation(m), m.shape
+    m = random_unitary(np.random.default_rng(53), 6)
+    m[2, -1] = np.nan
+    assert math.isnan(numerics.isometry_deviation(m))
+    assert math.isnan(_dense_deviation(m))
+
+
+def test_isometry_deviation_keeps_one_gram_live():
+    """The traced peak is the input's conjugate copy and the one Gram, with
+    no identity or difference matrix beside them."""
+    m = _split_stack()
+    n = m.shape[1]
+    tracemalloc.start()
+    try:
+        numerics.isometry_deviation(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes + 16 * n * n + 2**20
+
+
+_KERNEL_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_numerics import _deviation_cases, _dense_deviation
+from qsm.numerics import isometry_deviation
+print(all(isometry_deviation(m) == _dense_deviation(m) for m in _deviation_cases()))
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_isometry_deviation_matches_dense_formula_per_blas_kernel(coretype):
+    """Bit equality with the dense formula under each OpenBLAS kernel, not
+    only under the one this host's CPU selects: a Gram split into row or
+    column chunks can match the one product on one kernel and not another."""
+    env = _child_env()
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    child = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHILD, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True"
 
 
 def test_orthonormal_complement():

@@ -25,6 +25,12 @@ from .numerics import isometry_deviation, tolerance
 # admits every catalog and bench build and splits up to (1, 20, 20).
 PROTOCOL_BYTE_BUDGET = 2**31
 
+# Bytes of temporaries one batch of branches may hold wherever branches are
+# built, checked or run a batch at a time (see batch_slices): a generic
+# (4, 6, 4) merge is assembled 7 branches a batch and run 11 a batch, while
+# the largest catalog builds stay at one branch a batch and peak memory flat.
+BATCH_BYTES = 512 * 1024
+
 
 def generalized_pauli(d: int, x: int, z: int) -> np.ndarray:
     """Return X^x Z^z on C^d with X|l> = |l+1 mod d> and Z|l> = e^{2 pi i l/d}|l>."""
@@ -34,6 +40,25 @@ def generalized_pauli(d: int, x: int, z: int) -> np.ndarray:
     op = np.zeros((d, d), dtype=complex)
     op[(ls + x) % d, ls] = np.exp(2j * np.pi * z * ls / d)
     return op
+
+
+def generalized_paulis(d: int) -> np.ndarray:
+    """Every X^x Z^z on C^d, indexed ``[x, z]``, entry for entry as
+    :func:`generalized_pauli` gives them."""
+    if d < 1:
+        raise ValidationError(f"dimension must be positive, got {d}")
+    ls = np.arange(d)
+    phases = np.exp(2j * np.pi * ls[:, None] * ls / d)  # [z, l]
+    ops = np.zeros((d, d, d, d), dtype=complex)
+    ops[ls[:, None, None], ls[:, None], (ls[:, None, None] + ls) % d, ls] = phases
+    return ops
+
+
+def batch_slices(n: int, branch_bytes: int) -> list:
+    """Consecutive slices of ``range(n)``, each as many branches as fit in
+    :data:`BATCH_BYTES` at ``branch_bytes`` each, and at least one."""
+    size = max(1, BATCH_BYTES // branch_bytes)
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def check_protocol_budget(n: int, a_shape: tuple, b_shape: tuple, hint: str = "") -> None:
@@ -62,7 +87,9 @@ class OneWayProtocol:
     describe the two input registers, and the sender side may be fully
     measured out (``a_out = 1``).  The protocol keeps a stack it is given as
     a contiguous complex array without copying it (a view is copied) and
-    marks it read-only.
+    marks it read-only.  The receivers are checked a batch at a time (see
+    :func:`batch_slices`), with one stacked Gram product per batch; the
+    first non-isometric receiver in label order is named.
     """
 
     branches: tuple
@@ -94,10 +121,15 @@ class OneWayProtocol:
             if label in seen:
                 raise ValidationError(f"duplicate branch label {label}")
             seen.add(label)
-        for label, b_op in zip(labels, self.b_ops):
-            if not isometry_deviation(b_op) <= 10 * tol:
+        b_out, b_in = self.b_ops.shape[1:]
+        for sel in batch_slices(len(labels), 16 * (b_out * b_in + b_in * b_in)):
+            b_ops = self.b_ops[sel]
+            gram = np.matmul(b_ops.conj().transpose(0, 2, 1), b_ops)
+            gram.reshape(len(gram), -1)[:, :: b_in + 1] -= 1.0
+            bad = np.flatnonzero(~(np.abs(gram).max(axis=(1, 2)) <= 10 * tol))
+            if len(bad):
                 raise ValidationError(
-                    f"branch {label}: receiver operator is not an isometry"
+                    f"branch {labels[sel.start + bad[0]]}: receiver operator is not an isometry"
                 )
         residual = isometry_deviation(self.a_ops.reshape(-1, self.a_in_dim))
         if not residual <= 10 * tol:
@@ -152,9 +184,13 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
     divided by sqrt(K) once, giving the entries a stored psi (x) Phi_K holds
     on the pair's diagonal, and each receiver operator is read
     pair-index-first as a (K, b_out, b_in/K) copy, so its contraction sums
-    only the b_in/K terms that are nonzero there.  ``tests/test_locc.py``
-    checks the outcomes byte for byte against contracting the full registers
-    of the stored product.
+    only the b_in/K terms that are nonzero there.  Branches run a batch at a
+    time (see :func:`batch_slices`), both contractions as one ``einsum``
+    with a branch axis, which sums every element in the order a per-branch
+    ``einsum`` does; each probability is the ``np.linalg.norm`` of its own
+    branch.  ``tests/test_locc.py`` checks the outcomes byte for byte
+    against contracting the full registers of the stored product, and
+    against one branch per batch and the whole stack in one batch.
     """
     tol = tolerance()
     a_in, b_in = protocol.a_in_dim, protocol.b_in_dim
@@ -181,22 +217,31 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
             f"{a_in}x{b_in} holding a pair of rank {K}"
         )
     tensor = amps.reshape(-1, a_own, b_own) / np.sqrt(float(K))
+    n, a_out, _ = protocol.a_ops.shape
+    b_out = protocol.b_ops.shape[1]
+    # a branch's b_pair, half and out
+    branch_bytes = 16 * (b_out * b_in + len(tensor) * b_out * (a_in + a_out))
     outcomes = []
     total = 0.0
-    for label, a_op, b_op in zip(protocol.branches, protocol.a_ops, protocol.b_ops):
-        b_pair = np.ascontiguousarray(b_op.reshape(-1, b_own, K).transpose(2, 0, 1))
-        half = np.einsum("iab,kyb->iaky", tensor, b_pair).reshape(len(tensor), a_in, -1)
-        out = np.einsum("xa,iay->ixy", a_op, half)
-        prob = float(np.linalg.norm(out) ** 2)
-        total += prob
-        if prob > tol:
-            outcomes.append(
-                BranchOutcome(
-                    label=label,
-                    probability=prob,
-                    state=out.reshape(-1) / np.sqrt(prob),
+    for sel in batch_slices(n, branch_bytes):
+        b_ops = protocol.b_ops[sel]
+        b_pair = np.ascontiguousarray(
+            b_ops.reshape(len(b_ops), -1, b_own, K).transpose(0, 3, 1, 2)
+        )
+        half = np.einsum("iab,nkyb->niaky", tensor, b_pair)
+        half = half.reshape(len(b_ops), len(tensor), a_in, -1)
+        out = np.einsum("nxa,niay->nixy", protocol.a_ops[sel], half)
+        for label, branch in zip(protocol.branches[sel], out):
+            prob = float(np.linalg.norm(branch) ** 2)
+            total += prob
+            if prob > tol:
+                outcomes.append(
+                    BranchOutcome(
+                        label=label,
+                        probability=prob,
+                        state=branch.reshape(-1) / np.sqrt(prob),
+                    )
                 )
-            )
     if not abs(total - 1.0) <= 10 * tol:
         raise VerificationError(f"branch probabilities sum to {total}, not 1")
     return outcomes
@@ -250,7 +295,7 @@ def teleportation_protocol(d: int) -> OneWayProtocol:
     if d < 1:
         raise ValidationError(f"dimension must be positive, got {d}")
     labels = [(x, z) for x in range(d) for z in range(d)]
-    sigmas = np.array([generalized_pauli(d, x, z) for x, z in labels])
+    sigmas = generalized_paulis(d).reshape(d * d, d, d)
     scale = 1.0 / np.sqrt(float(d))
     a_ops = sigmas.conj().reshape(d * d, 1, d * d) * scale
     return OneWayProtocol(

@@ -26,9 +26,11 @@ from .locc import (
     OneWayProtocol,
     VerificationReport,
     apply_protocol,
+    batch_slices,
     check_protocol_budget,
     flatten_schedule,
     generalized_pauli,
+    generalized_paulis,
     verify_protocol,
 )
 from .numerics import dagger, guarded_ceil, orthonormal_complement, tolerance
@@ -253,11 +255,12 @@ class _BlockData:
       ``None`` otherwise (see :meth:`slot_table`).
 
     The parts of every Pauli correction (x, z) of the block's own dimension
-    are computed once, indexed ``[x, z]``: ``tb``, the scaled conjugate Pauli
-    (teleport rows); ``send``, the ``(dA, dim_R)`` sender rows of each live
-    level; ``a_part``, the teleport-corrected A-part of each live level.  The
-    receiver blocks of one correction, ``dB·n_r/dim_L`` times larger, come
-    from :meth:`recv_table` when a batch of its branches is assembled.
+    are computed once, one ``einsum`` each, indexed ``[x, z]``: ``tb``, the
+    scaled conjugate Pauli (teleport rows); ``send``, the ``(dA, dim_R)``
+    sender rows of each live level; ``a_part``, the teleport-corrected A-part
+    of each live level.  The receiver blocks of one correction,
+    ``dB·n_r/dim_L`` times larger, come from :meth:`recv_tables` when a batch
+    of its branches is assembled.
     """
 
     def __init__(self, block, cost: BlockCost, K: int, catalytic: bool, P: int):
@@ -284,33 +287,22 @@ class _BlockData:
             self.per, self.target, self.w_cnt = K, self.dim_R, None
         # conjugated B-factor columns, indexed [m, kr]
         self.ws_conj = block.ws.transpose(1, 2, 0).conj()
-        d, dA = self.dim_R, self.iso.shape[0]
-        self.tb = np.empty((d, d, d, d), dtype=complex)
-        self.send = np.empty((d, d, self.u_live.shape[1], dA, d), dtype=complex)
-        self.a_part = np.empty((d, d, dA, self.u_live.shape[1], d), dtype=complex)
-        for x in range(d):
-            for z in range(d):
-                sig = generalized_pauli(d, x, z)
-                self.tb[x, z] = (np.sqrt(float(d)) / P) * sig.conj()
-                if not self.live:
-                    continue
-                for m in range(self.u_live.shape[1]):
-                    self.send[x, z, m] = self.sender_rows(
-                        self.u_live[:, m], self.tb[x, z]
-                    )
-                # A-part columns for each redundant level, teleport-corrected
-                # quantum index v
-                self.a_part[x, z] = np.einsum("alr,lm,rv->amv", self.iso, block.omega_vec, sig)
+        sigs = generalized_paulis(self.dim_R)
+        self.tb = (np.sqrt(float(self.dim_R)) / P) * sigs.conj()
+        self.send = self.sender_rows(self.u_live)
+        # A-part columns of each redundant level, teleport-corrected quantum index v
+        self.a_part = np.einsum("alr,lm,xzrv->xzamv", self.iso, block.omega_vec, sigs)
 
-    def recv_table(self, x: int, z: int) -> np.ndarray:
-        """``(dim_R, n_r, dA, dB)`` receiver blocks of the Pauli correction
-        (x, z), indexed [teleport index v, B-factor kr]."""
-        return np.einsum("amv,bmk->vkab", self.a_part[x, z], self.ws)
+    def recv_tables(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """``(len(xs), dim_R, n_r, dA, dB)`` receiver blocks of the Pauli
+        corrections (xs, zs), indexed [correction, teleport index v,
+        B-factor kr]."""
+        return np.einsum("camv,bmk->cvkab", self.a_part[xs, zs], self.ws)
 
-    def sender_rows(self, vec: np.ndarray, tb: np.ndarray) -> np.ndarray:
-        """(dA, dim_R) sender rows of the block direction ``vec``, one column
-        per teleport index."""
-        return np.einsum("alr,l,rv->av", self.iso.conj(), vec.conj(), tb)
+    def sender_rows(self, vecs: np.ndarray) -> np.ndarray:
+        """Sender rows of the block directions ``vecs`` (columns) for every
+        Pauli correction, indexed [x, z, column, A index, teleport index]."""
+        return np.einsum("alr,lm,xzrv->xzmav", self.iso.conj(), vecs.conj(), self.tb)
 
     def slot_table(self, us: Sequence[int]) -> np.ndarray:
         """``(row, col, v, pos)`` of every slot of the selected levels, in
@@ -407,13 +399,6 @@ def _locate(cum: list, point: float) -> int:
     return len(cum) - 1
 
 
-# bound on the bytes of one assembly batch's receiver accumulator plus the
-# scatter terms of all its receiver pairs, so that batching leaves peak memory
-# flat; only one scatter round's terms are live at a time, so the formula
-# over-counts
-_BATCH_BYTES = 128 * 1024
-
-
 def build_merge_protocol(
     state: TripartiteState,
     decomp: Optional[KIDecomposition] = None,
@@ -434,20 +419,23 @@ def build_merge_protocol(
     the block label, producing the relocated state exactly in every branch.
 
     Assembly is table-driven: each block's sender rows and A-parts are
-    computed once per (x, z), its index tables and scatter rounds once per
-    flattening step, and its receiver blocks per batch, for the corrections
-    of the batch's branches only.  A grid interval's branches are assembled in
-    batches of consecutive labels, bounded by ``_BATCH_BYTES``: per block,
-    the batch's sender rows and receiver terms are added round by round,
-    one buffered ``+=`` per round, with the terms of one round alive at a
-    time, so every element receives the same additions in the same order,
-    from the same zero fill, as a per-pair loop would make.  The receiver
-    isometry is the polar part of the accumulated matrix, from one
-    stacked SVD per batch; the singular values of each branch, checked in
-    label order, must all be 0 or 1.  A protocol over the byte
-    budget of :func:`~qsm.locc.check_protocol_budget` raises
-    :class:`SolverError` (exit 3) before allocation, and before the
-    flattening schedules when one grid interval is already over it.
+    computed for every (x, z) at once, one ``einsum`` each, its index tables
+    and scatter rounds once per flattening step, and its receiver blocks per
+    batch, for the corrections of the batch's branches only, in one
+    ``einsum``.  A grid interval's branches are assembled in batches of
+    consecutive labels, bounded by :data:`~qsm.locc.BATCH_BYTES` (see
+    :func:`~qsm.locc.batch_slices`): per block, the batch's sender rows and
+    receiver terms are added round by round, one buffered ``+=`` per round,
+    with the terms of one round alive at a time, so every element receives
+    the same additions in the same order, from the same zero fill, as a
+    per-pair loop would make.  The receiver isometry is the polar part of
+    the accumulated matrix, from one stacked SVD per batch; the singular
+    values of each branch, checked in label order, must all be 0 or 1.  The
+    zero-probability branches of one dead direction and resource offset are
+    written as one stacked assignment.  A protocol over the byte budget of
+    :func:`~qsm.locc.check_protocol_budget` raises :class:`SolverError`
+    (exit 3) before allocation, and before the flattening schedules when one
+    grid interval is already over it.
     """
     if decomp is None:
         decomp = ki_decompose(state)
@@ -495,9 +483,10 @@ def build_merge_protocol(
     def b_phase(j: int, m3: int) -> complex:
         return np.exp(2j * np.pi * j * m3 / J)
 
-    def sender_view(i: int) -> np.ndarray:
-        """``a_ops[i]`` indexed [returned row, consumed column, A index]."""
-        return a_ops[i].reshape(L, dA, K).transpose(0, 2, 1)
+    def sender_view(first: int, count: int) -> np.ndarray:
+        """``a_ops[first : first + count]`` indexed [branch, returned row,
+        consumed column, A index]."""
+        return a_ops[first : first + count].reshape(count, L, dA, K).transpose(0, 1, 3, 2)
 
     def receiver_isometries(first: int, mats: np.ndarray) -> np.ndarray:
         """Polar parts of the stacked receiver matrices of branches ``first``,
@@ -526,14 +515,17 @@ def build_merge_protocol(
 
     # branches of one grid interval, in label order (x, z, m3)
     xs, zs, m3s = (a.reshape(-1) for a in np.indices((P, P, J)))
-    phases = [
-        tuple(np.array([f(bd.index, m3) for m3 in range(J)])[m3s] for f in (a_phase, b_phase))
-        for bd in live
-    ]
+    phases = {
+        bd.index: tuple(
+            np.array([f(bd.index, m3) for m3 in range(J)])[m3s] for f in (a_phase, b_phase)
+        )
+        for bd in data
+    }
     for t, width in enumerate(nu):
         mid = grid[t] - 0.5 * width
         located = []
-        for bd, (ph_a, ph_b) in zip(live, phases):
+        for bd in live:
+            ph_a, ph_b = phases[bd.index]
             steps, probs, cum, tables = schedules[bd.index]
             s = _locate(cum, mid)
             tab = tables[s]
@@ -542,15 +534,15 @@ def build_merge_protocol(
             located.append((bd, tab, amps, ph_a, ph_b))
         first = len(labels)
         labels += [(t, int(x), int(z), int(m3)) for x, z, m3 in zip(xs, zs, m3s)]
+        # a branch's receiver accumulator plus the scatter terms of all its
+        # receiver pairs; only one scatter round's terms are live at a time,
+        # so this over-counts
         pairs = max(tab.pairs for _, tab, _, _, _ in located)
-        size = max(1, _BATCH_BYTES // (16 * dA * dB * dB * (L * K + pairs)))
-        for lo in range(0, len(xs), size):
-            sel = slice(lo, lo + size)
+        for sel in batch_slices(len(xs), 16 * dA * dB * dB * (L * K + pairs)):
             x_b, z_b = xs[sel], zs[sel]
             nb = len(x_b)
-            i0 = first + lo
-            # [branch, returned row, consumed column, A index]
-            a_view = a_ops[i0 : i0 + nb].reshape(nb, L, dA, K).transpose(0, 1, 3, 2)
+            i0 = first + sel.start
+            a_view = sender_view(i0, nb)
             acc = np.zeros((nb, L, K, dA, dB, dB), dtype=complex)
             for bd, tab, amps, ph_a, ph_b in located:
                 xz = (x_b % bd.dim_R, z_b % bd.dim_R)
@@ -560,7 +552,7 @@ def build_merge_protocol(
                     a_view[:, row, col] += ph_a[sel, None, None] * vals
                 # receiver tables of the batch's distinct corrections; branch i's is which[i]
                 codes, which = np.unique(xz[0] * bd.dim_R + xz[1], return_inverse=True)
-                recv = np.stack([bd.recv_table(*divmod(int(c), bd.dim_R)) for c in codes])
+                recv = bd.recv_tables(*np.divmod(codes, bd.dim_R))
                 for row, col, v, kr, ws_conj in tab.recv_rounds:
                     blocks = recv[which[:, None], v, kr]
                     acc[:, row, col] += (ph_b[sel, None, None, None] * blocks)[..., None] * ws_conj
@@ -570,25 +562,20 @@ def build_merge_protocol(
             else:
                 b_ops[i0 : i0 + nb] = default_b
 
-    # zero-probability outcomes covering the dead (zero-amplitude) directions
+    # zero-probability outcomes covering the dead (zero-amplitude) directions,
+    # P·P·J branches (x, z, m3) per direction and resource offset
     m1 = len(nu)
     for bd in data:
-        d = bd.dim_R
+        ph_a = phases[bd.index][0][:, None, None]
+        dead = bd.sender_rows(bd.u_dead)
         for c in range(bd.u_dead.shape[1]):
-            rows = [
-                [bd.sender_rows(bd.u_dead[:, c], bd.tb[x, z]) for z in range(d)]
-                for x in range(d)
-            ]
+            rows = dead[xs % bd.dim_R, zs % bd.dim_R, c]  # [branch, A index, v]
             for u in range(bd.per):
                 row, col, _, v = bd.slot_table([u]).T
-                for x in range(P):
-                    for z in range(P):
-                        vals = rows[x % d][z % d][:, v].T
-                        for m3 in range(J):
-                            i = len(labels)
-                            sender_view(i)[row, col] = a_phase(bd.index, m3) * vals
-                            labels.append((m1, x, z, m3))
-                            b_ops[i] = default_b
+                i0 = len(labels)
+                sender_view(i0, len(xs))[:, row, col] = ph_a * rows[:, :, v].transpose(0, 2, 1)
+                b_ops[i0 : i0 + len(xs)] = default_b
+                labels += [(m1, int(x), int(z), int(m3)) for x, z, m3 in zip(xs, zs, m3s)]
                 m1 += 1
 
     protocol = OneWayProtocol(

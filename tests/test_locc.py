@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -471,6 +472,63 @@ def test_pair_aware_apply_matches_materialised_input(group, count):
     assert max(K for _, _, K, _ in cases) > 1
     for protocol, amplitudes, K, vec in cases:
         assert _assert_matches_materialised(protocol, amplitudes, K, vec) > 0
+
+
+@pytest.mark.parametrize("group", ["catalog-merge", "random-merge", "catalog-split", "teleport"])
+def test_apply_outcomes_do_not_depend_on_batch_bytes(group, monkeypatch):
+    """One branch per batch, the default batch bytes and the whole stack in
+    one batch give the same labels, probabilities and state bytes (the
+    default is checked against the dense loop above)."""
+    original = locc.batch_slices
+    sizes = []
+
+    def recording(n, branch_bytes):
+        slices = original(n, branch_bytes)
+        sizes.append([s.stop - s.start for s in slices])
+        return slices
+
+    for protocol, amplitudes, K, _ in _pair_cases(group):
+        n = len(protocol.branches)
+        runs = []
+        for bound in (1, None, 2**62):
+            with monkeypatch.context() as patch:
+                if bound is not None:
+                    patch.setattr(locc, "BATCH_BYTES", bound)
+                patch.setattr(locc, "batch_slices", recording)
+                runs.append(locc.apply_protocol(protocol, amplitudes, K))
+        assert sizes[-3] == [1] * n and sizes[-1] == [n], protocol.name
+        expected = runs[1]
+        for outcomes in (runs[0], runs[2]):
+            assert [o.label for o in outcomes] == [o.label for o in expected], protocol.name
+            for got, want in zip(outcomes, expected):
+                assert got.probability == want.probability, (protocol.name, got.label)
+                assert got.state.tobytes() == want.state.tobytes(), (protocol.name, got.label)
+
+
+def test_receiver_check_names_first_failing_branch_across_batches(monkeypatch):
+    """With the receiver stack cut into batches of two, the check still names
+    the first non-isometric receiver in label order, also in a later batch,
+    and rejects a NaN receiver; the completeness residual does not move."""
+    good = locc.teleportation_protocol(3)
+    n, b_out, b_in = good.b_ops.shape
+    monkeypatch.setattr(locc, "BATCH_BYTES", 2 * 16 * (b_out * b_in + b_in * b_in))
+    assert len(locc.batch_slices(n, 16 * (b_out * b_in + b_in * b_in))) >= 3
+
+    def rebuilt(b_ops):
+        return locc.OneWayProtocol(branches=good.branches, a_ops=good.a_ops, b_ops=b_ops)
+
+    assert rebuilt(good.b_ops).completeness_residual() == good.completeness_residual()
+    for bad in ([5, 7], [8], [2, 3]):
+        b_ops = good.b_ops.copy()
+        for k, i in enumerate(bad):
+            b_ops[i] *= 1.5 + k
+        label = re.escape(str(good.branches[bad[0]]))
+        with pytest.raises(ValidationError, match=f"branch {label}: receiver"):
+            rebuilt(b_ops)
+    b_ops = good.b_ops.copy()
+    b_ops[6, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="b_ops"):
+        rebuilt(b_ops)
 
 
 def test_pair_aware_apply_matches_materialised_input_on_approx_candidate():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qsm import merge
+from qsm import locc, merge
 from qsm.errors import SolverError, ValidationError
 from qsm.ki import ki_decompose
 from qsm.locc import apply_protocol, flatten_schedule, generalized_pauli, verify_protocol
@@ -487,7 +487,7 @@ def test_branch_assembly_matches_per_pair_oracle(mode, monkeypatch):
         for bound in (None, 1, 2048, 4096):
             with monkeypatch.context() as patch:
                 if bound is not None:
-                    patch.setattr(merge, "_BATCH_BYTES", bound)
+                    patch.setattr(locc, "BATCH_BYTES", bound)
                     patch.setattr(np.linalg, "svd", recording_svd)
                 protocol = build_merge_protocol(state, dec, mode=mode, delta=delta).protocol
             where = (name, bound)
@@ -505,19 +505,25 @@ def test_branch_assembly_matches_per_pair_oracle(mode, monkeypatch):
 
 
 def test_candidate_build_keeps_no_large_temporaries():
-    """Building the K = 12 implication2 candidate holds little beyond its two
-    stacks: no store of every Pauli correction's receiver blocks, no scatter
-    terms of a whole batch."""
-    state = smoothed_candidate(catalog("implication2"), 0.1, 0)
+    """Building the K = 12 implication2 candidate and running it on the true
+    state holds its two stacks, its outcomes, a few MiB of tables and one
+    batch: no store of every Pauli correction's receiver blocks, no scatter
+    terms of a whole assembly batch, and neither the receiver check at
+    construction nor the run holds temporaries for every branch at once."""
+    true = catalog("implication2")
+    state = smoothed_candidate(true, 0.1, 0)
     dec = ki_decompose(state)
     tracemalloc.start()
     try:
         protocol = build_merge_protocol(state, dec, mode="noncatalytic").protocol
+        outcomes = apply_protocol(protocol, true.amplitudes, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    held = protocol.a_ops.nbytes + protocol.b_ops.nbytes + sum(o.state.nbytes for o in outcomes)
     assert protocol.name == "merge-noncatalytic[K=12,L=1]"
-    assert peak - protocol.a_ops.nbytes - protocol.b_ops.nbytes < 16 * 2**20
+    assert len(outcomes) == 144
+    assert peak - held < 8 * 2**20 + locc.BATCH_BYTES
 
 
 def test_input_and_target_vectors_normalized():

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import isometry_deviation, tolerance
+from .numerics import isometry_deviation, isometry_deviations, tolerance
 
 # Bytes a protocol may take, as check_protocol_budget counts them: 2 GiB
 # admits every catalog and bench build and splits up to (1, 20, 20).
@@ -123,10 +123,7 @@ class OneWayProtocol:
             seen.add(label)
         b_out, b_in = self.b_ops.shape[1:]
         for sel in batch_slices(len(labels), 16 * (b_out * b_in + b_in * b_in)):
-            b_ops = self.b_ops[sel]
-            gram = np.matmul(b_ops.conj().transpose(0, 2, 1), b_ops)
-            gram.reshape(len(gram), -1)[:, :: b_in + 1] -= 1.0
-            bad = np.flatnonzero(~(np.abs(gram).max(axis=(1, 2)) <= 10 * tol))
+            bad = np.flatnonzero(~(isometry_deviations(self.b_ops[sel]) <= 10 * tol))
             if len(bad):
                 raise ValidationError(
                     f"branch {labels[sel.start + bad[0]]}: receiver operator is not an isometry"

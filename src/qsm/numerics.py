@@ -55,10 +55,17 @@ def isometry_deviation(m: np.ndarray) -> float:
 
     NaN entries give NaN, so callers compare with ``not deviation <= bound``.
     """
-    gram = dagger(m) @ m
+    return float(isometry_deviations(m))
+
+
+def isometry_deviations(stack: np.ndarray) -> np.ndarray:
+    """:func:`isometry_deviation` of every matrix of ``stack`` (last two
+    axes), from one stacked Gram product."""
+    gram = np.matmul(np.swapaxes(stack.conj(), -1, -2), stack)
     gram = gram.astype(np.result_type(gram, 1.0), copy=False)  # integer input
-    gram.flat[:: gram.shape[1] + 1] -= 1.0  # the identity, in place
-    return float(np.max(np.abs(gram)))
+    n = gram.shape[-1]
+    gram.reshape(*gram.shape[:-2], -1)[..., :: n + 1] -= 1.0  # the identity, in place
+    return np.abs(gram).max(axis=(-2, -1))
 
 
 def _leading_phase(v: np.ndarray) -> complex:

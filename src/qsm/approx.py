@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SolverError, ValidationError, VerificationError
 from .locc import apply_protocol
 from .merge import build_merge_protocol, check_delta, merge_target_vector
-from .numerics import majorization_check, tolerance
+from .numerics import is_integer, majorization_check, tolerance
 from .statespace import TripartiteState
 
 __all__ = [
@@ -136,8 +136,10 @@ class EnsembleCertificate:
 
 
 def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> None:
-    if cert.K < 1 or cert.L < 1:
-        raise ValidationError("certificate resource ranks must be >= 1")
+    if not all(is_integer(rank) and rank >= 1 for rank in (cert.K, cert.L)):
+        raise ValidationError(
+            f"certificate resource ranks must be integers >= 1, got K={cert.K!r}, L={cert.L!r}"
+        )
     _check_epsilon(cert.epsilon)
     if not cert.members or len(cert.weights) != len(cert.members):
         raise ValidationError("certificate needs matching weights and members")
@@ -180,7 +182,6 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
     L = cert.L
 
     eig_b = np.clip(np.linalg.eigvalsh(state.marginal("B"))[::-1], 0.0, None)
-    x = np.repeat(eig_b / cert.K, cert.K)
     y = np.zeros(dim_a * dim_b * L)
     for weight, member in zip(cert.weights, cert.members):
         tensor = member.reshape(dim_r, dim_a, dim_b, L, L)
@@ -188,7 +189,7 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
         rho = mat @ mat.conj().T
         spec = np.clip(np.linalg.eigvalsh(rho)[::-1].real, 0.0, None)
         y += weight * spec
-    majorized = majorization_check(x, y, tol)
+    majorized = majorization_check(eig_b, cert.K, y, 1, tol)
 
     target = _certificate_target(state, L)
     f2 = sum(

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import guarded_ceil, majorization_check, tolerance
+from .numerics import guarded_ceil, is_integer, majorization_check, tolerance
 from .statespace import (
     TripartiteState,
     catalog,
@@ -132,8 +132,10 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
     top-eigenvalue bound, which is a true infimum bound independent of the caps.
     """
     for name, cap in (("K_max", K_max), ("L_max", L_max)):
-        if not 1 <= cap <= SEARCH_CAP:
-            raise ValidationError(f"search cap {name} must lie in 1..{SEARCH_CAP}, got {cap}")
+        if not (is_integer(cap) and 1 <= cap <= SEARCH_CAP):
+            raise ValidationError(
+                f"search cap {name} must be an integer in 1..{SEARCH_CAP}, got {cap!r}"
+            )
     eig_b = _spectrum(state.marginal("B"))
     eig_ab = _spectrum(state.marginal("AB"))
     tol = tolerance()
@@ -144,8 +146,7 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
     non_k: int | None = None
     L = 0
     for K in range(1, K_max + 1):
-        x = np.repeat(eig_b / K, K)
-        while L < L_max and majorization_check(x, np.repeat(eig_ab / (L + 1), L + 1), tol):
+        while L < L_max and majorization_check(eig_b, K, eig_ab, L + 1, tol):
             L += 1
         if L == 0:
             continue

@@ -353,15 +353,12 @@ class KIBlock:
 
 @dataclass(frozen=True)
 class KIDecomposition:
-    """Final maximal decomposition with tensor-product-form isometries."""
+    """Final maximal decomposition: its blocks, the refinement index ``r``
+    and the index after each refinement step."""
 
     blocks: tuple[KIBlock, ...]
-    U_A: np.ndarray
-    U_B: np.ndarray
     r: int
     trajectory: tuple[int, ...]
-    dims_pad_A: tuple[int, int, int]
-    dims_pad_B: tuple[int, int, int]
 
     @property
     def J(self) -> int:
@@ -461,39 +458,6 @@ def _product_test(block: KIBlock, state: TripartiteState, tol: float) -> None:
         )
 
 
-def _tensor_form(blocks: tuple[KIBlock, ...], dim_A: int, dim_B: int):
-    """Stacked isometries of the padded tensor-product form, for both sides."""
-    J = len(blocks)
-    max_l = max(b.dim_L for b in blocks)
-    max_r = max(b.dim_R for b in blocks)
-    u_a = np.zeros((J * max_l * max_r, dim_A), dtype=complex)
-    for j, b in enumerate(blocks):
-        for l in range(b.dim_L):
-            for r in range(b.dim_R):
-                u_a[(j * max_l + l) * max_r + r, :] = b.iso[:, l, r].conj()
-    max_bl = max(max(b.dim_bL for b in blocks), 1)
-    max_br = max(max(b.dim_bR for b in blocks), 1)
-    # Widen the redundant register if the B-kernel needs extra room.
-    while J * max_bl * max_br < dim_B:
-        max_bl += 1
-    u_b = np.zeros((J * max_bl * max_br, dim_B), dtype=complex)
-    used_rows: list[int] = []
-    cols: list[np.ndarray] = []
-    for j, b in enumerate(blocks):
-        for m in range(b.dim_bL):
-            for k in range(b.dim_bR):
-                row = (j * max_bl + m) * max_br + k
-                u_b[row, :] = b.ws[:, m, k].conj()
-                used_rows.append(row)
-                cols.append(b.ws[:, m, k])
-    span = np.column_stack(cols) if cols else np.zeros((dim_B, 0), dtype=complex)
-    kernel = orthonormal_complement(span, dim_B)
-    free_rows = [r for r in range(u_b.shape[0]) if r not in set(used_rows)]
-    for i in range(kernel.shape[1]):
-        u_b[free_rows[i], :] = kernel[:, i].conj()
-    return u_a, u_b, (J, max_l, max_r), (J, max_bl, max_br)
-
-
 def _canonical_order(raw: list) -> list:
     def key(item):
         space, _psi, p = item
@@ -544,46 +508,22 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     )
     for b in blocks:
         _product_test(b, state, tol)
-    u_a, u_b, pad_a, pad_b = _tensor_form(blocks, state.regs.dim_A, state.regs.dim_B)
-    decomp = KIDecomposition(
-        blocks=blocks,
-        U_A=u_a,
-        U_B=u_b,
-        r=trajectory[-1],
-        trajectory=tuple(trajectory),
-        dims_pad_A=pad_a,
-        dims_pad_B=pad_b,
-    )
-    _verify_reconstruction(state, decomp, tol)
-    return decomp
+    _verify_reconstruction(state, blocks, tol)
+    return KIDecomposition(blocks=blocks, r=trajectory[-1], trajectory=tuple(trajectory))
 
 
-def block_form_target(state: TripartiteState, decomp: KIDecomposition) -> np.ndarray:
-    """The padded block-form tensor (+)_j sqrt(p_j)|j,j>|omega_j>|phi_j>."""
-    J, max_l, max_r = decomp.dims_pad_A
-    _, max_bl, max_br = decomp.dims_pad_B
-    dim_R = state.regs.dim_R
-    out = np.zeros((dim_R, J * max_l * max_r, J * max_bl * max_br), dtype=complex)
-    for j, b in enumerate(decomp.blocks):
+def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...], tol: float) -> None:
+    """Rebuild psi as sum_j sqrt(p_j) iso_j[a,l,r] omega_j[l,m] phi_j[i,r,k]
+    ws_j[b,m,k] and require its overlap with the state to be 1 within 10 tol."""
+    rebuilt = np.zeros(state.dims, dtype=complex)
+    for b in blocks:
         if b.p <= 0.0:
             continue
-        for l in range(b.dim_L):
-            for m in range(b.dim_bL):
-                w = np.sqrt(b.p) * b.omega_vec[l, m]
-                if abs(w) == 0.0:
-                    continue
-                for r in range(b.dim_R):
-                    for k in range(b.dim_bR):
-                        out[:, (j * max_l + l) * max_r + r, (j * max_bl + m) * max_br + k] += (
-                            w * b.phi[:, r, k]
-                        )
-    return out
-
-
-def _verify_reconstruction(state: TripartiteState, decomp: KIDecomposition, tol: float) -> None:
-    transformed = np.einsum("xa,iab,yb->ixy", decomp.U_A, state.amplitudes, decomp.U_B)
-    target = block_form_target(state, decomp)
-    f = fidelity(transformed.reshape(-1), target.reshape(-1))
+        a_side = np.tensordot(b.iso, b.omega_vec, axes=(1, 0))  # [a, r, m]
+        rest = np.tensordot(b.phi, b.ws, axes=(2, 2))  # [i, r, b, m]
+        rest = rest.transpose(0, 1, 3, 2).reshape(rest.shape[0], -1, rest.shape[2])
+        rebuilt += np.sqrt(b.p) * (a_side.reshape(a_side.shape[0], -1) @ rest)
+    f = fidelity(state.amplitudes.reshape(-1), rebuilt.reshape(-1))
     if f < 1.0 - 10 * tol:
         raise VerificationError(f"block-form reconstruction fidelity {f} below threshold")
 
@@ -592,7 +532,6 @@ __all__ = [
     "BlockStructure",
     "KIBlock",
     "KIDecomposition",
-    "block_form_target",
     "initial_structure",
     "ki_decompose",
     "l_decompose_step",

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import isometry_deviation, isometry_deviations, tolerance
+from .numerics import is_integer, isometry_deviation, isometry_deviations, tolerance
 
 # Bytes a protocol may take, as check_protocol_budget counts them: 2 GiB
 # admits every catalog and bench build and splits up to (1, 20, 20).
@@ -32,19 +32,9 @@ PROTOCOL_BYTE_BUDGET = 2**31
 BATCH_BYTES = 512 * 1024
 
 
-def generalized_pauli(d: int, x: int, z: int) -> np.ndarray:
-    """Return X^x Z^z on C^d with X|l> = |l+1 mod d> and Z|l> = e^{2 pi i l/d}|l>."""
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
-    ls = np.arange(d)
-    op = np.zeros((d, d), dtype=complex)
-    op[(ls + x) % d, ls] = np.exp(2j * np.pi * z * ls / d)
-    return op
-
-
 def generalized_paulis(d: int) -> np.ndarray:
-    """Every X^x Z^z on C^d, indexed ``[x, z]``, entry for entry as
-    :func:`generalized_pauli` gives them."""
+    """Every X^x Z^z on C^d, indexed ``[x, z]``, with X|l> = |l+1 mod d>
+    and Z|l> = e^{2 pi i l/d}|l>."""
     if d < 1:
         raise ValidationError(f"dimension must be positive, got {d}")
     ls = np.arange(d)
@@ -193,8 +183,7 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
     a_in, b_in = protocol.a_in_dim, protocol.b_in_dim
     K = pair_rank
     if (
-        isinstance(K, bool)
-        or not isinstance(K, (int, np.integer))
+        not is_integer(K)
         or K < 1
         or a_in % K
         or b_in % K

@@ -29,7 +29,6 @@ from .locc import (
     batch_slices,
     check_protocol_budget,
     flatten_schedule,
-    generalized_pauli,
     generalized_paulis,
     verify_protocol,
 )
@@ -786,17 +785,12 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
             cost_bits=0.0, K=1, protocol=protocol, mixed_unitary=mu
         )
     # teleportation fallback: one shared bit
-    labels = [(x, z) for x in range(2) for z in range(2)]
-    a_ops = np.zeros((4, 1, 4), dtype=complex)
-    b_ops = np.zeros((4, 4, 4), dtype=complex)
-    for i, (x, z) in enumerate(labels):
-        sig = generalized_pauli(2, x, z)
-        a_ops[i] = sig.conj().reshape(1, 4) / np.sqrt(2.0)
-        for a_out in range(2):
-            for b_idx in range(2):
-                for kbar in range(2):
-                    b_ops[i, a_out * 2 + b_idx, b_idx * 2 + kbar] = sig[a_out, kbar]
+    sigs = generalized_paulis(2).reshape(4, 2, 2)  # [(x, z), a_out, kbar]
     protocol = OneWayProtocol(
-        branches=labels, a_ops=a_ops, b_ops=b_ops, name="qubit-merge[K=2]"
+        branches=[(x, z) for x in range(2) for z in range(2)],
+        a_ops=sigs.conj().reshape(4, 1, 4) / np.sqrt(2.0),
+        # receiver: |a_out, b> from |b, kbar>, weighted by sigma[a_out, kbar]
+        b_ops=np.einsum("iak,bc->iabck", sigs, np.eye(2)).reshape(4, 4, 4),
+        name="qubit-merge[K=2]",
     )
     return QubitMergeReport(cost_bits=1.0, K=2, protocol=protocol, mixed_unitary=None)

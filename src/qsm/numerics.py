@@ -45,6 +45,11 @@ def guarded_ceil(x: float) -> int:
     return max(1, math.ceil(x - 100 * tolerance()))
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a boolean."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
@@ -176,18 +181,25 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(max(val, 0.0), 1.0 + 1e-12))
 
 
-def majorization_check(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """Whether ``x`` is majorized by ``y`` (prefix sums, zero-padded, tolerance ``tol``)."""
+def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: int, tol: float) -> bool:
+    """Whether ``x (x) 1/x_copies`` is majorized by ``y (x) 1/y_copies``, for
+    nonnegative ``x`` and ``y`` (prefix sums, zero-padded, tolerance ``tol``).
+
+    Neither side is built.  Sorted, the y side's prefix sum at length t is
+    the linear interpolation of ``cumsum(y)`` at t / y_copies, flat past its
+    end, and so concave in t; the x side's is linear between multiples of
+    ``x_copies``.  The gap between them is therefore smallest at such a
+    multiple, and only those are compared: O(len(x) + len(y)) work.
+    """
     x = np.sort(np.asarray(x, dtype=float))[::-1]
     y = np.sort(np.asarray(y, dtype=float))[::-1]
-    n = max(x.size, y.size)
-    x = np.concatenate((x, np.zeros(n - x.size)))  # not np.pad: its call overhead dominated
-    y = np.concatenate((y, np.zeros(n - y.size)))
-    cx = np.cumsum(x)
-    cy = np.cumsum(y)
+    cx = x.cumsum()
+    cy = np.concatenate(([0.0], y.cumsum()))
     if abs(cx[-1] - cy[-1]) > max(tol, 1e-9 * max(1.0, abs(cy[-1]))):
         return False
-    return bool(np.all(cx <= cy + tol))
+    ends = np.arange(x_copies, (x.size + 1) * x_copies, x_copies)
+    y_at = np.interp(ends, np.arange(0, (y.size + 1) * y_copies, y_copies), cy)
+    return bool((cx <= y_at + tol).all())
 
 
 def orthonormal_complement(cols: np.ndarray, out_dim: int) -> np.ndarray:

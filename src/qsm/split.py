@@ -24,7 +24,7 @@ from .locc import (
     VerificationReport,
     apply_protocol,
     check_protocol_budget,
-    generalized_pauli,
+    generalized_paulis,
     verify_protocol,
 )
 from .numerics import schmidt_decompose, tolerance
@@ -112,9 +112,10 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
     labels = []
     a_ops = np.zeros((dim_c * K, *a_shape), dtype=complex)
     b_ops = np.zeros((dim_c * K, *b_shape), dtype=complex)
+    paulis = generalized_paulis(K)
     for x in range(K):
         for z in range(K):
-            sigma = generalized_pauli(K, x, z)
+            sigma = paulis[x, z]
             meas = (support.conj() @ sigma.conj()) * scale
             a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
             b_ops[len(labels)] = support @ sigma

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import schmidt_decompose
+from .numerics import is_integer, schmidt_decompose
 
 _MARGINAL_AXES = {"R": (0,), "A": (1,), "B": (2,), "RA": (0, 1), "RB": (0, 2), "AB": (1, 2)}
 
@@ -131,7 +131,7 @@ def save_state(state: TripartiteState, path) -> None:
 
 def _int_field(value, field: str, minimum: int) -> int:
     """A JSON integer ``>= minimum``; booleans, fractions and non-numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if not is_integer(value) or value < minimum:
         raise ValidationError(
             f"state file field {field} must be an integer >= {minimum}, got {json.dumps(value)}"
         )
@@ -321,8 +321,8 @@ def _qutrit_choi() -> TripartiteState:
 def catalog(name: str, d: int | None = None) -> TripartiteState:
     """Return a named example state; ``ghz`` additionally takes the dimension ``d``."""
     if name == "ghz":
-        if d is None or d < 2:
-            raise ValidationError("catalog ghz requires a dimension d >= 2")
+        if not (is_integer(d) and d >= 2):
+            raise ValidationError(f"catalog ghz requires an integer dimension d >= 2, got {d!r}")
         return _ghz(int(d))
     if d is not None:
         raise ValidationError(f"catalog state {name!r} takes no dimension parameter")

@@ -10,7 +10,7 @@ import numpy as np
 
 from qsm.errors import ValidationError
 from qsm.ki import KIBlock
-from qsm.numerics import dagger, majorization_check, schmidt_decompose, tolerance
+from qsm.numerics import dagger, schmidt_decompose, tolerance
 from qsm.statespace import Registers, TripartiteState
 
 
@@ -47,6 +47,20 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * ph
 
 
+def materialized_majorization(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """Whether ``x`` is majorized by ``y``, comparing the prefix sums of the
+    sorted, zero-padded vectors at every length: the reference for
+    :func:`qsm.numerics.majorization_check`, which never pads or repeats."""
+    x = np.sort(np.asarray(x, dtype=float))[::-1]
+    y = np.sort(np.asarray(y, dtype=float))[::-1]
+    n = max(x.size, y.size)
+    cx = np.cumsum(np.concatenate((x, np.zeros(n - x.size))))
+    cy = np.cumsum(np.concatenate((y, np.zeros(n - y.size))))
+    if abs(cx[-1] - cy[-1]) > max(tol, 1e-9 * max(1.0, abs(cy[-1]))):
+        return False
+    return bool(np.all(cx <= cy + tol))
+
+
 def uniform_resource_majorization(
     eig_b: np.ndarray,
     eig_ab: np.ndarray,
@@ -63,7 +77,7 @@ def uniform_resource_majorization(
         raise ValidationError("resource ranks K and L must be >= 1")
     x = np.repeat(np.asarray(eig_b, dtype=float) / K, K)
     y = np.repeat(np.asarray(eig_ab, dtype=float) / L, L)
-    return majorization_check(x, y, tolerance())
+    return materialized_majorization(x, y, tolerance())
 
 
 def projector(block: KIBlock) -> np.ndarray:

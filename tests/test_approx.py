@@ -1,6 +1,7 @@
 """Tests for approximate merging: smoothing chain and ensemble certificates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,20 @@ def test_certificate_rejects_non_finite_fields(weight, member_scale, epsilon, fi
     cert = EnsembleCertificate((weight,), (member,), 1, 1, epsilon)
     with pytest.raises(ValidationError, match=field):
         check_ensemble_certificate(state, cert)
+
+
+@pytest.mark.parametrize(
+    "K, L, shown",
+    [(2.5, 1, "K=2.5"), (True, 1, "K=True"), (1, 1.0, "L=1.0"), (np.float64(2), 1, "K=np.float64(2.0)")],
+    ids=["K-fraction", "K-bool", "L-integral-float", "K-numpy-float"],
+)
+def test_certificate_rejects_non_integer_ranks(K, L, shown):
+    state = catalog("ghz", d=2)
+    cert = EnsembleCertificate((1.0,), (_singleton_target(state, 1),), K, L, 0.0)
+    with pytest.raises(ValidationError, match=re.escape(shown)):
+        check_ensemble_certificate(state, cert)
+    ok = EnsembleCertificate((1.0,), (_singleton_target(state, 1),), np.int64(2), 1, 0.0)
+    assert check_ensemble_certificate(state, ok)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the converse bounds and the certified max-entropy solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,9 +214,9 @@ def test_search_staircase_equals_grid(monkeypatch):
     calls = []
     check = qsm.bounds.majorization_check
 
-    def counted(x, y, tol=None):
+    def counted(x, x_copies, y, y_copies, tol=None):
         calls.append(tol)
-        return check(x, y, tol)
+        return check(x, x_copies, y, y_copies, tol)
 
     monkeypatch.setattr(qsm.bounds, "majorization_check", counted)
     for state in _search_oracle_states():
@@ -226,6 +227,40 @@ def test_search_staircase_equals_grid(monkeypatch):
             assert report == expected[K_max, L_max], (state.dims, K_max, L_max)
             assert 0 < len(calls) <= K_max + L_max
             assert all(tol is not None for tol in calls)
+
+
+def test_search_at_the_cap_checks_spectra_only(monkeypatch):
+    """implication2 at 4096 x 4096 finishes, and every test reads the two
+    spectra and their copy counts, never a repeated vector."""
+    state = catalog("implication2")
+    d_b, d_ab = state.regs.dim_B, state.regs.dim_A * state.regs.dim_B
+    calls = []
+    check = qsm.bounds.majorization_check
+
+    def spy(x, x_copies, y, y_copies, tol):
+        calls.append((len(x), x_copies, len(y), y_copies))
+        return check(x, x_copies, y, y_copies, tol)
+
+    monkeypatch.setattr(qsm.bounds, "majorization_check", spy)
+    report = converse_search(state, K_max=4096, L_max=4096)
+    assert 0 < len(calls) <= 2 * 4096
+    assert all(nx == d_b and ny == d_ab for nx, _, ny, _ in calls)
+    assert max(k for _, k, _, _ in calls) <= 4096 and max(l for *_, l in calls) <= 4096
+    monkeypatch.undo()
+    small = converse_search(state)
+    assert report.analytic_bits - 1e-9 <= report.catalytic_bits <= small.catalytic_bits
+    assert report.noncatalytic_K == small.noncatalytic_K
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [{"K_max": 2.5}, {"K_max": True}, {"L_max": 3.0}, {"L_max": np.float64(4)}, {"K_max": "8"}],
+    ids=["K-float", "K-bool", "L-integral-float", "L-numpy-float", "K-string"],
+)
+def test_search_rejects_non_integer_caps(caps):
+    with pytest.raises(ValidationError, match=re.escape(repr(next(iter(caps.values()))))):
+        converse_search(catalog("ghz", d=2), **caps)
+    converse_search(catalog("ghz", d=2), K_max=np.int64(3), L_max=np.int32(2))
 
 
 # --------------------------------------------------------------------------

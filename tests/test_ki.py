@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsm import ki, statespace
-from qsm.errors import ValidationError
+from qsm.errors import ValidationError, VerificationError
 from qsm.numerics import dagger, tolerance
 
 from helpers import planted_ki_state, projector, random_unitary
@@ -250,18 +252,50 @@ def test_steered_states_invariant_under_block_mixed_unitaries():
         assert np.linalg.norm(mapped - rho) < 1e-7
 
 
-def test_reconstruction_block_form():
-    from qsm.numerics import fidelity
+def _reconstruction_cases():
+    rng = np.random.default_rng(31)
+    states = [statespace.catalog(name, d=3 if name == "ghz" else None) for name in statespace.CATALOG_NAMES]
+    states += [statespace.random_state(rng, dims) for dims in ((2, 2, 2), (2, 3, 2), (3, 4, 3))]
+    padded = np.zeros((3, 7, 3), dtype=complex)  # appendixD with an unused level of A
+    padded[:, :6, :] = statespace.catalog("appendixD").amplitudes
+    states.append(statespace.TripartiteState(statespace.Registers(3, 7, 3), padded))
+    return states
 
-    for name in ("appendixD", "implication2", "qutrit_choi"):
-        st = statespace.catalog(name)
+
+def test_reconstruction_from_blocks():
+    """The blocks alone carry the block form: the iso columns of all blocks
+    are an orthonormal basis of A, the ws columns of the live blocks are
+    orthonormal in B, and sum_j sqrt(p_j) iso omega phi ws is the state."""
+    for st in _reconstruction_cases():
         dec = ki.ki_decompose(st)
-        transformed = np.einsum("xa,iab,yb->ixy", dec.U_A, st.amplitudes, dec.U_B)
-        target = ki.block_form_target(st, dec)
-        assert fidelity(transformed.reshape(-1), target.reshape(-1)) > 1 - 1e-8
-        # the embeddings are isometries from the physical registers
-        assert np.allclose(dagger(dec.U_A) @ dec.U_A, np.eye(st.regs.dim_A), atol=1e-9)
-        assert np.allclose(dagger(dec.U_B) @ dec.U_B, np.eye(st.regs.dim_B), atol=1e-9)
+        isos = np.hstack([b.iso.reshape(st.regs.dim_A, -1) for b in dec.blocks])
+        assert isos.shape == (st.regs.dim_A, st.regs.dim_A)
+        assert np.allclose(dagger(isos) @ isos, np.eye(st.regs.dim_A), atol=1e-9)
+        live = [b for b in dec.blocks if b.p > 0.0]
+        ws = np.hstack([b.ws.reshape(st.regs.dim_B, -1) for b in live])
+        assert np.allclose(dagger(ws) @ ws, np.eye(ws.shape[1]), atol=1e-9)
+        rebuilt = sum(
+            np.sqrt(b.p) * np.einsum("alr,lm,irk,bmk->iab", b.iso, b.omega_vec, b.phi, b.ws)
+            for b in live
+        )
+        assert np.allclose(rebuilt, st.amplitudes, atol=1e-9), st.dims
+
+
+@pytest.mark.parametrize("name", ["appendixD", "implication2", "qutrit_choi"])
+def test_reconstruction_check_rejects_mutated_blocks(name):
+    st = statespace.catalog(name)
+    blocks = ki.ki_decompose(st).blocks
+    tol = tolerance()
+    ki._verify_reconstruction(st, blocks, tol)
+    j = next(j for j, b in enumerate(blocks) if b.dim_R > 1)
+    swapped_r = dataclasses.replace(blocks[j], phi=blocks[j].phi[:, ::-1, :])
+    wrong_p = dataclasses.replace(blocks[j], p=0.9 * blocks[j].p)
+    mutants = [blocks[:j] + (block,) + blocks[j + 1 :] for block in (swapped_r, wrong_p)]
+    if len(blocks) > 1:  # each block dropped in turn
+        mutants += [blocks[:k] + blocks[k + 1 :] for k in range(len(blocks))]
+    for mutant in mutants:
+        with pytest.raises(VerificationError, match="reconstruction fidelity"):
+            ki._verify_reconstruction(st, mutant, tol)
 
 
 def test_ki_decompose_random_states_terminate():

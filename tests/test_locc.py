@@ -38,20 +38,26 @@ def test_max_entangled_vector():
     assert np.isclose(np.linalg.norm(max_entangled_vector(5)), 1.0)
 
 
-def test_generalized_pauli():
-    x = locc.generalized_pauli(2, 1, 0)
-    z = locc.generalized_pauli(2, 0, 1)
-    assert np.allclose(x, [[0, 1], [1, 0]])
-    assert np.allclose(z, [[1, 0], [0, -1]])
+def test_generalized_paulis():
+    paulis = locc.generalized_paulis(2)
+    assert paulis.shape == (2, 2, 2, 2)
+    assert np.allclose(paulis[1, 0], [[0, 1], [1, 0]])
+    assert np.allclose(paulis[0, 1], [[1, 0], [0, -1]])
     d = 3
+    paulis = locc.generalized_paulis(d)
     for xx in range(d):
         for zz in range(d):
-            s = locc.generalized_pauli(d, xx, zz)
+            s = paulis[xx, zz]
             assert np.allclose(dagger(s) @ s, np.eye(d))
+            # X^x Z^z
+            x_pow = np.linalg.matrix_power(paulis[1, 0], xx)
+            assert np.allclose(s, x_pow @ np.linalg.matrix_power(paulis[0, 1], zz))
     # X Z = e^{-2 pi i/d} Z X (Weyl commutation)
-    xz = locc.generalized_pauli(3, 1, 0) @ locc.generalized_pauli(3, 0, 1)
-    zx = locc.generalized_pauli(3, 0, 1) @ locc.generalized_pauli(3, 1, 0)
+    xz = paulis[1, 0] @ paulis[0, 1]
+    zx = paulis[0, 1] @ paulis[1, 0]
     assert np.allclose(xz * np.exp(2j * np.pi / 3), zx)
+    with pytest.raises(ValidationError):
+        locc.generalized_paulis(0)
 
 
 def _single(a_op, b_op, label=(0,)):

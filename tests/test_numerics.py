@@ -12,7 +12,7 @@ from qsm.errors import ValidationError
 from qsm.split import build_split_protocol
 from qsm.statespace import catalog
 
-from helpers import partial_trace, random_unitary
+from helpers import materialized_majorization, partial_trace, random_unitary
 from test_cli import _child_env
 
 
@@ -106,12 +106,61 @@ def test_fidelity_conventions():
 
 
 def test_majorization_check():
-    assert numerics.majorization_check([0.5, 0.5], [0.7, 0.3], 1e-9)
-    assert not numerics.majorization_check([0.7, 0.3], [0.5, 0.5], 1e-9)
+    assert numerics.majorization_check([0.5, 0.5], 1, [0.7, 0.3], 1, 1e-9)
+    assert not numerics.majorization_check([0.7, 0.3], 1, [0.5, 0.5], 1, 1e-9)
     # padding with zeros / different lengths
-    assert numerics.majorization_check([0.25] * 4, [0.5, 0.5, 0.0], 1e-9)
+    assert numerics.majorization_check([0.25] * 4, 1, [0.5, 0.5, 0.0], 1, 1e-9)
     # unequal totals fail
-    assert not numerics.majorization_check([0.5, 0.4], [0.5, 0.5], 1e-9)
+    assert not numerics.majorization_check([0.5, 0.4], 1, [0.5, 0.5], 1, 1e-9)
+    # uniform blocks: (0.5, 0.5) (x) 1/2 is the uniform 4-vector, more mixed than (0.7, 0.3)
+    assert numerics.majorization_check([0.5, 0.5], 2, [0.7, 0.3], 1, 1e-9)
+    assert not numerics.majorization_check([0.7, 0.3], 1, [0.5, 0.5], 2, 1e-9)
+    # unsorted input is sorted first
+    assert numerics.majorization_check([0.3, 0.7], 3, [0.2, 0.8], 2, 1e-9)
+
+
+COPY_COUNTS = (1, 2, 3, 4, 5, 7, 12, 64, 511, 4096)
+
+
+def _random_spectrum(rng, n, zeros):
+    v = rng.dirichlet(np.full(n, 0.5))
+    if zeros:
+        v[n - zeros :] = 0.0
+        v /= v.sum()
+    return rng.permutation(v)
+
+
+def test_majorization_check_matches_materialized_oracle():
+    """Uniform-block check against sorting and padding the repeated vectors,
+    on seeded spectra with zero tails, unequal lengths and copy counts 1..4096."""
+    rng = np.random.default_rng(404)
+    outcomes = set()
+    for _ in range(300):
+        n_x, n_y = (int(n) for n in rng.integers(1, 13, size=2))
+        x = _random_spectrum(rng, n_x, int(rng.integers(0, n_x)))
+        y = _random_spectrum(rng, n_y, int(rng.integers(0, n_y)))
+        k, l = (int(c) for c in rng.choice(COPY_COUNTS, size=2))
+        got = numerics.majorization_check(x, k, y, l, 1e-9)
+        expected = materialized_majorization(np.repeat(x / k, k), np.repeat(y / l, l), 1e-9)
+        assert got == expected, (x, k, y, l)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("x_copies", COPY_COUNTS)
+def test_majorization_check_exact_ties_on_uniform_spectra(x_copies):
+    """GHZ-like uniform spectra: 1_n/n (x) 1_K/K is majorized by 1_m/m (x) 1_L/L
+    exactly when n K >= m L, and at n K = m L the prefix sums meet everywhere."""
+    for n in (1, 2, 3, 4, 6, 12):
+        x = np.full(n, 1.0 / n)
+        for m in (1, 2, 3, 4, 6, 8, 12):
+            y = np.concatenate((np.full(m, 1.0 / m), np.zeros(3)))
+            for l in {1, 2, 3, x_copies, max(1, n * x_copies // m), n * x_copies // m + 1}:
+                got = numerics.majorization_check(x, x_copies, y, l, 1e-9)
+                oracle = materialized_majorization(
+                    np.repeat(x / x_copies, x_copies), np.repeat(y / l, l), 1e-9
+                )
+                assert got == oracle == (n * x_copies >= m * l), (n, x_copies, m, l)
 
 
 def test_isometry_deviation():

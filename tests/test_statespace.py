@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def test_catalog_ghz():
     assert np.allclose(g.marginal("A"), np.eye(3) / 3)
     with pytest.raises(ValidationError):
         statespace.catalog("ghz")
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, "3"], ids=["fraction", "integral-float", "bool", "string"])
+def test_catalog_ghz_rejects_non_integer_dimension(d):
+    with pytest.raises(ValidationError, match=re.escape(f"got {d!r}")):
+        statespace.catalog("ghz", d=d)
+    assert statespace.catalog("ghz", d=np.int64(2)).dims == (2, 2, 2)
 
 
 def test_catalog_names_all_buildable():

@@ -223,18 +223,22 @@ class _MinSpectralNormSolver:
     The variables are ``x = (t, z)``, with ``z`` the coordinates of Z in the
     orthonormal Hermitian basis ``E_a`` of :func:`_hermitian_units`.  Every
     column of ``E_a`` and of ``1_R (x) E_a`` has at most one nonzero entry,
-    so neither is ever formed: the slacks ``Z`` and ``1_R (x) Z - |psi><psi|``
-    are written entry by entry from ``x``, and each Newton-step product
-    ``S^-1 (1_R (x) E_a)`` is a column gather of ``S^-1`` scaled by that entry,
-    O(m d^2) for m variables and a d x d slack instead of a dense O(m d^3)
-    product.  Each entry so produced is a single rounded product, the same
-    float the dense sums give.  Only the small block ``t 1_B - Z^B``, where
-    the partial trace adds several terms, keeps its coefficient tensor.
+    so neither is ever formed.  Each float of Z is one coordinate times one
+    basis entry, so ``__init__`` plans Z as one gather, coefficient product
+    and scatter into its float view; ``1_R (x) Z - |psi><psi|`` adds Z to the
+    diagonal blocks of a precomputed ``-|psi><psi|``.  Each Newton-step
+    product ``S^-1 (1_R (x) E_a)`` is a column gather of ``S^-1`` scaled by
+    that entry, O(m d^2) for m variables and a d x d slack instead of a dense
+    O(m d^3) product, written into buffers the solver allocates once.  Each
+    entry so produced is a single rounded product, the same float the dense
+    sums give.  Only the small block ``t 1_B - Z^B``, where the partial trace
+    adds several terms, keeps its coefficient tensor.
 
     A log-barrier path follows the central path of the primal; at every
     centering stage a feasible dual point is extracted from the slack
-    inverses, giving a rigorous two-sided interval around the optimum that
-    does not depend on the centering being exact.
+    inverses the last centering step already formed, giving a rigorous
+    two-sided interval around the optimum that does not depend on the
+    centering being exact.
     """
 
     def __init__(self, psi: np.ndarray, dims: tuple[int, int, int]):
@@ -247,13 +251,16 @@ class _MinSpectralNormSolver:
         rows, vals = _hermitian_units(n)
         m = rows.shape[0]
         self.m = m
-        self.upper = np.triu_indices(n, 1)
+        # Z's float view takes x[a] * coef at dst for each nonzero float of
+        # some E_a, whose column k holds vals[a, k] at row rows[a, k]
+        floats = vals.view(np.float64)
+        a, f = np.nonzero(floats)
+        self.z_plan = (a, floats[a, f], 2 * (rows[a, f // 2] * n + f // 2) + f % 2)
+        self.diag_blocks = np.arange(dim_r)
         # 1_R (x) E_a repeats the columns of E_a on each diagonal block
         shift = n * np.arange(dim_r)
-        self.gathers = [
-            (rows, vals),
-            ((rows[:, None, :] + shift[:, None]).reshape(m, big), np.tile(vals, dim_r)),
-        ]
+        lifted_rows = (rows[:, None, :] + shift[:, None]).reshape(m, big)
+        self.gathers = [(rows, vals[:, :, None]), (lifted_rows, np.tile(vals, dim_r)[:, :, None])]
         # coefficients of t 1_B - Z^B: an entry (i, k) of E_a survives tr_A
         # when i and k share their A index
         a, k = np.nonzero((vals != 0) & (rows // dim_b == np.arange(n) // dim_b))
@@ -261,31 +268,33 @@ class _MinSpectralNormSolver:
         traced[a, rows[a, k] % dim_b, k % dim_b] = vals[a, k]
         self.coeff_b = -traced
         self.coeff_b[0] = np.eye(dim_b)
-        self.minus_projector = -np.outer(self.psi, self.psi.conj())
-        # barrier parameter of the product cone = total matrix dimension
-        self.nu = n + big + dim_b
+        # + 0.0 turns the -0.0 of negation into the +0.0 of an added zero block
+        self.minus_projector = -np.outer(self.psi, self.psi.conj()) + 0.0
+        # Newton-step buffers: the gathered columns of blocks 0 and 1, each
+        # block's contiguous copy of a transposed product for the Hessian,
+        # and the Hessian term
+        self.cols = [np.empty((m, d, d), dtype=complex) for d in (n, big)]
+        self.copies = [np.empty((m, d * d), dtype=complex) for d in (n, big, dim_b)]
+        self.product = np.empty((m, m), dtype=complex)
 
     def _slacks(self, x: np.ndarray) -> list[np.ndarray]:
-        n = self.n
-        dim_r = self.dims[0]
-        i, j = self.upper
-        z = np.zeros((n, n), dtype=complex)
-        z.real[np.diag_indices(n)] = x[1 : 1 + n]
-        z.real[i, j] = z.real[j, i] = x[1 + n :: 2] * _INV_SQRT2
-        z.imag[i, j] = x[2 + n :: 2] * _INV_SQRT2
-        z.imag[j, i] = -z.imag[i, j]
-        # Negation leaves -0.0 where x is zero, while a sum over the basis
+        n, m = self.n, self.m
+        dim_r, _, dim_b = self.dims
+        src, coef, dst = self.z_plan
+        entries = x[src] * coef
+        # Products leave -0.0 where x is zero, while a sum over the basis
         # gives +0.0; adding +0.0 turns one into the other, so each entry is
         # bit for bit the sum over a of x_a E_a.
-        z += 0.0
-        # 1_R (x) Z: Z on each diagonal block
-        lifted = np.zeros((dim_r, n, dim_r, n), dtype=complex)
-        lifted[np.arange(dim_r), :, np.arange(dim_r), :] = z
-        sums = [
-            self.minus_projector + lifted.reshape(dim_r * n, dim_r * n),
-            np.tensordot(x, self.coeff_b, axes=1),
-        ]
-        return [z] + [(s + s.conj().T) / 2.0 for s in sums]
+        entries += 0.0
+        z = np.zeros((n, n), dtype=complex)
+        z.view(np.float64).put(dst, entries)
+        # 1_R (x) Z - |psi><psi|: Z added on each diagonal block
+        lifted = self.minus_projector.copy()
+        blocks = self.diag_blocks
+        lifted.reshape(dim_r, n, dim_r, n)[blocks, :, blocks, :] += z
+        # t 1_B - Z^B: the (1, m) x (m, dim_b^2) product np.tensordot makes
+        traced = np.dot(x.reshape(1, m), self.coeff_b.reshape(m, -1)).reshape(dim_b, dim_b)
+        return [z] + [(s + s.conj().T) / 2.0 for s in (lifted, traced)]
 
     @staticmethod
     def _barrier_value(slacks: list[np.ndarray]) -> float:
@@ -295,33 +304,55 @@ class _MinSpectralNormSolver:
                 chol = np.linalg.cholesky(s)
             except np.linalg.LinAlgError:
                 return math.inf
-            total -= 2.0 * float(np.log(np.abs(np.diag(chol))).sum())
+            total -= 2.0 * float(np.log(np.abs(chol.diagonal())).sum())
         return total
 
-    def _center(self, x: np.ndarray, tau: float) -> np.ndarray:
+    @staticmethod
+    def _inverses(slacks: list[np.ndarray]) -> list[np.ndarray]:
+        out = []
+        for s in slacks:
+            inv = np.linalg.inv(s)
+            out.append((inv + inv.conj().T) / 2.0)
+        return out
+
+    def _newton_system(self, invs: list, tau: float) -> tuple[np.ndarray, np.ndarray]:
         m = self.m
-        slacks = self._slacks(x)
-        phi0 = tau * x[0] + self._barrier_value(slacks)
-        for _ in range(60):
-            grad = np.zeros(m)
-            grad[0] = tau
-            hess = np.zeros((m, m))
-            for block, s in enumerate(slacks):
-                inv = np.linalg.inv(s)
-                inv = (inv + inv.conj().T) / 2.0
-                if block < 2:
-                    rows, vals = self.gathers[block]
-                    # column k of S^-1 E_a is S^-1[:, rows[a, k]] vals[a, k]
-                    cols = inv.T[rows]
-                    cols *= vals[:, :, None]
-                    prods = cols.transpose(0, 2, 1)
-                    grad -= np.einsum("akk->a", prods).real
-                else:
-                    grad -= np.einsum("ij,aji->a", inv, self.coeff_b).real
-                    prods = np.einsum("ij,ajk->aik", inv, self.coeff_b)
+        grad = np.zeros(m)
+        grad[0] = tau
+        hess = np.zeros((m, m))
+        for block, inv in enumerate(invs):
+            if block < 2:
+                rows, vals = self.gathers[block]
+                # column k of S^-1 E_a is S^-1[:, rows[a, k]] vals[a, k]
+                cols = self.cols[block]
+                np.take(inv.T, rows, axis=0, out=cols, mode="clip")
+                np.multiply(cols, vals, out=cols)
+                prods = cols.transpose(0, 2, 1)
+                grad -= np.einsum("akk->a", prods).real
+                flat = self.copies[block]
+                np.copyto(flat.reshape(prods.shape), prods)
+                flat_t = cols.reshape(m, -1)
+            else:
+                grad -= np.einsum("ij,aji->a", inv, self.coeff_b).real
+                prods = np.einsum("ij,ajk->aik", inv, self.coeff_b)
                 flat = prods.reshape(m, -1)
-                flat_t = prods.transpose(0, 2, 1).reshape(m, -1)
-                hess += (flat @ flat_t.T).real
+                flat_t = self.copies[block]
+                np.copyto(flat_t.reshape(prods.shape), prods.transpose(0, 2, 1))
+            np.matmul(flat, flat_t.T, out=self.product)
+            hess += self.product.real
+        return grad, hess
+
+    def _center(self, x: np.ndarray, slacks: list[np.ndarray], tau: float):
+        """Center at ``tau`` from x and its slacks.
+
+        Returns ``(x, slacks, inverses, steps)``: the final point, its slacks,
+        their symmetrized inverses and the number of Newton steps taken.
+        """
+        m = self.m
+        phi0 = tau * x[0] + self._barrier_value(slacks)
+        for steps in range(60):
+            invs = self._inverses(slacks)
+            grad, hess = self._newton_system(invs, tau)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -329,32 +360,27 @@ class _MinSpectralNormSolver:
                 step = np.linalg.solve(hess + ridge * np.eye(m), -grad)
             dec2 = float(-grad @ step)
             if not math.isfinite(dec2) or dec2 <= 1e-7:
-                break
+                return x, slacks, invs, steps
             scale = 1.0
-            moved = False
             for _ in range(50):
                 trial = x + scale * step
                 trial_slacks = self._slacks(trial)
                 phi1 = tau * trial[0] + self._barrier_value(trial_slacks)
                 if phi1 < phi0 - 1e-4 * scale * dec2 or phi1 < phi0:
                     x, slacks, phi0 = trial, trial_slacks, phi1
-                    moved = True
                     break
                 scale *= 0.5
-            if not moved:
-                break
-        return x
+            else:
+                return x, slacks, invs, steps
+        # the step cap ended the stage after a move
+        return x, slacks, self._inverses(slacks), 60
 
-    def _certificate(self, x: np.ndarray) -> tuple[float, float]:
-        """Rigorous (lower, upper) bounds on the optimum from the current point."""
+    def _certificate(self, slacks: list, invs: list) -> tuple[float, float]:
+        """Rigorous (lower, upper) bounds on the optimum from a point's slacks
+        and their symmetrized inverses."""
         dim_r, dim_a, dim_b = self.dims
-        slacks = self._slacks(x)
-        z = slacks[0]
-        upper = float(np.linalg.eigvalsh(_trace_out_A(z, dim_a, dim_b))[-1].real)
-        s2_inv = np.linalg.inv(slacks[1])
-        s3_inv = np.linalg.inv(slacks[2])
-        s2_inv = (s2_inv + s2_inv.conj().T) / 2.0
-        s3_inv = (s3_inv + s3_inv.conj().T) / 2.0
+        upper = float(np.linalg.eigvalsh(_trace_out_A(slacks[0], dim_a, dim_b))[-1].real)
+        s2_inv, s3_inv = invs[1], invs[2]
         trace3 = float(np.trace(s3_inv).real)
         y3 = s3_inv / trace3
         y2 = s2_inv / trace3
@@ -369,19 +395,26 @@ class _MinSpectralNormSolver:
         return lower, upper
 
     def solve(self) -> tuple[float, float]:
-        """Return a certified interval ``(lo, hi)`` with ``log2(hi/lo) <= 9e-7``."""
+        """Return a certified interval ``(lo, hi)`` with ``log2(hi/lo) <= 9e-7``.
+
+        Each stage's Newton step count and certified interval are kept; the
+        :class:`SolverError` of exhausted stages lists them.
+        """
         dim_a = self.dims[1]
         x = np.zeros(self.m)
         x[0] = 3.0 * dim_a
         x[1 : 1 + self.n] = 1.5  # Z = 1.5 * identity (diagonal basis elements first)
+        slacks = self._slacks(x)
         lo = 0.0
         hi = math.inf
         target = math.log(2.0) * 9e-7
         tau = 1.0
         stages = 18
+        history = []
         for _ in range(stages):
-            x = self._center(x, tau)
-            cert_lo, cert_hi = self._certificate(x)
+            x, slacks, invs, steps = self._center(x, slacks, tau)
+            cert_lo, cert_hi = self._certificate(slacks, invs)
+            history.append((steps, cert_lo, cert_hi))
             lo = max(lo, cert_lo)
             hi = min(hi, cert_hi)
             if lo > 0.0 and hi < math.inf and math.log(hi / lo) <= target:
@@ -391,7 +424,8 @@ class _MinSpectralNormSolver:
         raise SolverError(
             f"conditional max-entropy solver exhausted its {stages} stages before "
             f"certifying the requested duality gap: last certified interval "
-            f"({lo!r}, {hi!r}), log(hi/lo) = {width!r} > target {target!r}"
+            f"({lo!r}, {hi!r}), log(hi/lo) = {width!r} > target {target!r}; "
+            f"per stage (Newton steps, certified lo, hi): {history!r}"
         )
 
 

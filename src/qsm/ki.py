@@ -25,7 +25,6 @@ from .numerics import (
     canonical_eigh,
     _lex_key,
     dagger,
-    fidelity,
     isometry_deviation,
     orthonormal_complement,
     tolerance,
@@ -514,7 +513,9 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
 
 def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...], tol: float) -> None:
     """Rebuild psi as sum_j sqrt(p_j) iso_j[a,l,r] omega_j[l,m] phi_j[i,r,k]
-    ws_j[b,m,k] and require its overlap with the state to be 1 within 10 tol."""
+    ws_j[b,m,k] and require both its overlap with the state and its squared
+    norm to be 1 within 10 tol: a p_j that is too large can push the overlap
+    of the unnormalized rebuilt vector past 1, but not its norm."""
     rebuilt = np.zeros(state.dims, dtype=complex)
     for b in blocks:
         if b.p <= 0.0:
@@ -523,9 +524,13 @@ def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...], 
         rest = np.tensordot(b.phi, b.ws, axes=(2, 2))  # [i, r, b, m]
         rest = rest.transpose(0, 1, 3, 2).reshape(rest.shape[0], -1, rest.shape[2])
         rebuilt += np.sqrt(b.p) * (a_side.reshape(a_side.shape[0], -1) @ rest)
-    f = fidelity(state.amplitudes.reshape(-1), rebuilt.reshape(-1))
+    rebuilt = rebuilt.reshape(-1)
+    f = float(abs(np.vdot(state.amplitudes.reshape(-1), rebuilt)) ** 2)
     if f < 1.0 - 10 * tol:
         raise VerificationError(f"block-form reconstruction fidelity {f} below threshold")
+    norm2 = float(np.vdot(rebuilt, rebuilt).real)
+    if abs(norm2 - 1.0) > 10 * tol:
+        raise VerificationError(f"block-form reconstruction squared norm {norm2} is not 1")
 
 
 __all__ = [

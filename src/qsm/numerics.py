@@ -8,7 +8,6 @@ computations) relies on the conventions fixed here:
 * eigen- and Schmidt decompositions sorted by descending value with a
   deterministic tie-break (vectors phase-normalized so their first
   significant component is real positive, ties ordered lexicographically),
-* fidelity of pure states in the squared convention, ``F = |<a|b>|^2``,
 * resource ranks rounded up by :func:`guarded_ceil`, which forgives float
   noise within ``100 tau`` of an integer.
 """
@@ -173,12 +172,6 @@ def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) ->
     left = np.column_stack([lefts[k] for k in ordered])
     right = np.column_stack([vh[k, :] * phases[k].conjugate() for k in ordered])
     return SchmidtDecomposition(coeffs=coeffs, left=left, right=right)
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Fidelity of two pure-state vectors in the squared convention, ``|<a|b>|^2``."""
-    val = abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
-    return float(min(max(val, 0.0), 1.0 + 1e-12))
 
 
 def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: int, tol: float) -> bool:

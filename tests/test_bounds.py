@@ -323,9 +323,17 @@ def test_hmax_dimension_cap():
 
 
 def test_hmax_stage_exhaustion_reports_last_interval(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        qsm.bounds._MinSpectralNormSolver, "_certificate", lambda self, x: (1.0, 2.0)
-    )
+    solver = qsm.bounds._MinSpectralNormSolver
+    monkeypatch.setattr(solver, "_certificate", lambda self, slacks, invs: (1.0, 2.0))
+    steps = []
+    center = solver._center
+
+    def counted(self, x, slacks, tau):
+        out = center(self, x, slacks, tau)
+        steps.append(out[3])
+        return out
+
+    monkeypatch.setattr(solver, "_center", counted)
     state = catalog("ghz", d=2)
     with pytest.raises(SolverError) as info:
         h_max_conditional(state)
@@ -333,9 +341,13 @@ def test_hmax_stage_exhaustion_reports_last_interval(tmp_path, monkeypatch):
     assert "exhausted its 18 stages" in message
     assert "last certified interval (1.0, 2.0)" in message
     assert f"log(hi/lo) = {math.log(2.0)!r} > target {math.log(2.0) * 9e-7!r}" in message
+    assert len(steps) == 18 and all(0 <= k <= 60 for k in steps) and any(steps)
+    table = [(k, 1.0, 2.0) for k in steps]
+    assert message.endswith(f"; per stage (Newton steps, certified lo, hi): {table!r}")
 
     path = tmp_path / "ghz2.json"
     save_state(state, path)
+    steps.clear()
     code, report = cli.run(["bounds", str(path)])
     assert code == 3
     assert report["error"] == message
@@ -365,8 +377,10 @@ def _dense_hermitian_basis(n):
 class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
     """The solver with dense coefficient tensors E_a, 1_R (x) E_a and -tr_A E_a.
 
-    Its slacks are tensor contractions and its Newton step forms every
-    product S^-1 F_a in full; the structured solver must match it bit for bit.
+    Its slacks are tensor contractions, its Newton step forms every product
+    S^-1 F_a in full, and each stage's certificate is computed from the
+    slacks of x and fresh inverses, reusing nothing from the centering; the
+    structured solver must match it bit for bit.
     """
 
     def __init__(self, psi, dims):
@@ -396,8 +410,10 @@ class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
             out.append((s + s.conj().T) / 2.0)
         return out
 
-    def _center(self, x, tau):
+    def _center(self, x, slacks, tau):
+        """Dense centering from x alone; hands back x with fresh dense slacks."""
         m = self.m
+        moves = 0
         for _ in range(60):
             slacks = self._slacks(x)
             grad = np.zeros(m)
@@ -432,7 +448,29 @@ class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
                 scale *= 0.5
             if not moved:
                 break
-        return x
+            moves += 1
+        return x, self._slacks(x), None, moves
+
+    def _certificate(self, slacks, invs):
+        """From scratch: fresh inverses of the dense slacks, none reused."""
+        dim_r, dim_a, dim_b = self.dims
+        z = slacks[0]
+        upper = float(np.linalg.eigvalsh(qsm.bounds._trace_out_A(z, dim_a, dim_b))[-1].real)
+        s2_inv = np.linalg.inv(slacks[1])
+        s3_inv = np.linalg.inv(slacks[2])
+        s2_inv = (s2_inv + s2_inv.conj().T) / 2.0
+        s3_inv = (s3_inv + s3_inv.conj().T) / 2.0
+        trace3 = float(np.trace(s3_inv).real)
+        y3 = s3_inv / trace3
+        y2 = s2_inv / trace3
+        reduced = qsm.bounds._trace_out_R(y2, dim_r, self.n)
+        anchor = np.kron(np.eye(dim_a), y3)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(anchor))
+        whitened = inv_chol @ reduced @ inv_chol.conj().T
+        lam = float(np.linalg.eigvalsh((whitened + whitened.conj().T) / 2.0)[-1].real)
+        beta = 1.0 if lam <= 1.0 else 1.0 / lam
+        lower = beta * float(np.real(self.psi.conj() @ y2 @ self.psi))
+        return lower, upper
 
 
 def _oracle_state(name):
@@ -461,6 +499,31 @@ def test_structured_solver_matches_dense_oracle_bit_for_bit(name, normal_form):
     got = structured.solve()
     want = dense.solve()
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("damping", [1.0, 1e3], ids=["converged", "step-cap"])
+def test_center_hands_back_the_slacks_and_inverses_of_its_point(monkeypatch, damping):
+    """The certificate reuses what _center returns, so those must be the slacks
+    and inverses of the returned point, also when the 60-step cap ends a stage
+    (forced here by shrinking every Newton step)."""
+    solver_type = qsm.bounds._MinSpectralNormSolver
+    newton = solver_type._newton_system
+
+    def damped(self, invs, tau):
+        grad, hess = newton(self, invs, tau)
+        return grad, damping * hess
+
+    monkeypatch.setattr(solver_type, "_newton_system", damped)
+    state = _oracle_state("232")
+    solver = solver_type(state.vector, state.dims)
+    x = np.zeros(solver.m)
+    x[0] = 3.0 * state.dims[1]
+    x[1 : 1 + solver.n] = 1.5
+    x, slacks, invs, steps = solver._center(x, solver._slacks(x), 1.0)
+    assert (steps == 60) == (damping > 1.0)
+    fresh = solver._slacks(x)
+    for got, want in zip(slacks + invs, fresh + solver._inverses(fresh)):
+        assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

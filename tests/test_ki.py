@@ -289,12 +289,13 @@ def test_reconstruction_check_rejects_mutated_blocks(name):
     ki._verify_reconstruction(st, blocks, tol)
     j = next(j for j, b in enumerate(blocks) if b.dim_R > 1)
     swapped_r = dataclasses.replace(blocks[j], phi=blocks[j].phi[:, ::-1, :])
-    wrong_p = dataclasses.replace(blocks[j], p=0.9 * blocks[j].p)
-    mutants = [blocks[:j] + (block,) + blocks[j + 1 :] for block in (swapped_r, wrong_p)]
+    # a p_j that is too large can raise the overlap past 1; its norm catches it
+    wrong_p = [dataclasses.replace(blocks[j], p=c * blocks[j].p) for c in (0.9, 1.1, 2.0)]
+    mutants = [blocks[:j] + (block,) + blocks[j + 1 :] for block in [swapped_r, *wrong_p]]
     if len(blocks) > 1:  # each block dropped in turn
         mutants += [blocks[:k] + blocks[k + 1 :] for k in range(len(blocks))]
     for mutant in mutants:
-        with pytest.raises(VerificationError, match="reconstruction fidelity"):
+        with pytest.raises(VerificationError, match="reconstruction (fidelity|squared norm)"):
             ki._verify_reconstruction(st, mutant, tol)
 
 

@@ -189,7 +189,7 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
         rho = mat @ mat.conj().T
         spec = np.clip(np.linalg.eigvalsh(rho)[::-1].real, 0.0, None)
         y += weight * spec
-    majorized = majorization_check(eig_b, cert.K, y, 1, tol)
+    majorized = majorization_check(eig_b, cert.K, y, 1)
 
     target = _certificate_target(state, L)
     f2 = sum(

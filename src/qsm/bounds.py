@@ -138,7 +138,6 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
             )
     eig_b = _spectrum(state.marginal("B"))
     eig_ab = _spectrum(state.marginal("AB"))
-    tol = tolerance()
 
     best_bits = math.inf
     best_pair: tuple[int | None, int | None] = (None, None)
@@ -146,7 +145,7 @@ def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) ->
     non_k: int | None = None
     L = 0
     for K in range(1, K_max + 1):
-        while L < L_max and majorization_check(eig_b, K, eig_ab, L + 1, tol):
+        while L < L_max and majorization_check(eig_b, K, eig_ab, L + 1):
             L += 1
         if L == 0:
             continue

@@ -88,10 +88,10 @@ def refinement_index(decomp: BlockStructure) -> int:
     return s * (s + 1) // 2 - decomp.J + 1
 
 
-def initial_structure(state: TripartiteState, tol: float) -> BlockStructure:
+def initial_structure(state: TripartiteState) -> BlockStructure:
     """Single block spanning supp(psi^A), with trivial R-factor."""
-    vals, vecs = canonical_eigh(state.marginal("A"), tol)
-    n = int(np.sum(vals > 10 * tol))
+    vals, vecs = canonical_eigh(state.marginal("A"))
+    n = int(np.sum(vals > 10 * tolerance()))
     if n == 0:
         raise ValidationError("state has no support on A")
     v = vecs[:, :n].reshape(state.regs.dim_A, n, 1)
@@ -103,8 +103,9 @@ def _compressed(space: np.ndarray, op: np.ndarray) -> np.ndarray:
     return np.einsum("alr,ab,bms->lrms", space.conj(), op, space)
 
 
-def _proportional(rho: np.ndarray, rho_ref: np.ndarray, tol: float) -> bool:
+def _proportional(rho: np.ndarray, rho_ref: np.ndarray) -> bool:
     """Whether rho = c * rho_ref for some c >= 0; rho_ref must be nonzero."""
+    tol = tolerance()
     tr = float(np.trace(rho).real)
     tr_ref = float(np.trace(rho_ref).real)
     if tr <= 100 * tol:
@@ -118,16 +119,16 @@ def _r_factor_vectors(dim: int) -> list[np.ndarray]:
     return probes[:dim] + [v / np.sqrt(2.0) for v in probes[dim:]]
 
 
-def _split_eigenspaces(eta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _split_eigenspaces(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Split the domain of a traceless Hermitian witness by eigenvalue sign.
 
-    Returns orthonormal bases (plus, minus) with eigenvalues > 10*tol on the
+    Returns orthonormal bases (plus, minus) with eigenvalues > 10 tau on the
     plus side; flips the sign of the witness if its positive part vanishes.
     Returns ``None`` when the witness is numerically zero.
     """
     for candidate in (eta, -eta):
-        vals, vecs = canonical_eigh(candidate, tol)
-        n_plus = int(np.sum(vals > 10 * tol))
+        vals, vecs = canonical_eigh(candidate)
+        n_plus = int(np.sum(vals > 10 * tolerance()))
         if 0 < n_plus < len(vals):
             return vecs[:, :n_plus], vecs[:, n_plus:]
     return None
@@ -161,9 +162,7 @@ class SteeredOperators:
             yield self._combine[k]
 
 
-def _generator_witness(
-    space: np.ndarray, generators: np.ndarray, ref: np.ndarray, tol: float
-) -> np.ndarray | None:
+def _generator_witness(space: np.ndarray, generators: np.ndarray, ref: np.ndarray) -> np.ndarray | None:
     """First generator-steered compression of the block not proportional to ``ref``.
 
     Applies the :func:`_proportional` rule to every (generator, R-factor
@@ -171,6 +170,7 @@ def _generator_witness(
     generator-major order with the per-vector expression, so the returned
     witness is bit-identical to the one a pair-by-pair scan finds.
     """
+    tol = tolerance()
     dim_A, dim_L, dim_R = space.shape
     avecs = _r_factor_vectors(dim_R)
     flat = space.reshape(dim_A, -1)
@@ -189,23 +189,19 @@ def _generator_witness(
     return np.einsum("lrms,r,s->lm", t_gen, avecs[k].conj(), avecs[k])
 
 
-def l_decompose_step(
-    state: TripartiteState,
-    decomp: BlockStructure,
-    steered: SteeredOperators,
-    tol: float,
-) -> BlockStructure | None:
+def l_decompose_step(decomp: BlockStructure, steered: SteeredOperators) -> BlockStructure | None:
     """One L-decomposing refinement, or ``None`` when no witness exists.
 
     Searches for a block whose L-factor supports two non-proportional
     compressed steered states, and splits that L-factor by the eigenvalue sign
     of the difference of the trace-normalized pair.  ``steered`` holds the
-    steered operators of ``state``.
+    steered operators of the state.
 
     Blocks with ``dim_L == 1`` are skipped without a compression: a split
     needs ``0 < n_plus < dim_L`` eigenvalues on the plus side, so such a
     block can never split, whatever the tolerance.
     """
+    tol = tolerance()
     for j0, space in enumerate(decomp.spaces):
         if space.shape[1] == 1:
             continue
@@ -216,14 +212,14 @@ def l_decompose_step(
         if ref is None:
             continue
         # Stage 1: pairwise comparison of the identity-steered compressions.
-        rho = next((d for d in diagonals if not _proportional(d, ref, tol)), None)
+        rho = next((d for d in diagonals if not _proportional(d, ref)), None)
         # Stage 2: generator-steered compressions against the reference.
         if rho is None:
-            rho = _generator_witness(space, steered.generators, ref, tol)
+            rho = _generator_witness(space, steered.generators, ref)
         if rho is None:
             continue
         eta = rho / float(np.trace(rho).real) - ref / float(np.trace(ref).real)
-        split = _split_eigenspaces((eta + dagger(eta)) / 2, tol)
+        split = _split_eigenspaces((eta + dagger(eta)) / 2)
         if split is None:
             continue
         plus, minus = split
@@ -235,21 +231,17 @@ def l_decompose_step(
     return None
 
 
-def r_combine_step(
-    state: TripartiteState,
-    decomp: BlockStructure,
-    steered: SteeredOperators,
-    tol: float,
-) -> BlockStructure | None:
+def r_combine_step(decomp: BlockStructure, steered: SteeredOperators) -> BlockStructure | None:
     """One R-combining refinement, or ``None`` when no witness exists.
 
     Searches block pairs for a nonzero cross compression sigma of a steered
     state, then identifies the two L-factors along the singular vectors of
     sigma and concatenates the R-factors; unmatched L-directions stay behind
-    as leftover blocks.  ``steered`` holds the steered operators of ``state``.
+    as leftover blocks.  ``steered`` holds the steered operators of the state.
     """
     if decomp.J < 2:
         return None
+    tol = tolerance()
 
     for j0 in range(decomp.J):
         for j1 in range(j0 + 1, decomp.J):
@@ -270,19 +262,17 @@ def r_combine_step(
                         rank1 = int(np.sum(np.linalg.eigvalsh(d1) > 10 * tol * scale))
                         if rank0 < v0.shape[1] or rank1 < v1.shape[1]:
                             continue
-                        return _apply_combine(decomp, j0, j1, sigma, tol)
+                        return _apply_combine(decomp, j0, j1, sigma)
     return None
 
 
-def _apply_combine(
-    decomp: BlockStructure, j0: int, j1: int, sigma: np.ndarray, tol: float
-) -> BlockStructure:
+def _apply_combine(decomp: BlockStructure, j0: int, j1: int, sigma: np.ndarray) -> BlockStructure:
     v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
     # Degeneracy-safe SVD pairing: right singular vectors from sigma^dag sigma,
     # left partners slaved through sigma itself.
-    svals_sq, rights = canonical_eigh(dagger(sigma) @ sigma, tol)
+    svals_sq, rights = canonical_eigh(dagger(sigma) @ sigma)
     svals = np.sqrt(np.clip(svals_sq, 0.0, None))
-    rank = int(np.sum(svals > 10 * tol * max(1.0, float(svals[0]))))
+    rank = int(np.sum(svals > 10 * tolerance() * max(1.0, float(svals[0]))))
     rights = rights[:, :rank]
     lefts = sigma @ rights / svals[:rank]
     d_r0, d_r1 = v0.shape[2], v1.shape[2]
@@ -384,7 +374,8 @@ def _glue_kernel(state: TripartiteState, raw: list) -> list:
     return raw
 
 
-def _build_block(index: int, space, psi_j, p_j, dim_B: int, tol: float) -> KIBlock:
+def _build_block(index: int, space, psi_j, p_j, dim_B: int) -> KIBlock:
+    tol = tolerance()
     dim_L, dim_R = space.shape[1], space.shape[2]
     if p_j <= 100 * tol:
         return KIBlock(
@@ -397,7 +388,7 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int, tol: float) -> KIBlo
             ws=np.zeros((dim_B, 0, 0), dtype=complex),
         )
     rho_l = np.einsum("ilrb,imrb->lm", psi_j, psi_j.conj()) / p_j
-    lam, u_cols = canonical_eigh(rho_l, tol)
+    lam, u_cols = canonical_eigh(rho_l)
     m_count = int(np.sum(lam > 10 * tol))
     lam = np.clip(lam[:m_count], 0.0, None)
     u_cols = u_cols[:, :m_count]
@@ -437,7 +428,7 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int, tol: float) -> KIBlo
     )
 
 
-def _product_test(block: KIBlock, state: TripartiteState, tol: float) -> None:
+def _product_test(block: KIBlock, state: TripartiteState) -> None:
     """Operator-Schmidt rank-1 check of the block operator across (R,a^R)|a^L."""
     if block.p <= 0.0:
         return
@@ -450,7 +441,7 @@ def _product_test(block: KIBlock, state: TripartiteState, tol: float) -> None:
         (psi_j.shape[0] * psi_j.shape[2]) ** 2, psi_j.shape[1] ** 2
     )
     s = np.linalg.svd(op, compute_uv=False)
-    if len(s) > 1 and s[1] > 10 * tol * max(1.0, float(s[0])):
+    if len(s) > 1 and s[1] > 10 * tolerance() * max(1.0, float(s[0])):
         raise VerificationError(
             f"block {block.index}: maximality product test failed (second operator "
             f"Schmidt value {s[1]:.2e})"
@@ -472,15 +463,14 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     bound, if a block fails the maximality product test, or if the block data
     does not reconstruct the state.
     """
-    tol = tolerance()
-    structure = initial_structure(state, tol)
+    structure = initial_structure(state)
     steered = SteeredOperators(state)
     trajectory = [refinement_index(structure)]
     max_iters = 4 * state.regs.dim_A**2 + 8
     for _ in range(max_iters):
-        refined = l_decompose_step(state, structure, steered, tol)
+        refined = l_decompose_step(structure, steered)
         if refined is None:
-            refined = r_combine_step(state, structure, steered, tol)
+            refined = r_combine_step(structure, steered)
         if refined is None:
             break
         new_r = refinement_index(refined)
@@ -499,23 +489,24 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     raw = _glue_kernel(state, raw)
     raw = _canonical_order(raw)
     total_p = sum(p for _, _, p in raw)
-    if abs(total_p - 1.0) > 1e3 * tol:
+    if abs(total_p - 1.0) > 1e3 * tolerance():
         raise VerificationError(f"block probabilities sum to {total_p}, not 1")
     blocks = tuple(
-        _build_block(i, space, psi_j, p_j, state.regs.dim_B, tol)
+        _build_block(i, space, psi_j, p_j, state.regs.dim_B)
         for i, (space, psi_j, p_j) in enumerate(raw)
     )
     for b in blocks:
-        _product_test(b, state, tol)
-    _verify_reconstruction(state, blocks, tol)
+        _product_test(b, state)
+    _verify_reconstruction(state, blocks)
     return KIDecomposition(blocks=blocks, r=trajectory[-1], trajectory=tuple(trajectory))
 
 
-def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...], tol: float) -> None:
+def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) -> None:
     """Rebuild psi as sum_j sqrt(p_j) iso_j[a,l,r] omega_j[l,m] phi_j[i,r,k]
     ws_j[b,m,k] and require both its overlap with the state and its squared
-    norm to be 1 within 10 tol: a p_j that is too large can push the overlap
+    norm to be 1 within 10 tau: a p_j that is too large can push the overlap
     of the unnormalized rebuilt vector past 1, but not its norm."""
+    tol = tolerance()
     rebuilt = np.zeros(state.dims, dtype=complex)
     for b in blocks:
         if b.p <= 0.0:

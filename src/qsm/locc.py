@@ -1,6 +1,7 @@
-"""One-way LOCC protocols: representation, execution, and the two reusable
-sub-protocols (qudit teleportation and flattening of a Schmidt spectrum onto a
-maximally entangled target).
+"""One-way LOCC protocols: representation, execution, qudit teleportation
+(whose qubit case the K = 2 fallback of the qubit-optimal merge extends) and
+flattening of a Schmidt spectrum onto a maximally entangled target (whose
+schedule, :func:`flatten_schedule`, also drives the merging protocol).
 
 A protocol is a finite family of labelled branches, held as two stacked
 arrays: ``a_ops[i]`` is the measurement operator that branch ``i`` applies to

@@ -30,6 +30,7 @@ from .locc import (
     check_protocol_budget,
     flatten_schedule,
     generalized_paulis,
+    teleportation_protocol,
     verify_protocol,
 )
 from .numerics import dagger, guarded_ceil, orthonormal_complement, tolerance
@@ -73,8 +74,6 @@ def rational_upper_approx(lam0: float, delta: float) -> Fraction:
     # 2.0**delta overflows past 1023; any window that reaches 1 >= ceil(lo)
     # already yields ceil(lo), so capping the exponent changes no result
     hi = Fraction(lam0 * 2.0 ** min(delta, 1023.0))
-    if hi < lo:
-        hi = lo
     best = _simplest_between(lo, hi)
     if best.denominator > 10**6:
         raise SolverError(
@@ -116,9 +115,6 @@ class CostReport:
     delta: Optional[float]
     lambda_tilde: Optional[Fraction]
     blocks: tuple
-
-    def block(self, index: int) -> BlockCost:
-        return self.blocks[index]
 
 
 def _select_leading_block(blocks: Sequence[BlockCost]) -> int:
@@ -451,7 +447,7 @@ def build_merge_protocol(
     hint = "; increase delta to coarsen the rational approximation" if catalytic else ""
     check_protocol_budget(P * P * J, a_shape, b_shape, hint)
     data = [
-        _BlockData(b, report.block(b.index), K, catalytic, P) for b in decomp.blocks
+        _BlockData(b, report.blocks[b.index], K, catalytic, P) for b in decomp.blocks
     ]
     live = [bd for bd in data if bd.live]
 
@@ -785,12 +781,12 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
             cost_bits=0.0, K=1, protocol=protocol, mixed_unitary=mu
         )
     # teleportation fallback: one shared bit
-    sigs = generalized_paulis(2).reshape(4, 2, 2)  # [(x, z), a_out, kbar]
+    teleport = teleportation_protocol(2)
     protocol = OneWayProtocol(
-        branches=[(x, z) for x in range(2) for z in range(2)],
-        a_ops=sigs.conj().reshape(4, 1, 4) / np.sqrt(2.0),
+        branches=teleport.branches,
+        a_ops=teleport.a_ops,
         # receiver: |a_out, b> from |b, kbar>, weighted by sigma[a_out, kbar]
-        b_ops=np.einsum("iak,bc->iabck", sigs, np.eye(2)).reshape(4, 4, 4),
+        b_ops=np.einsum("iak,bc->iabck", teleport.b_ops, np.eye(2)).reshape(4, 4, 4),
         name="qubit-merge[K=2]",
     )
     return QubitMergeReport(cost_bits=1.0, K=2, protocol=protocol, mixed_unitary=None)

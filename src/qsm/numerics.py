@@ -3,8 +3,8 @@
 Everything downstream (block decompositions, protocol construction, bound
 computations) relies on the conventions fixed here:
 
-* the global numerical tolerance ``tau`` (default ``1e-9``, overridable via
-  the ``QSM_TOL`` environment variable),
+* the global numerical tolerance ``tau = 1e-9``, read through
+  :func:`tolerance` wherever a value is compared against it,
 * eigen- and Schmidt decompositions sorted by descending value with a
   deterministic tie-break (vectors phase-normalized so their first
   significant component is real positive, ties ordered lexicographically),
@@ -15,28 +15,16 @@ computations) relies on the conventions fixed here:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-TOL_DEFAULT = 1e-9
-
 
 def tolerance() -> float:
-    """Global numerical tolerance tau; ``QSM_TOL`` overrides the default."""
-    raw = os.environ.get("QSM_TOL")
-    if raw is None:
-        return TOL_DEFAULT
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"QSM_TOL must parse as a float, got {raw!r}") from exc
-    if not 0.0 < value < 1.0:
-        raise ValidationError(f"QSM_TOL must lie in (0, 1), got {value}")
-    return value
+    """The global numerical tolerance tau, a fixed ``1e-9``."""
+    return 1e-9
 
 
 def guarded_ceil(x: float) -> int:
@@ -93,11 +81,12 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(-float(x) for pair in zip(rounded.real, rounded.imag) for x in pair)
 
 
-def _tie_order(values: np.ndarray, vectors: list[np.ndarray], tol: float) -> list[int]:
-    """Indices of descending ``values`` with runs equal within ``10 * tol`` sorted by ``_lex_key``.
+def _tie_order(values: np.ndarray, vectors: list[np.ndarray]) -> list[int]:
+    """Indices of descending ``values`` with runs equal within ``10 tau`` sorted by ``_lex_key``.
 
     A run of one value is its own order, so its vector is never keyed.
     """
+    tol = tolerance()
     order: list[int] = []
     i = 0
     n = len(values)
@@ -113,11 +102,11 @@ def _tie_order(values: np.ndarray, vectors: list[np.ndarray], tol: float) -> lis
     return order
 
 
-def canonical_eigh(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def canonical_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with descending eigenvalues, deterministic.
 
     Each eigenvector is phase-normalized (first significant component real
-    positive); eigenvalues equal within ``10 * tol`` are ordered
+    positive); eigenvalues equal within ``10 tau`` are ordered
     lexicographically by the normalized eigenvector entries.
     """
     h = np.asarray(h, dtype=complex)
@@ -126,7 +115,7 @@ def canonical_eigh(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     vals = vals[order]
     vecs = vecs[:, order]
     cols = [phase_normalize(vecs[:, i]) for i in range(vecs.shape[1])]
-    ordered = _tie_order(vals, cols, tol)
+    ordered = _tie_order(vals, cols)
     out_vals = np.array([vals[k] for k in ordered], dtype=float)
     return out_vals, np.column_stack([cols[k] for k in ordered])
 
@@ -167,16 +156,16 @@ def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) ->
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     phases = [_leading_phase(u[:, l]) for l in range(s.size)]
     lefts = [u[:, l] * phases[l] for l in range(s.size)]
-    ordered = _tie_order(s, lefts, tolerance())
+    ordered = _tie_order(s, lefts)
     coeffs = np.array([s[k] for k in ordered], dtype=float)
     left = np.column_stack([lefts[k] for k in ordered])
     right = np.column_stack([vh[k, :] * phases[k].conjugate() for k in ordered])
     return SchmidtDecomposition(coeffs=coeffs, left=left, right=right)
 
 
-def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: int, tol: float) -> bool:
+def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: int) -> bool:
     """Whether ``x (x) 1/x_copies`` is majorized by ``y (x) 1/y_copies``, for
-    nonnegative ``x`` and ``y`` (prefix sums, zero-padded, tolerance ``tol``).
+    nonnegative ``x`` and ``y`` (prefix sums, zero-padded, tolerance ``tau``).
 
     Neither side is built.  Sorted, the y side's prefix sum at length t is
     the linear interpolation of ``cumsum(y)`` at t / y_copies, flat past its
@@ -184,6 +173,7 @@ def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: in
     ``x_copies``.  The gap between them is therefore smallest at such a
     multiple, and only those are compared: O(len(x) + len(y)) work.
     """
+    tol = tolerance()
     x = np.sort(np.asarray(x, dtype=float))[::-1]
     y = np.sort(np.asarray(y, dtype=float))[::-1]
     cx = x.cumsum()

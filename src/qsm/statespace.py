@@ -231,30 +231,11 @@ def _ghz(d: int) -> TripartiteState:
 
 def _implication2() -> TripartiteState:
     regs = Registers(3, 12, 12, factors_A=(3, 2, 2), factors_B=(3, 2, 2))
-    amps = np.zeros((3, 12, 12), dtype=complex)
     s2 = np.sqrt(2.0)
     s3 = np.sqrt(3.0)
     phi_p = _bell(+1.0, "phi")
     phi_m = _bell(-1.0, "phi")
-    psi_p = _bell(+1.0, "psi")
     psi_m = _bell(-1.0, "psi")
-
-    def add(r, a1b1, a2b2, a3b3):
-        # a1b1: (3x3) amplitude matrix over the first factors; others 2x2
-        for a1 in range(3):
-            for b1 in range(3):
-                if a1b1[a1, b1] == 0:
-                    continue
-                for a2 in range(2):
-                    for b2 in range(2):
-                        if a2b2[a2, b2] == 0:
-                            continue
-                        for a3 in range(2):
-                            for b3 in range(2):
-                                val = a1b1[a1, b1] * a2b2[a2, b2] * a3b3[a3, b3]
-                                if val != 0:
-                                    amps[r, (a1 * 2 + a2) * 2 + a3, (b1 * 2 + b2) * 2 + b3] += val / s3
-
     swap01 = np.zeros((3, 3), dtype=complex)
     swap01[0, 1] = 1.0 / s2
     swap01[1, 0] = 1.0 / s2
@@ -264,9 +245,11 @@ def _implication2() -> TripartiteState:
     e22[2, 2] = 1.0
     ket00 = np.zeros((2, 2), dtype=complex)
     ket00[0, 0] = 1.0
-    add(0, swap01, phi_m, phi_p)
-    add(1, e00, phi_m, phi_p)
-    add(2, e22, ket00, psi_m)
+    # one (A, B) amplitude matrix per R level, over the factors (a1 a2 a3, b1 b2 b3)
+    amps = np.stack([
+        np.kron(np.kron(a1b1, a2b2), a3b3) / s3
+        for a1b1, a2b2, a3b3 in ((swap01, phi_m, phi_p), (e00, phi_m, phi_p), (e22, ket00, psi_m))
+    ])
     return TripartiteState(regs, amps, name="implication2")
 
 

@@ -357,6 +357,32 @@ def _child_env(**extra):
     return env
 
 
+def test_tolerance_is_not_read_from_the_environment(tmp_path):
+    """tau is a fixed constant: setting ``QSM_TOL``, to a number or to
+    nonsense, changes neither the report nor the exit code."""
+    path = tmp_path / "r232.json"
+    save_state(random_state(np.random.default_rng(0), (2, 3, 2)), path)
+
+    def merge_child(qsm_tol):
+        env = _child_env(OPENBLAS_NUM_THREADS="1")
+        env.pop("QSM_TOL", None)
+        if qsm_tol is not None:
+            env["QSM_TOL"] = qsm_tol
+        out = subprocess.run(
+            [sys.executable, "-m", "qsm.cli", "merge", str(path), "--mode", "catalytic",
+             "--verify", "--quiet"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        report = json.loads(out.stdout)
+        report.pop("wall_time_s")
+        return out.returncode, report
+
+    unset = merge_child(None)
+    assert unset[0] == 0
+    assert merge_child("1e-3") == unset
+    assert merge_child("nonsense") == unset
+
+
 def test_parser_reuse_matches_fresh_runs(tmp_path):
     """One process running several subcommands reports what fresh processes do."""
     path = _state_file(tmp_path, "ghz", d=2)

@@ -32,6 +32,30 @@ def test_package_imports_only_stdlib_and_numpy():
     assert offenders == []
 
 
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+def test_package_reads_no_environment():
+    """No module of the package refers to ``os.environ``, ``os.environb`` or
+    ``os.getenv``, as an attribute or imported by name: a run's report
+    depends on its inputs alone."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [
+                    f"{path.name}:{node.lineno}: from os import {alias.name}"
+                    for alias in node.names
+                    if alias.name in ENVIRONMENT_READERS
+                ]
+    assert offenders == []
+
+
 def test_pyproject_declares_only_numpy():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

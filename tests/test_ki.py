@@ -64,7 +64,7 @@ def test_steering_generators_span():
 
 def test_refinement_index_formula():
     g2 = statespace.catalog("ghz", 2)
-    init = ki.initial_structure(g2, tolerance())
+    init = ki.initial_structure(g2)
     assert ki.refinement_index(init) == 1
     # S=3, J=2 -> 5 ; S=2, J=2 -> 2
     fake = ki.BlockStructure(
@@ -77,8 +77,8 @@ def test_refinement_index_formula():
 
 def test_l_decompose_step_ghz2():
     g2 = statespace.catalog("ghz", 2)
-    init = ki.initial_structure(g2, tolerance())
-    refined = ki.l_decompose_step(g2, init, ki.SteeredOperators(g2), tolerance())
+    init = ki.initial_structure(g2)
+    refined = ki.l_decompose_step(init, ki.SteeredOperators(g2))
     assert refined is not None
     assert refined.J == 2
     assert structure_dims(refined) == [(1, 1), (1, 1)]
@@ -86,9 +86,9 @@ def test_l_decompose_step_ghz2():
 
 def test_l_decompose_step_appendix_d_first_split():
     st = statespace.catalog("appendixD")
-    init = ki.initial_structure(st, tolerance())
+    init = ki.initial_structure(st)
     assert structure_dims(init) == [(5, 1)]  # support of psi^A is 5-dimensional
-    refined = ki.l_decompose_step(st, init, ki.SteeredOperators(st), tolerance())
+    refined = ki.l_decompose_step(init, ki.SteeredOperators(st))
     assert refined is not None
     assert refined.J == 2
     # one part spans {|0>_{A1}} (x) A2 = coords {0,1}; the other the rest of the support
@@ -107,19 +107,19 @@ def test_l_decompose_step_generic():
     st = statespace.random_state(np.random.default_rng(42), (2, 2, 2))
     # the initial structure splits (steered states differ on the full space) ...
     steered = ki.SteeredOperators(st)
-    init = ki.initial_structure(st, tolerance())
-    assert ki.l_decompose_step(st, init, steered, tolerance()) is not None
+    init = ki.initial_structure(st)
+    assert ki.l_decompose_step(init, steered) is not None
     # ... but the maximal single-quantum-block structure admits no witness
     dec = ki.ki_decompose(st)
     final = ki.BlockStructure(spaces=tuple(b.iso for b in dec.blocks))
-    assert ki.l_decompose_step(st, final, steered, tolerance()) is None
+    assert ki.l_decompose_step(final, steered) is None
 
 
 def test_r_combine_step_ghz2_none():
     g2 = statespace.catalog("ghz", 2)
     steered = ki.SteeredOperators(g2)
-    two = ki.l_decompose_step(g2, ki.initial_structure(g2, tolerance()), steered, tolerance())
-    assert ki.r_combine_step(g2, two, steered, tolerance()) is None
+    two = ki.l_decompose_step(ki.initial_structure(g2), steered)
+    assert ki.r_combine_step(two, steered) is None
 
 
 def test_r_combine_step_b_decoupled():
@@ -128,9 +128,9 @@ def test_r_combine_step_b_decoupled():
     amps[0, 0, 0] = amps[1, 1, 0] = 1 / np.sqrt(2.0)
     st = statespace.TripartiteState(statespace.Registers(2, 2, 2), amps)
     steered = ki.SteeredOperators(st)
-    split = ki.l_decompose_step(st, ki.initial_structure(st, tolerance()), steered, tolerance())
+    split = ki.l_decompose_step(ki.initial_structure(st), steered)
     assert split is not None and split.J == 2
-    combined = ki.r_combine_step(st, split, steered, tolerance())
+    combined = ki.r_combine_step(split, steered)
     assert combined is not None
     assert structure_dims(combined) == [(1, 2)]
 
@@ -240,7 +240,7 @@ def test_steered_states_invariant_under_block_mixed_unitaries():
     krauses = []
     for b in dec.blocks:
         flat = b.iso.reshape(st.regs.dim_A, -1)
-        _, basis = canonical_eigh(omega(b), tolerance())
+        _, basis = canonical_eigh(omega(b))
         for w in (0.3, 0.7):
             phases = np.exp(2j * np.pi * rng.random(b.dim_L))
             u = basis @ np.diag(phases) @ dagger(basis)
@@ -285,8 +285,7 @@ def test_reconstruction_from_blocks():
 def test_reconstruction_check_rejects_mutated_blocks(name):
     st = statespace.catalog(name)
     blocks = ki.ki_decompose(st).blocks
-    tol = tolerance()
-    ki._verify_reconstruction(st, blocks, tol)
+    ki._verify_reconstruction(st, blocks)
     j = next(j for j, b in enumerate(blocks) if b.dim_R > 1)
     swapped_r = dataclasses.replace(blocks[j], phi=blocks[j].phi[:, ::-1, :])
     # a p_j that is too large can raise the overlap past 1; its norm catches it
@@ -296,7 +295,7 @@ def test_reconstruction_check_rejects_mutated_blocks(name):
         mutants += [blocks[:k] + blocks[k + 1 :] for k in range(len(blocks))]
     for mutant in mutants:
         with pytest.raises(VerificationError, match="reconstruction (fidelity|squared norm)"):
-            ki._verify_reconstruction(st, mutant, tol)
+            ki._verify_reconstruction(st, mutant)
 
 
 def test_ki_decompose_random_states_terminate():
@@ -330,13 +329,13 @@ def _sequential_l_decompose_step(state, decomp):
         ref = next((d for d in diagonals if float(np.trace(d).real) > 100 * tol), None)
         if ref is None:
             continue
-        witness = next((d for d in diagonals if not ki._proportional(d, ref, tol)), None)
+        witness = next((d for d in diagonals if not ki._proportional(d, ref)), None)
         if witness is None:
             for gen in generators:
                 t_gen = ki._compressed(space, ki._steered_unnormalized(state, gen))
                 for a in ki._r_factor_vectors(space.shape[2]):
                     rho = np.einsum("lrms,r,s->lm", t_gen, a.conj(), a)
-                    if not ki._proportional(rho, ref, tol):
+                    if not ki._proportional(rho, ref):
                         witness = rho
                         break
                 if witness is not None:
@@ -344,7 +343,7 @@ def _sequential_l_decompose_step(state, decomp):
         if witness is None:
             continue
         eta = witness / float(np.trace(witness).real) - ref / float(np.trace(ref).real)
-        split = ki._split_eigenspaces((eta + dagger(eta)) / 2, tol)
+        split = ki._split_eigenspaces((eta + dagger(eta)) / 2)
         if split is None:
             continue
         new_spaces = list(decomp.spaces)
@@ -381,7 +380,7 @@ def _sequential_r_combine_step(state, decomp):
                             or np.sum(np.linalg.eigvalsh(d1) > 10 * tol * scale) < v1.shape[1]
                         ):
                             continue
-                        return ki._apply_combine(decomp, j0, j1, sigma, tol)
+                        return ki._apply_combine(decomp, j0, j1, sigma)
     return None
 
 
@@ -407,17 +406,16 @@ def _oracle_states():
 
 
 def test_batched_witness_screen_matches_sequential(monkeypatch):
-    tol = tolerance()
     for st in _oracle_states():
         steered = ki.SteeredOperators(st)
-        structure = ki.initial_structure(st, tol)
+        structure = ki.initial_structure(st)
         steps = 0
         while True:
             expected = _sequential_l_decompose_step(st, structure)
-            assert _same_structure(ki.l_decompose_step(st, structure, steered, tol), expected)
+            assert _same_structure(ki.l_decompose_step(structure, steered), expected)
             if expected is None:
                 expected = _sequential_r_combine_step(st, structure)
-                assert _same_structure(ki.r_combine_step(st, structure, steered, tol), expected)
+                assert _same_structure(ki.r_combine_step(structure, steered), expected)
             if expected is None:
                 break
             structure = expected

@@ -23,7 +23,7 @@ from qsm.merge import (
     rational_upper_approx,
     verify_merge,
 )
-from qsm.numerics import majorization_check, orthonormal_complement, tolerance
+from qsm.numerics import majorization_check, orthonormal_complement
 from qsm.statespace import (
     Registers,
     TripartiteState,
@@ -249,7 +249,7 @@ def test_resource_spectra_majorization(name, d, mode):
     L = rep.L if mode == "catalytic" else 1
     eig_b = np.linalg.eigvalsh(state.marginal("B"))
     eig_ab = np.linalg.eigvalsh(state.marginal("AB"))
-    assert majorization_check(eig_b, rep.K, eig_ab, L, tolerance())
+    assert majorization_check(eig_b, rep.K, eig_ab, L)
 
 
 def _pad_sender(state):
@@ -306,7 +306,7 @@ def _per_pair_oracle(state, decomp, mode, delta):
         else:
             bd.u_live = np.zeros((bd.dim_L, 0), dtype=complex)
         bd.u_dead = orthonormal_complement(bd.u_live, bd.dim_L)
-        cost = report.block(block.index)
+        cost = report.blocks[block.index]
         if catalytic and bd.live:
             d, w_cnt = bd.dim_R, cost.W_j
             bd.per, bd.target = cost.K_j, cost.L_j

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qsm import numerics
-from qsm.errors import ValidationError
 from qsm.split import build_split_protocol
 from qsm.statespace import catalog
 
@@ -19,16 +18,8 @@ from test_cli import _child_env
 RNG = np.random.default_rng(20260823)
 
 
-def test_tolerance_default_and_env(monkeypatch):
+def test_tolerance_is_fixed():
     assert numerics.tolerance() == 1e-9
-    monkeypatch.setenv("QSM_TOL", "1e-7")
-    assert numerics.tolerance() == 1e-7
-    monkeypatch.setenv("QSM_TOL", "nonsense")
-    with pytest.raises(ValidationError):
-        numerics.tolerance()
-    monkeypatch.setenv("QSM_TOL", "2.0")
-    with pytest.raises(ValidationError):
-        numerics.tolerance()
 
 
 def test_dagger():
@@ -47,17 +38,17 @@ def test_phase_normalize():
 def test_canonical_eigh_descending_and_deterministic():
     h = RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5))
     h = h + h.conj().T
-    vals, vecs = numerics.canonical_eigh(h, 1e-9)
+    vals, vecs = numerics.canonical_eigh(h)
     assert np.all(np.diff(vals) <= 1e-12)
     assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, h)
     # deterministic under permutation-invariant recomputation
-    vals2, vecs2 = numerics.canonical_eigh(h.copy(), 1e-9)
+    vals2, vecs2 = numerics.canonical_eigh(h.copy())
     assert np.allclose(vals, vals2) and np.allclose(vecs, vecs2)
 
 
 def test_canonical_eigh_degenerate_stable():
     # identity has fully degenerate spectrum; canonical order gives identity basis
-    vals, vecs = numerics.canonical_eigh(np.eye(4, dtype=complex), 1e-9)
+    vals, vecs = numerics.canonical_eigh(np.eye(4, dtype=complex))
     assert np.allclose(vals, 1.0)
     assert np.allclose(np.abs(vecs), np.eye(4))
 
@@ -109,17 +100,17 @@ def test_fidelity_conventions():
 
 
 def test_majorization_check():
-    assert numerics.majorization_check([0.5, 0.5], 1, [0.7, 0.3], 1, 1e-9)
-    assert not numerics.majorization_check([0.7, 0.3], 1, [0.5, 0.5], 1, 1e-9)
+    assert numerics.majorization_check([0.5, 0.5], 1, [0.7, 0.3], 1)
+    assert not numerics.majorization_check([0.7, 0.3], 1, [0.5, 0.5], 1)
     # padding with zeros / different lengths
-    assert numerics.majorization_check([0.25] * 4, 1, [0.5, 0.5, 0.0], 1, 1e-9)
+    assert numerics.majorization_check([0.25] * 4, 1, [0.5, 0.5, 0.0], 1)
     # unequal totals fail
-    assert not numerics.majorization_check([0.5, 0.4], 1, [0.5, 0.5], 1, 1e-9)
+    assert not numerics.majorization_check([0.5, 0.4], 1, [0.5, 0.5], 1)
     # uniform blocks: (0.5, 0.5) (x) 1/2 is the uniform 4-vector, more mixed than (0.7, 0.3)
-    assert numerics.majorization_check([0.5, 0.5], 2, [0.7, 0.3], 1, 1e-9)
-    assert not numerics.majorization_check([0.7, 0.3], 1, [0.5, 0.5], 2, 1e-9)
+    assert numerics.majorization_check([0.5, 0.5], 2, [0.7, 0.3], 1)
+    assert not numerics.majorization_check([0.7, 0.3], 1, [0.5, 0.5], 2)
     # unsorted input is sorted first
-    assert numerics.majorization_check([0.3, 0.7], 3, [0.2, 0.8], 2, 1e-9)
+    assert numerics.majorization_check([0.3, 0.7], 3, [0.2, 0.8], 2)
 
 
 COPY_COUNTS = (1, 2, 3, 4, 5, 7, 12, 64, 511, 4096)
@@ -143,7 +134,7 @@ def test_majorization_check_matches_materialized_oracle():
         x = _random_spectrum(rng, n_x, int(rng.integers(0, n_x)))
         y = _random_spectrum(rng, n_y, int(rng.integers(0, n_y)))
         k, l = (int(c) for c in rng.choice(COPY_COUNTS, size=2))
-        got = numerics.majorization_check(x, k, y, l, 1e-9)
+        got = numerics.majorization_check(x, k, y, l)
         expected = materialized_majorization(np.repeat(x / k, k), np.repeat(y / l, l), 1e-9)
         assert got == expected, (x, k, y, l)
         outcomes.add(got)
@@ -159,7 +150,7 @@ def test_majorization_check_exact_ties_on_uniform_spectra(x_copies):
         for m in (1, 2, 3, 4, 6, 8, 12):
             y = np.concatenate((np.full(m, 1.0 / m), np.zeros(3)))
             for l in {1, 2, 3, x_copies, max(1, n * x_copies // m), n * x_copies // m + 1}:
-                got = numerics.majorization_check(x, x_copies, y, l, 1e-9)
+                got = numerics.majorization_check(x, x_copies, y, l)
                 oracle = materialized_majorization(
                     np.repeat(x / x_copies, x_copies), np.repeat(y / l, l), 1e-9
                 )

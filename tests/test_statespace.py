@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -104,6 +105,28 @@ def test_catalog_implication2():
     assert abs(np.linalg.norm(st.vector) - 1.0) < 1e-12
     # R marginal uniform
     assert np.allclose(st.marginal("R"), np.eye(3) / 3)
+
+
+# sha256 of ``catalog(name, d).amplitudes.tobytes()``: every catalog state is
+# pinned to the last bit, so a rewrite of a builder cannot move a report
+CATALOG_SHA256 = {
+    ("ghz", 2): "3cee3b9253ca8b64ae69d1e8018a0ec8ca3f408493969d8bc184fe94bf44749d",
+    ("ghz", 3): "51df412ff5d35ef8584751bf63c0ebd778cf99db265b7c075c5bce56e1ee3880",
+    ("ghz", 4): "b8c6309dc9b04191d8cd8159fbc2c3479a7e60a69e59a6d8cc8859e1c1fd19c4",
+    ("implication2", None): "a34fff969cf08f946cfe8f2f2c75132c98fad269178b462664540d764e00782c",
+    ("implication3", None): "a6287d0643a3bc26017279a4c6e7f2817df3505115eebb9b3206bf329e2a6523",
+    ("implication4_psi", None): "ca211f4c898599a496bb0e79a4cd3d47c12e6bb578f8c831d2f65b16c3e23958",
+    ("implication4_psi_prime", None): "b8aa65e480fe8c33b33efa363738a2c0bd8f345020092d8d7ef967fc10a46c44",
+    ("appendixD", None): "506703e74c0ade1657bb4ff5186645029c310678be8fed49c85bb40cf0461ad7",
+    ("qutrit_choi", None): "467ed55fcb0b44cfca0b92fb570897ff6b8228d2fd2dbab8c04fce3b31a87619",
+}
+
+
+def test_catalog_amplitudes_are_pinned_bit_for_bit():
+    assert {name for name, _ in CATALOG_SHA256} == set(statespace.CATALOG_NAMES)
+    for (name, d), digest in CATALOG_SHA256.items():
+        amplitudes = statespace.catalog(name, d=d).amplitudes
+        assert hashlib.sha256(amplitudes.tobytes()).hexdigest() == digest, (name, d)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import SolverError, ValidationError, VerificationError
 from .statespace import (
-    Registers,
     TripartiteState,
     catalog,
     load_state,
@@ -53,7 +52,6 @@ __all__ = [
     "KIBlock",
     "KIDecomposition",
     "OneWayProtocol",
-    "Registers",
     "SolverError",
     "TripartiteState",
     "ValidationError",

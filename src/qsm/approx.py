@@ -257,8 +257,7 @@ def best_smoothing_candidate(
         cand_vec = math.cos(theta) * vec + math.sin(theta) * (g / norm)
         consider(
             TripartiteState(
-                regs=state.regs,
-                amplitudes=cand_vec.reshape(state.dims),
+                cand_vec.reshape(state.dims),
                 name=f"{state.name}_smoothed" if state.name else "smoothed",
             )
         )

@@ -459,15 +459,13 @@ class ConverseReport:
     """All cost lower bounds for one state, with the known ordering checked.
 
     ``gap = simple_catalytic - h_max >= -1e-6`` always holds;
-    ``search_catalytic >= simple_catalytic - 1e-6`` holds because the bounds
-    are evaluated on the uniform-spectator normal form (``applicable`` records
-    whether the input was already in that form).
+    ``search.catalytic_bits >= simple_catalytic - 1e-6`` holds because the
+    bounds are evaluated on the uniform-spectator normal form (``applicable``
+    records whether the input was already in that form).
     """
 
     simple_catalytic: float
     simple_noncatalytic: float
-    search_catalytic: float
-    search_noncatalytic: float
     h_max: float
     gap: float
     applicable: bool
@@ -479,7 +477,7 @@ def compare_bounds(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> 
 
     The state is first brought to its uniform-spectator normal form so that
     all three bounds refer to the same merging task; the report enforces
-    ``simple_catalytic >= h_max - 1e-6`` and ``search_catalytic >=
+    ``simple_catalytic >= h_max - 1e-6`` and ``search.catalytic_bits >=
     simple_catalytic - 1e-6``.
     """
     normal, applicable = _uniform_spectator_form(state)
@@ -499,8 +497,6 @@ def compare_bounds(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> 
     return ConverseReport(
         simple_catalytic=simple["catalytic"],
         simple_noncatalytic=simple["noncatalytic"],
-        search_catalytic=search.catalytic_bits,
-        search_noncatalytic=search.noncatalytic_bits,
         h_max=h_max,
         gap=simple["catalytic"] - h_max,
         applicable=applicable,

@@ -64,38 +64,27 @@ def _steered_unnormalized(state: TripartiteState, lam: np.ndarray) -> np.ndarray
 
 # ---------------------------------------------------------------------------
 # Block structures (intermediate decompositions)
+#
+# An intermediate factored decomposition is a tuple of blocks ``spaces``, one
+# 3-axis isometry per block: ``spaces[j]`` has shape (dim_A, dim_L_j,
+# dim_R_j), and flattening the last two axes gives orthonormal columns
+# spanning the block subspace of H^A.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Intermediate factored decomposition: one 3-axis isometry per block.
-
-    ``spaces[j]`` has shape (dim_A, dim_L_j, dim_R_j); flattening the last two
-    axes gives orthonormal columns spanning the block subspace of H^A.
-    """
-
-    spaces: tuple[np.ndarray, ...]
-
-    @property
-    def J(self) -> int:
-        return len(self.spaces)
-
-
-def refinement_index(decomp: BlockStructure) -> int:
+def refinement_index(spaces: tuple[np.ndarray, ...]) -> int:
     """Degree-of-refinement index r = S(S+1)/2 - J + 1 with S the sum of R-dims."""
-    s = sum(v.shape[2] for v in decomp.spaces)
-    return s * (s + 1) // 2 - decomp.J + 1
+    s = sum(v.shape[2] for v in spaces)
+    return s * (s + 1) // 2 - len(spaces) + 1
 
 
-def initial_structure(state: TripartiteState) -> BlockStructure:
+def initial_structure(state: TripartiteState) -> tuple[np.ndarray, ...]:
     """Single block spanning supp(psi^A), with trivial R-factor."""
     vals, vecs = canonical_eigh(state.marginal("A"))
     n = int(np.sum(vals > 10 * tolerance()))
     if n == 0:
         raise ValidationError("state has no support on A")
-    v = vecs[:, :n].reshape(state.regs.dim_A, n, 1)
-    return BlockStructure(spaces=(v,))
+    return (vecs[:, :n].reshape(state.dims[1], n, 1),)
 
 
 def _compressed(space: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -147,8 +136,8 @@ class SteeredOperators:
 
     def __init__(self, state: TripartiteState):
         self._state = state
-        eye = np.eye(state.regs.dim_R, dtype=complex)
-        gens = steering_generators(state.regs.dim_R)
+        eye = np.eye(state.dims[0], dtype=complex)
+        gens = steering_generators(state.dims[0])
         self.full = _steered_unnormalized(state, eye)
         self.generators = np.stack([_steered_unnormalized(state, gen) for gen in gens])
         self._combine_lams = [lam for gen in gens for lam in (eye + gen, eye + 2 * gen)]
@@ -189,7 +178,9 @@ def _generator_witness(space: np.ndarray, generators: np.ndarray, ref: np.ndarra
     return np.einsum("lrms,r,s->lm", t_gen, avecs[k].conj(), avecs[k])
 
 
-def l_decompose_step(decomp: BlockStructure, steered: SteeredOperators) -> BlockStructure | None:
+def l_decompose_step(
+    spaces: tuple[np.ndarray, ...], steered: SteeredOperators
+) -> tuple[np.ndarray, ...] | None:
     """One L-decomposing refinement, or ``None`` when no witness exists.
 
     Searches for a block whose L-factor supports two non-proportional
@@ -202,7 +193,7 @@ def l_decompose_step(decomp: BlockStructure, steered: SteeredOperators) -> Block
     block can never split, whatever the tolerance.
     """
     tol = tolerance()
-    for j0, space in enumerate(decomp.spaces):
+    for j0, space in enumerate(spaces):
         if space.shape[1] == 1:
             continue
         dim_R = space.shape[2]
@@ -223,15 +214,17 @@ def l_decompose_step(decomp: BlockStructure, steered: SteeredOperators) -> Block
         if split is None:
             continue
         plus, minus = split
-        new_spaces = list(decomp.spaces)
+        new_spaces = list(spaces)
         sub_plus = np.einsum("alr,lp->apr", space, plus)
         sub_minus = np.einsum("alr,lp->apr", space, minus)
         new_spaces[j0 : j0 + 1] = [sub_plus, sub_minus]
-        return BlockStructure(spaces=tuple(new_spaces))
+        return tuple(new_spaces)
     return None
 
 
-def r_combine_step(decomp: BlockStructure, steered: SteeredOperators) -> BlockStructure | None:
+def r_combine_step(
+    spaces: tuple[np.ndarray, ...], steered: SteeredOperators
+) -> tuple[np.ndarray, ...] | None:
     """One R-combining refinement, or ``None`` when no witness exists.
 
     Searches block pairs for a nonzero cross compression sigma of a steered
@@ -239,13 +232,13 @@ def r_combine_step(decomp: BlockStructure, steered: SteeredOperators) -> BlockSt
     sigma and concatenates the R-factors; unmatched L-directions stay behind
     as leftover blocks.  ``steered`` holds the steered operators of the state.
     """
-    if decomp.J < 2:
+    if len(spaces) < 2:
         return None
     tol = tolerance()
 
-    for j0 in range(decomp.J):
-        for j1 in range(j0 + 1, decomp.J):
-            v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
+    for j0 in range(len(spaces)):
+        for j1 in range(j0 + 1, len(spaces)):
+            v0, v1 = spaces[j0], spaces[j1]
             for op in steered.combine():
                 scale = max(1.0, abs(float(np.trace(op).real)))
                 cross = np.einsum("alr,ab,bms->lrms", v1.conj(), op, v0)
@@ -262,12 +255,14 @@ def r_combine_step(decomp: BlockStructure, steered: SteeredOperators) -> BlockSt
                         rank1 = int(np.sum(np.linalg.eigvalsh(d1) > 10 * tol * scale))
                         if rank0 < v0.shape[1] or rank1 < v1.shape[1]:
                             continue
-                        return _apply_combine(decomp, j0, j1, sigma)
+                        return _apply_combine(spaces, j0, j1, sigma)
     return None
 
 
-def _apply_combine(decomp: BlockStructure, j0: int, j1: int, sigma: np.ndarray) -> BlockStructure:
-    v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
+def _apply_combine(
+    spaces: tuple[np.ndarray, ...], j0: int, j1: int, sigma: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    v0, v1 = spaces[j0], spaces[j1]
     # Degeneracy-safe SVD pairing: right singular vectors from sigma^dag sigma,
     # left partners slaved through sigma itself.
     svals_sq, rights = canonical_eigh(dagger(sigma) @ sigma)
@@ -284,11 +279,11 @@ def _apply_combine(decomp: BlockStructure, j0: int, j1: int, sigma: np.ndarray) 
         comp = orthonormal_complement(matched, v.shape[1])
         if comp.shape[1]:
             leftovers.append(np.einsum("alr,lp->apr", v, comp))
-    new_spaces = list(decomp.spaces)
+    new_spaces = list(spaces)
     del new_spaces[j1]
     new_spaces[j0] = combined
     new_spaces.extend(leftovers)
-    return BlockStructure(spaces=tuple(new_spaces))
+    return tuple(new_spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +351,7 @@ class KIDecomposition:
 
 def _glue_kernel(state: TripartiteState, raw: list) -> list:
     """Attach kernel directions of psi^A to the block list."""
-    dim_A = state.regs.dim_A
+    dim_R, dim_A, dim_B = state.dims
     span = np.hstack([space.reshape(dim_A, -1) for space, _, _ in raw])
     kernel = orthonormal_complement(span, dim_A)
     if kernel.shape[1] == 0:
@@ -369,7 +364,7 @@ def _glue_kernel(state: TripartiteState, raw: list) -> list:
         pad = np.zeros((psi_j.shape[0], kernel.shape[1], 1, psi_j.shape[3]), dtype=complex)
         raw[target] = (widened, np.concatenate([psi_j, pad], axis=1), p_j)
     else:
-        empty = np.zeros((state.regs.dim_R, kernel.shape[1], 1, state.regs.dim_B), dtype=complex)
+        empty = np.zeros((dim_R, kernel.shape[1], 1, dim_B), dtype=complex)
         raw.append((kernel.reshape(dim_A, -1, 1), empty, 0.0))
     return raw
 
@@ -463,26 +458,26 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     bound, if a block fails the maximality product test, or if the block data
     does not reconstruct the state.
     """
-    structure = initial_structure(state)
+    spaces = initial_structure(state)
     steered = SteeredOperators(state)
-    trajectory = [refinement_index(structure)]
-    max_iters = 4 * state.regs.dim_A**2 + 8
+    trajectory = [refinement_index(spaces)]
+    max_iters = 4 * state.dims[1] ** 2 + 8
     for _ in range(max_iters):
-        refined = l_decompose_step(structure, steered)
+        refined = l_decompose_step(spaces, steered)
         if refined is None:
-            refined = r_combine_step(structure, steered)
+            refined = r_combine_step(spaces, steered)
         if refined is None:
             break
         new_r = refinement_index(refined)
         if new_r <= trajectory[-1]:
             raise VerificationError("refinement step did not increase the index")
-        structure = refined
+        spaces = refined
         trajectory.append(new_r)
     else:
         raise VerificationError("refinement loop exceeded its iteration bound")
 
     raw = []
-    for space in structure.spaces:
+    for space in spaces:
         psi_j = np.einsum("alr,iab->ilrb", space.conj(), state.amplitudes)
         p_j = float(np.sum(np.abs(psi_j) ** 2))
         raw.append((space, psi_j, p_j))
@@ -492,7 +487,7 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     if abs(total_p - 1.0) > 1e3 * tolerance():
         raise VerificationError(f"block probabilities sum to {total_p}, not 1")
     blocks = tuple(
-        _build_block(i, space, psi_j, p_j, state.regs.dim_B)
+        _build_block(i, space, psi_j, p_j, state.dims[2])
         for i, (space, psi_j, p_j) in enumerate(raw)
     )
     for b in blocks:
@@ -525,7 +520,6 @@ def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) 
 
 
 __all__ = [
-    "BlockStructure",
     "KIBlock",
     "KIDecomposition",
     "initial_structure",

@@ -215,11 +215,9 @@ def achievable_cost(
 def merge_target_vector(state: TripartiteState, L: int) -> np.ndarray:
     """Target vector: psi relocated to the receiver (B' x B) together with a
     rank-L maximally entangled pair on (Abar_L; Bbar_L)."""
-    dims = state.regs
+    dim_R, dim_A, dim_B = state.dims
     amps = state.amplitudes
-    out = np.zeros(
-        (dims.dim_R, L, dims.dim_A, dims.dim_B, L), dtype=complex
-    )
+    out = np.zeros((dim_R, L, dim_A, dim_B, L), dtype=complex)
     for l in range(L):
         out[:, l, :, :, l] = amps / np.sqrt(float(L))
     return out.reshape(-1)
@@ -437,7 +435,7 @@ def build_merge_protocol(
     report = achievable_cost(decomp, mode=mode, delta=delta)
     K, L = report.K, report.L
     J = decomp.J
-    dA, dB = state.regs.dim_A, state.regs.dim_B
+    _, dA, dB = state.dims
     catalytic = mode == "catalytic"
     P = 1
     for b in decomp.blocks:
@@ -601,13 +599,6 @@ _PAULIS = (
 )
 
 
-@dataclass(frozen=True)
-class MixedUnitaryDecomposition:
-    """A channel written as sum_m p_m U_m rho U_m^dag."""
-
-    terms: tuple  # of (probability, unitary)
-
-
 def _su2_from_so3(rot: np.ndarray) -> np.ndarray:
     """SU(2) element whose Bloch-vector action matches the SO(3) matrix."""
     # quaternion extraction with the numerically stable largest-pivot branch
@@ -649,9 +640,10 @@ def _pauli_transfer(channel_blocks: np.ndarray) -> np.ndarray:
     return ptm
 
 
-def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> MixedUnitaryDecomposition:
+def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> tuple[tuple[float, np.ndarray], ...]:
     """Decompose a unital qubit channel, given its normalized Choi matrix on
-    (input, output), into a mixture of at most four unitaries.
+    (input, output), into a mixture of at most four unitaries: the channel
+    is sum_m p_m U_m rho U_m^dag for the returned ``(p_m, U_m)`` pairs.
 
     The Bloch rotation part is brought to signed-singular-value form
     R1 diag(s) R2^T with R1, R2 special orthogonal; the diagonal channel is a
@@ -716,18 +708,19 @@ def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> MixedUnitaryDecomposi
         raise VerificationError(
             "mixed-unitary reconstruction deviates from the input channel"
         )
-    return MixedUnitaryDecomposition(terms=tuple(terms))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
 class QubitMergeReport:
-    """Qubit-optimal merging: cost, resource rank, protocol, and the channel
-    decomposition when the zero-cost construction applies."""
+    """Qubit-optimal merging: cost, resource rank, protocol, and the channel's
+    mixed-unitary ``(probability, unitary)`` pairs when the zero-cost
+    construction applies."""
 
     cost_bits: float
     K: int
     protocol: OneWayProtocol
-    mixed_unitary: Optional[MixedUnitaryDecomposition]
+    mixed_unitary: Optional[tuple[tuple[float, np.ndarray], ...]]
 
 
 def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
@@ -737,8 +730,7 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
     normalized Choi matrix is the spectator-receiver marginal), else one
     shared bit via teleportation."""
     tol = tolerance()
-    regs = state.regs
-    if (regs.dim_R, regs.dim_A, regs.dim_B) != (2, 2, 2):
+    if state.dims != (2, 2, 2):
         raise ValidationError("qubit-optimal merging requires three qubits")
     if np.max(np.abs(state.marginal("R") - np.eye(2) / 2)) > 10 * tol:
         raise ValidationError(
@@ -751,9 +743,9 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
         rho_rb = np.einsum("iab,jap->ibjp", amps, amps.conj()).reshape(4, 4)
         mu = mixed_unitary_decomposition_qubit(rho_rb)
         psi_mat = amps.transpose(0, 2, 1).reshape(4, 2)  # [(i,b), a]
-        m_cnt = len(mu.terms)
+        m_cnt = len(mu)
         x_mat = np.zeros((4, m_cnt), dtype=complex)
-        for m, (p, u) in enumerate(mu.terms):
+        for m, (p, u) in enumerate(mu):
             x_mat[:, m] = np.sqrt(p) * u.T.reshape(-1) / np.sqrt(2.0)
         lmat, svals, vh = np.linalg.svd(psi_mat, full_matrices=False)
         rank = int(np.sum(svals > 10 * tol * max(1.0, float(svals[0]))))
@@ -769,7 +761,7 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
             u_iso = np.vstack([u_iso, extra.T.conj()])
         v_psi = np.sqrt(2.0) * amps.reshape(2, 4).T  # columns l -> vec(a,b)
         # outcomes beyond the mixed-unitary terms reuse the first correction
-        corrections = [u for _, u in mu.terms]
+        corrections = [u for _, u in mu]
         corrections += [corrections[0]] * (u_iso.shape[0] - m_cnt)
         protocol = OneWayProtocol(
             branches=[(m,) for m in range(u_iso.shape[0])],

@@ -1,9 +1,8 @@
 """Tripartite pure-state data model, example-state catalog, and file I/O.
 
 A state lives on three registers R (reference), A (sender), B (receiver) and
-is stored as a complex amplitude tensor indexed ``(iR, iA, iB)``.  Registers
-may carry an optional tensor-factor structure (e.g. A = 3x2x2) used only for
-bookkeeping and display; indices are row-major within the declared factors.
+is its complex amplitude tensor indexed ``(iR, iA, iB)``: the tensor's shape
+is the one record of the register dimensions.
 """
 
 from __future__ import annotations
@@ -30,43 +29,20 @@ CATALOG_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Registers:
-    """Register dimensions with optional factorizations of A and B."""
-
-    dim_R: int
-    dim_A: int
-    dim_B: int
-    factors_A: tuple[int, ...] | None = None
-    factors_B: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        for label, d in (("R", self.dim_R), ("A", self.dim_A), ("B", self.dim_B)):
-            if not isinstance(d, int) or d < 1:
-                raise ValidationError(f"register {label} dimension must be a positive integer, got {d}")
-        for label, dim, factors in (("A", self.dim_A, self.factors_A), ("B", self.dim_B, self.factors_B)):
-            if factors is not None:
-                factors = tuple(int(f) for f in factors)
-                object.__setattr__(self, f"factors_{label}", factors)
-                if any(f < 1 for f in factors) or math.prod(factors) != dim:
-                    raise ValidationError(
-                        f"factors {factors} of register {label} do not multiply to {dim}"
-                    )
-
-
 @dataclass(frozen=True, eq=False)
 class TripartiteState:
-    """Pure state on R (x) A (x) B; amplitudes normalized exactly on construction."""
+    """Pure state on R (x) A (x) B given by its amplitude tensor of shape
+    (dim_R, dim_A, dim_B); amplitudes normalized exactly on construction."""
 
-    regs: Registers
     amplitudes: np.ndarray
     name: str = ""
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        shape = (self.regs.dim_R, self.regs.dim_A, self.regs.dim_B)
-        if amps.shape != shape:
-            raise ValidationError(f"amplitude tensor shape {amps.shape} does not match registers {shape}")
+        if amps.ndim != 3 or amps.size == 0:
+            raise ValidationError(
+                f"amplitude tensor must have three non-empty axes (R, A, B), got shape {amps.shape}"
+            )
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
             raise ValidationError(f"state norm {norm} deviates from 1 by more than 1e-6")
@@ -76,7 +52,7 @@ class TripartiteState:
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return (self.regs.dim_R, self.regs.dim_A, self.regs.dim_B)
+        return self.amplitudes.shape
 
     @property
     def vector(self) -> np.ndarray:
@@ -115,13 +91,9 @@ def save_state(state: TripartiteState, path) -> None:
             rows.append([int(i), int(a), int(b), float(val.real), float(val.imag)])
     doc: dict = {
         "version": 1,
-        "dims": {"R": state.regs.dim_R, "A": state.regs.dim_A, "B": state.regs.dim_B},
+        "dims": dict(zip("RAB", state.dims)),
         "amps": rows,
     }
-    if state.regs.factors_A is not None:
-        doc["factorsA"] = list(state.regs.factors_A)
-    if state.regs.factors_B is not None:
-        doc["factorsB"] = list(state.regs.factors_B)
     if state.name:
         doc["name"] = state.name
     with open(path, "w", encoding="utf-8") as fh:
@@ -171,20 +143,8 @@ def load_state(path) -> TripartiteState:
     dims = doc.get("dims")
     if not isinstance(dims, dict) or not all(k in dims for k in "RAB"):
         raise ValidationError("state file dims must be an object with keys R, A, B")
-    factors = {}
-    for key in ("factorsA", "factorsB"):
-        if key in doc:
-            if not isinstance(doc[key], list):
-                raise ValidationError(f"state file field {key} must be a list of integers")
-            factors[key] = tuple(_int_field(f, f"{key}[{n}]", 1) for n, f in enumerate(doc[key]))
-    regs = Registers(
-        dim_R=_int_field(dims["R"], "dims.R", 1),
-        dim_A=_int_field(dims["A"], "dims.A", 1),
-        dim_B=_int_field(dims["B"], "dims.B", 1),
-        factors_A=factors.get("factorsA"),
-        factors_B=factors.get("factorsB"),
-    )
-    amps = _zero_amplitudes((regs.dim_R, regs.dim_A, regs.dim_B))
+    shape = tuple(_int_field(dims[k], f"dims.{k}", 1) for k in "RAB")
+    amps = _zero_amplitudes(shape)
     seen: set[tuple[int, int, int]] = set()
     rows = doc.get("amps")
     if not isinstance(rows, list) or not rows:
@@ -193,8 +153,8 @@ def load_state(path) -> TripartiteState:
         if not isinstance(row, list) or len(row) != 5:
             raise ValidationError(f"malformed amplitude row {row!r}")
         i, a, b = (_int_field(row[k], f"amps[{n}][{k}]", 0) for k in range(3))
-        if not (i < regs.dim_R and a < regs.dim_A and b < regs.dim_B):
-            raise ValidationError(f"amplitude index ({i},{a},{b}) out of range for dims {regs}")
+        if not (i < shape[0] and a < shape[1] and b < shape[2]):
+            raise ValidationError(f"amplitude index ({i},{a},{b}) out of range for dims {shape}")
         if (i, a, b) in seen:
             raise ValidationError(f"duplicate amplitude index ({i},{a},{b})")
         seen.add((i, a, b))
@@ -202,7 +162,7 @@ def load_state(path) -> TripartiteState:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise ValidationError(f"state file norm {norm} deviates from 1 by more than 1e-6")
-    return TripartiteState(regs=regs, amplitudes=amps, name=str(doc.get("name", "")))
+    return TripartiteState(amps, name=str(doc.get("name", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +186,10 @@ def _ghz(d: int) -> TripartiteState:
     amps = _zero_amplitudes((d, d, d))
     for l in range(d):
         amps[l, l, l] = 1.0 / np.sqrt(float(d))
-    return TripartiteState(Registers(d, d, d), amps, name=f"ghz{d}")
+    return TripartiteState(amps, name=f"ghz{d}")
 
 
 def _implication2() -> TripartiteState:
-    regs = Registers(3, 12, 12, factors_A=(3, 2, 2), factors_B=(3, 2, 2))
     s2 = np.sqrt(2.0)
     s3 = np.sqrt(3.0)
     phi_p = _bell(+1.0, "phi")
@@ -250,7 +209,7 @@ def _implication2() -> TripartiteState:
         np.kron(np.kron(a1b1, a2b2), a3b3) / s3
         for a1b1, a2b2, a3b3 in ((swap01, phi_m, phi_p), (e00, phi_m, phi_p), (e22, ket00, psi_m))
     ])
-    return TripartiteState(regs, amps, name="implication2")
+    return TripartiteState(amps, name="implication2")
 
 
 def _implication3() -> TripartiteState:
@@ -259,7 +218,7 @@ def _implication3() -> TripartiteState:
     amps[0, 0, 1] = 1.0 / 2.0
     amps[0, 1, 0] = 1.0 / 2.0
     amps[1, 0, 0] = 1.0 / s2
-    return TripartiteState(Registers(2, 2, 2), amps, name="implication3")
+    return TripartiteState(amps, name="implication3")
 
 
 def _implication4(prime: bool) -> TripartiteState:
@@ -273,11 +232,10 @@ def _implication4(prime: bool) -> TripartiteState:
         amps[1, 1, 0] = 1.0 / 2.0
         amps[1, 1, 1] = 1.0 / 2.0
     name = "implication4_psi_prime" if prime else "implication4_psi"
-    return TripartiteState(Registers(2, 2, 2), amps, name=name)
+    return TripartiteState(amps, name=name)
 
 
 def _appendix_d() -> TripartiteState:
-    regs = Registers(3, 6, 3, factors_A=(3, 2))
     amps = np.zeros((3, 6, 3), dtype=complex)
     c = 1.0 / (2.0 * np.sqrt(2.0))
     amps[0, 0, 0] = c  # |0>_R |0>_A1 |0>_A2 |0>_B
@@ -285,7 +243,7 @@ def _appendix_d() -> TripartiteState:
     amps[1, 2, 0] = c  # |1>_R |1>_A1 |0>_A2 |0>_B
     amps[1, 3, 1] = c  # |1>_R |1>_A1 |1>_A2 |1>_B
     amps[2, 4, 2] = 1.0 / np.sqrt(2.0)  # |2>_R |2>_A1 |0>_A2 |2>_B
-    return TripartiteState(regs, amps, name="appendixD")
+    return TripartiteState(amps, name="appendixD")
 
 
 def _qutrit_choi() -> TripartiteState:
@@ -298,7 +256,7 @@ def _qutrit_choi() -> TripartiteState:
     amps[2, 1, 0] = -c
     amps[1, 2, 0] = c
     amps[0, 2, 1] = -c
-    return TripartiteState(Registers(3, 3, 3), amps, name="qutrit_choi")
+    return TripartiteState(amps, name="qutrit_choi")
 
 
 def catalog(name: str, d: int | None = None) -> TripartiteState:
@@ -333,28 +291,29 @@ def max_entangled_counterpart(state: TripartiteState) -> TripartiteState:
     The output has psi^R = I/D with D the Schmidt rank of the input across
     R | AB; it is a fixed point of this map (idempotent).
     """
-    sd = schmidt_decompose(state.vector, state.regs.dim_R)
+    sd = schmidt_decompose(state.vector, state.dims[0])
     rank = sd.rank()
     mat = sd.left[:, :rank] @ sd.right[:, :rank].T / np.sqrt(float(rank))
     amps = mat.reshape(state.dims)
     name = f"{state.name}_uniformR" if state.name else ""
-    return TripartiteState(regs=state.regs, amplitudes=amps, name=name)
+    return TripartiteState(amps, name=name)
 
 
 def schmidt_rank_r(state: TripartiteState) -> int:
     """Schmidt rank of the state across the R | AB cut."""
-    return schmidt_decompose(state.vector, state.regs.dim_R).rank()
+    return schmidt_decompose(state.vector, state.dims[0]).rank()
 
 
 def random_state(rng: np.random.Generator, dims: tuple[int, int, int], name: str = "") -> TripartiteState:
     """Normalized complex-Gaussian random state on the given register dimensions."""
+    if not all(is_integer(d) and d >= 1 for d in dims):
+        raise ValidationError(f"random_state dims must be integers >= 1, got {dims!r}")
     g = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     g = g / np.linalg.norm(g)
-    return TripartiteState(Registers(*[int(x) for x in dims]), g, name=name)
+    return TripartiteState(g, name=name)
 
 
 __all__ = [
-    "Registers",
     "TripartiteState",
     "CATALOG_NAMES",
     "catalog",

@@ -11,7 +11,7 @@ import numpy as np
 from qsm.errors import ValidationError
 from qsm.ki import KIBlock
 from qsm.numerics import dagger, schmidt_decompose, tolerance
-from qsm.statespace import Registers, TripartiteState
+from qsm.statespace import TripartiteState
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
@@ -88,15 +88,8 @@ def projector(block: KIBlock) -> np.ndarray:
 
 def swap_ab(state: TripartiteState) -> TripartiteState:
     """Same state with the roles of A and B interchanged."""
-    regs = Registers(
-        dim_R=state.regs.dim_R,
-        dim_A=state.regs.dim_B,
-        dim_B=state.regs.dim_A,
-        factors_A=state.regs.factors_B,
-        factors_B=state.regs.factors_A,
-    )
     name = f"{state.name}_swapped" if state.name else ""
-    return TripartiteState(regs=regs, amplitudes=state.amplitudes.transpose(0, 2, 1), name=name)
+    return TripartiteState(state.amplitudes.transpose(0, 2, 1), name=name)
 
 
 def sample_schmidt_span_member(state: TripartiteState, rng: np.random.Generator) -> np.ndarray:
@@ -106,7 +99,7 @@ def sample_schmidt_span_member(state: TripartiteState, rng: np.random.Generator)
     AB-side Schmidt vectors of the given state (the family whose members the
     merging protocol transfers exactly).
     """
-    sd = schmidt_decompose(state.vector, state.regs.dim_R)
+    sd = schmidt_decompose(state.vector, state.dims[0])
     rank = sd.rank()
     c = rng.normal(size=rank) + 1j * rng.normal(size=rank)
     c = c / np.linalg.norm(c)
@@ -125,9 +118,9 @@ def max_entangled_vector(d: int) -> np.ndarray:
 def merge_input_vector(state: TripartiteState, K: int) -> np.ndarray:
     """State vector of psi (x) the rank-K maximally entangled resource, on
     registers (R; A x Abar_K; B x Bbar_K)."""
-    dims = state.regs
+    dim_R, dim_A, dim_B = state.dims
     amps = state.amplitudes
-    out = np.zeros((dims.dim_R, dims.dim_A, K, dims.dim_B, K), dtype=complex)
+    out = np.zeros((dim_R, dim_A, K, dim_B, K), dtype=complex)
     for k in range(K):
         out[:, :, k, :, k] = amps / np.sqrt(float(K))
     return out.reshape(-1)
@@ -172,7 +165,7 @@ def smoothed_candidate(state, epsilon, seed):
     g = g - np.vdot(vec, g) * vec
     theta = theta_max * float(rng.uniform(0.0, 1.0))
     cand = math.cos(theta) * vec + math.sin(theta) * (g / np.linalg.norm(g))
-    return TripartiteState(state.regs, cand.reshape(state.dims))
+    return TripartiteState(cand.reshape(state.dims))
 
 
 def planted_ki_state(
@@ -215,4 +208,4 @@ def planted_ki_state(
         off_b += dl * dbr
     u_a, u_b = random_unitary(rng, d_a), random_unitary(rng, d_b)
     amps = np.einsum("xa,rab,yb->rxy", u_a, amps, u_b)
-    return TripartiteState(Registers(dim_r, d_a, d_b), amps), planted
+    return TripartiteState(amps), planted

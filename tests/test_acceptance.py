@@ -37,7 +37,6 @@ from qsm.merge import (
 )
 from qsm.split import split_cost, verify_split
 from qsm.statespace import (
-    Registers,
     TripartiteState,
     catalog,
     max_entangled_counterpart,
@@ -61,7 +60,7 @@ def _in_ball_rotation(state, epsilon, rng, fraction=0.999):
     g = g / np.linalg.norm(g)
     theta = math.acos(math.sqrt(1.0 - (epsilon / 2.0) ** 2)) * fraction
     rotated = math.cos(theta) * vec + math.sin(theta) * g
-    return TripartiteState(state.regs, rotated.reshape(state.dims))
+    return TripartiteState(rotated.reshape(state.dims))
 
 
 def _singleton_member(state, L):
@@ -89,7 +88,7 @@ def test_criterion_01_ghz_merge_is_free():
 
 def test_criterion_02_dim12_sender_gains_one_bit():
     state = catalog("implication2")
-    assert state.regs.dim_A == 12
+    assert state.dims[1] == 12
     decomp = ki_decompose(state)
     cat = achievable_cost(decomp, "catalytic")
     assert cat.cost_bits == -1.0
@@ -175,7 +174,7 @@ def test_criterion_06_split_costs_and_rank_monotonicity():
     q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     amps = (math.sqrt(0.7) * np.outer(np.eye(2)[0], q[:, 0])
             + math.sqrt(0.3) * np.outer(np.eye(2)[1], q[:, 1]))
-    state = TripartiteState(Registers(1, 2, 4), amps.reshape(1, 2, 4))
+    state = TripartiteState(amps.reshape(1, 2, 4))
     rep = split_cost(state)
     assert rep.rank == 2
     assert rep.cost_bits == 1.0
@@ -238,7 +237,6 @@ def test_criterion_08_random_state_property_suite():
             for _ in range(5):
                 member = sample_schmidt_span_member(state, span_rng)
                 member_state = TripartiteState(
-                    Registers(1, dims[1], dims[2]),
                     member.reshape(1, dims[1], dims[2]),
                 )
                 ver = verify_merge(member_state, build)

@@ -54,7 +54,7 @@ def _in_ball_rotation(state, epsilon, rng, fraction=0.999):
     g = g / np.linalg.norm(g)
     theta = math.acos(math.sqrt(1.0 - (epsilon / 2.0) ** 2)) * fraction
     cand = math.cos(theta) * vec + math.sin(theta) * g
-    return TripartiteState(state.regs, cand.reshape(state.dims))
+    return TripartiteState(cand.reshape(state.dims))
 
 
 def _singleton_target(state, L):
@@ -97,7 +97,7 @@ def test_candidate_outside_ball_rejected():
     g = g / np.linalg.norm(g)
     theta = math.acos(math.sqrt(1.0 - eps**2))  # fidelity^2 = 1 - eps^2
     bad = TripartiteState(
-        state.regs, (math.cos(theta) * vec + math.sin(theta) * g).reshape(state.dims)
+        (math.cos(theta) * vec + math.sin(theta) * g).reshape(state.dims)
     )
     with pytest.raises(ValidationError):
         verify_approximate_merge(state, bad, eps)

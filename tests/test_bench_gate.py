@@ -19,7 +19,7 @@ sys.path.insert(0, PERFBENCH)
 import qsm.cli as cli  # noqa: E402
 from qsm.locc import apply_protocol  # noqa: E402
 from qsm.split import build_split_protocol  # noqa: E402
-from qsm.statespace import Registers, TripartiteState  # noqa: E402
+from qsm.statespace import TripartiteState  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 from outputs import checked_part, compare, load_reference  # noqa: E402
@@ -55,7 +55,7 @@ def test_tracing_notes_read_apply_protocol_calls():
     first or as ``protocol=``, and from the length of the returned list."""
     amps = np.zeros((1, 2, 4), dtype=complex)
     amps[0, 0, 0], amps[0, 1, 1] = np.sqrt(0.7), np.sqrt(0.3)
-    state = TripartiteState(Registers(1, 2, 4), amps)
+    state = TripartiteState(amps)
     protocol = build_split_protocol(state)  # rank 2 of 4: kernel branches never fire
     note = tracing._NOTES["apply_protocol"]
     expected = {"branches": 8, "live": 4, "a_in": 16}

@@ -23,7 +23,6 @@ from qsm.ki import ki_decompose
 from qsm.merge import achievable_cost
 from qsm.statespace import (
     CATALOG_NAMES,
-    Registers,
     TripartiteState,
     catalog,
     max_entangled_counterpart,
@@ -50,7 +49,7 @@ def _b_decoupled_state():
     mu = np.array([0.6, 0.8])
     for i in range(2):
         amps[i, i, :] = mu / np.sqrt(2.0)
-    return TripartiteState(Registers(2, 2, 2), amps)
+    return TripartiteState(amps)
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_search_at_the_cap_checks_spectra_only(monkeypatch):
     """implication2 at 4096 x 4096 finishes, and every test reads the two
     spectra and their copy counts, never a repeated vector."""
     state = catalog("implication2")
-    d_b, d_ab = state.regs.dim_B, state.regs.dim_A * state.regs.dim_B
+    d_b, d_ab = state.dims[2], state.dims[1] * state.dims[2]
     calls = []
     check = qsm.bounds.majorization_check
 
@@ -275,14 +274,14 @@ def test_hmax_implication3():
 def test_hmax_pure_product():
     amps = np.zeros((1, 2, 2))
     amps[0, 0, 0] = 1.0
-    h = h_max_conditional(TripartiteState(Registers(1, 2, 2), amps))
+    h = h_max_conditional(TripartiteState(amps))
     assert h == pytest.approx(0.0, abs=H_TOL)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_hmax_maximally_entangled(d):
     amps = (np.eye(d) / math.sqrt(d)).reshape(1, d, d)
-    h = h_max_conditional(TripartiteState(Registers(1, d, d), amps))
+    h = h_max_conditional(TripartiteState(amps))
     assert h == pytest.approx(-math.log2(d), abs=H_TOL)
 
 
@@ -534,16 +533,16 @@ def test_compare_implication3():
     assert report.applicable
     assert report.gap >= 0.0417
     assert report.simple_catalytic >= report.h_max - 1e-6
-    assert report.search_catalytic == pytest.approx(report.simple_catalytic, abs=1e-9)
+    assert report.search.catalytic_bits == pytest.approx(report.simple_catalytic, abs=1e-9)
     assert report.simple_noncatalytic == pytest.approx(1.0, abs=1e-12)
-    assert report.search_noncatalytic == pytest.approx(1.0, abs=1e-12)
+    assert report.search.noncatalytic_bits == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compare_ghz2():
     report = compare_bounds(catalog("ghz", d=2))
     assert abs(report.simple_catalytic) <= 1e-9
     assert abs(report.h_max) <= H_TOL
-    assert abs(report.search_catalytic) <= 1e-9
+    assert abs(report.search.catalytic_bits) <= 1e-9
     assert abs(report.gap) <= H_TOL
 
 
@@ -554,7 +553,7 @@ def test_compare_random_sweep():
         state = random_state(rng, (2, 2, 2))
         report = compare_bounds(state, K_max=8, L_max=8)
         assert report.simple_catalytic >= report.h_max - 1e-6
-        assert report.search_catalytic >= report.simple_catalytic - 1e-6
+        assert report.search.catalytic_bits >= report.simple_catalytic - 1e-6
         min_gap = min(min_gap, report.gap)
     assert min_gap >= -1e-6
 

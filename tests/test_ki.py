@@ -17,7 +17,7 @@ def _proj(cols):
 def steered_state(state: statespace.TripartiteState, lam: np.ndarray) -> np.ndarray:
     """Normalized conditional state of A after a PSD steering operator on R."""
     lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (state.regs.dim_R,) * 2:
+    if lam.shape != (state.dims[0],) * 2:
         raise ValidationError(f"steering operator shape {lam.shape} does not match R")
     evals = np.linalg.eigvalsh((lam + dagger(lam)) / 2)
     if evals.min() < -10 * tolerance() * max(1.0, float(evals.max())):
@@ -29,8 +29,8 @@ def steered_state(state: statespace.TripartiteState, lam: np.ndarray) -> np.ndar
     return rho / tr
 
 
-def structure_dims(structure: ki.BlockStructure) -> list[tuple[int, int]]:
-    return [(v.shape[1], v.shape[2]) for v in structure.spaces]
+def structure_dims(spaces: tuple[np.ndarray, ...]) -> list[tuple[int, int]]:
+    return [(v.shape[1], v.shape[2]) for v in spaces]
 
 
 def omega(block: ki.KIBlock) -> np.ndarray:
@@ -47,7 +47,7 @@ def test_steered_state_examples():
     # steering onto an unpopulated direction
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = 1.0
-    st = statespace.TripartiteState(statespace.Registers(2, 2, 2), amps)
+    st = statespace.TripartiteState(amps)
     with pytest.raises(ValidationError):
         steered_state(st, np.diag([0.0, 1.0]))
 
@@ -67,11 +67,9 @@ def test_refinement_index_formula():
     init = ki.initial_structure(g2)
     assert ki.refinement_index(init) == 1
     # S=3, J=2 -> 5 ; S=2, J=2 -> 2
-    fake = ki.BlockStructure(
-        spaces=(np.zeros((6, 1, 2)), np.zeros((6, 2, 1)))
-    )
+    fake = (np.zeros((6, 1, 2)), np.zeros((6, 2, 1)))
     assert ki.refinement_index(fake) == 5
-    fake2 = ki.BlockStructure(spaces=(np.zeros((2, 1, 1)), np.zeros((2, 1, 1))))
+    fake2 = (np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
     assert ki.refinement_index(fake2) == 2
 
 
@@ -80,7 +78,7 @@ def test_l_decompose_step_ghz2():
     init = ki.initial_structure(g2)
     refined = ki.l_decompose_step(init, ki.SteeredOperators(g2))
     assert refined is not None
-    assert refined.J == 2
+    assert len(refined) == 2
     assert structure_dims(refined) == [(1, 1), (1, 1)]
 
 
@@ -90,10 +88,10 @@ def test_l_decompose_step_appendix_d_first_split():
     assert structure_dims(init) == [(5, 1)]  # support of psi^A is 5-dimensional
     refined = ki.l_decompose_step(init, ki.SteeredOperators(st))
     assert refined is not None
-    assert refined.J == 2
+    assert len(refined) == 2
     # one part spans {|0>_{A1}} (x) A2 = coords {0,1}; the other the rest of the support
     spans = sorted(
-        [v.reshape(6, -1) for v in refined.spaces], key=lambda m: m.shape[1]
+        [v.reshape(6, -1) for v in refined], key=lambda m: m.shape[1]
     )
     p_small = _proj(spans[0])
     expect = np.zeros((6, 6))
@@ -111,7 +109,7 @@ def test_l_decompose_step_generic():
     assert ki.l_decompose_step(init, steered) is not None
     # ... but the maximal single-quantum-block structure admits no witness
     dec = ki.ki_decompose(st)
-    final = ki.BlockStructure(spaces=tuple(b.iso for b in dec.blocks))
+    final = tuple(b.iso for b in dec.blocks)
     assert ki.l_decompose_step(final, steered) is None
 
 
@@ -126,10 +124,10 @@ def test_r_combine_step_b_decoupled():
     # R-A maximally entangled, B decoupled: combines into one 2-dim quantum block
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = amps[1, 1, 0] = 1 / np.sqrt(2.0)
-    st = statespace.TripartiteState(statespace.Registers(2, 2, 2), amps)
+    st = statespace.TripartiteState(amps)
     steered = ki.SteeredOperators(st)
     split = ki.l_decompose_step(ki.initial_structure(st), steered)
-    assert split is not None and split.J == 2
+    assert split is not None and len(split) == 2
     combined = ki.r_combine_step(split, steered)
     assert combined is not None
     assert structure_dims(combined) == [(1, 2)]
@@ -201,7 +199,7 @@ def test_block_invariants():
         total = sum(b.p for b in dec.blocks)
         assert abs(total - 1.0) < 1e-9
         proj_sum = sum(projector(b) for b in dec.blocks)
-        assert np.linalg.norm(proj_sum - np.eye(st.regs.dim_A)) < 1e-8
+        assert np.linalg.norm(proj_sum - np.eye(st.dims[1])) < 1e-8
         for b in dec.blocks:
             if b.p > 0:
                 om = omega(b)
@@ -221,7 +219,7 @@ def test_local_unitary_invariance():
     v_a = random_unitary(rng, 6)
     v_b = random_unitary(rng, 3)
     rotated = np.einsum("xi,ab,yz,iaz->xby", v_r, v_a, v_b, st.amplitudes)
-    st2 = statespace.TripartiteState(st.regs, rotated)
+    st2 = statespace.TripartiteState(rotated)
     dec2 = ki.ki_decompose(st2)
     sig2 = sorted(
         (b.dim_L, b.dim_R, round(b.p, 8), tuple(np.round(b.lambdas, 8))) for b in dec2.blocks
@@ -239,7 +237,7 @@ def test_steered_states_invariant_under_block_mixed_unitaries():
     # (phase unitaries in the omega eigenbasis), tensored with identity on a_j^R
     krauses = []
     for b in dec.blocks:
-        flat = b.iso.reshape(st.regs.dim_A, -1)
+        flat = b.iso.reshape(st.dims[1], -1)
         _, basis = canonical_eigh(omega(b))
         for w in (0.3, 0.7):
             phases = np.exp(2j * np.pi * rng.random(b.dim_L))
@@ -258,7 +256,7 @@ def _reconstruction_cases():
     states += [statespace.random_state(rng, dims) for dims in ((2, 2, 2), (2, 3, 2), (3, 4, 3))]
     padded = np.zeros((3, 7, 3), dtype=complex)  # appendixD with an unused level of A
     padded[:, :6, :] = statespace.catalog("appendixD").amplitudes
-    states.append(statespace.TripartiteState(statespace.Registers(3, 7, 3), padded))
+    states.append(statespace.TripartiteState(padded))
     return states
 
 
@@ -268,11 +266,11 @@ def test_reconstruction_from_blocks():
     orthonormal in B, and sum_j sqrt(p_j) iso omega phi ws is the state."""
     for st in _reconstruction_cases():
         dec = ki.ki_decompose(st)
-        isos = np.hstack([b.iso.reshape(st.regs.dim_A, -1) for b in dec.blocks])
-        assert isos.shape == (st.regs.dim_A, st.regs.dim_A)
-        assert np.allclose(dagger(isos) @ isos, np.eye(st.regs.dim_A), atol=1e-9)
+        isos = np.hstack([b.iso.reshape(st.dims[1], -1) for b in dec.blocks])
+        assert isos.shape == (st.dims[1], st.dims[1])
+        assert np.allclose(dagger(isos) @ isos, np.eye(st.dims[1]), atol=1e-9)
         live = [b for b in dec.blocks if b.p > 0.0]
-        ws = np.hstack([b.ws.reshape(st.regs.dim_B, -1) for b in live])
+        ws = np.hstack([b.ws.reshape(st.dims[2], -1) for b in live])
         assert np.allclose(dagger(ws) @ ws, np.eye(ws.shape[1]), atol=1e-9)
         rebuilt = sum(
             np.sqrt(b.p) * np.einsum("alr,lm,irk,bmk->iab", b.iso, b.omega_vec, b.phi, b.ws)
@@ -311,19 +309,19 @@ def test_ki_decompose_b_trivial():
     amps = np.zeros((2, 2, 1), dtype=complex)
     amps[0, 0, 0] = np.sqrt(0.7)
     amps[1, 1, 0] = np.sqrt(0.3)
-    st = statespace.TripartiteState(statespace.Registers(2, 2, 1), amps)
+    st = statespace.TripartiteState(amps)
     dec = ki.ki_decompose(st)
     assert dec.J == 1
     assert (dec.blocks[0].dim_L, dec.blocks[0].dim_R) == (1, 2)
 
 
-def _sequential_l_decompose_step(state, decomp):
+def _sequential_l_decompose_step(state, spaces):
     """Pair-by-pair L-decomposing step: every steered operator rebuilt, every
     (generator, R-factor vector) compression tested in turn."""
     tol = tolerance()
-    full = ki._steered_unnormalized(state, np.eye(state.regs.dim_R))
-    generators = ki.steering_generators(state.regs.dim_R)
-    for j0, space in enumerate(decomp.spaces):
+    full = ki._steered_unnormalized(state, np.eye(state.dims[0]))
+    generators = ki.steering_generators(state.dims[0])
+    for j0, space in enumerate(spaces):
         t_full = ki._compressed(space, full)
         diagonals = [t_full[:, b, :, b] for b in range(space.shape[2])]
         ref = next((d for d in diagonals if float(np.trace(d).real) > 100 * tol), None)
@@ -346,24 +344,24 @@ def _sequential_l_decompose_step(state, decomp):
         split = ki._split_eigenspaces((eta + dagger(eta)) / 2)
         if split is None:
             continue
-        new_spaces = list(decomp.spaces)
+        new_spaces = list(spaces)
         new_spaces[j0 : j0 + 1] = [np.einsum("alr,lp->apr", space, part) for part in split]
-        return ki.BlockStructure(spaces=tuple(new_spaces))
+        return tuple(new_spaces)
     return None
 
 
-def _sequential_r_combine_step(state, decomp):
+def _sequential_r_combine_step(state, spaces):
     """R-combining step with its 2 d_R^2 + 1 steered candidates rebuilt per call."""
     tol = tolerance()
-    if decomp.J < 2:
+    if len(spaces) < 2:
         return None
-    eye = np.eye(state.regs.dim_R, dtype=complex)
+    eye = np.eye(state.dims[0], dtype=complex)
     candidates = [eye]
-    for gen in ki.steering_generators(state.regs.dim_R):
+    for gen in ki.steering_generators(state.dims[0]):
         candidates += [eye + gen, eye + 2 * gen]
-    for j0 in range(decomp.J):
-        for j1 in range(j0 + 1, decomp.J):
-            v0, v1 = decomp.spaces[j0], decomp.spaces[j1]
+    for j0 in range(len(spaces)):
+        for j1 in range(j0 + 1, len(spaces)):
+            v0, v1 = spaces[j0], spaces[j1]
             for lam in candidates:
                 op = ki._steered_unnormalized(state, lam)
                 scale = max(1.0, abs(float(np.trace(op).real)))
@@ -380,7 +378,7 @@ def _sequential_r_combine_step(state, decomp):
                             or np.sum(np.linalg.eigvalsh(d1) > 10 * tol * scale) < v1.shape[1]
                         ):
                             continue
-                        return ki._apply_combine(decomp, j0, j1, sigma)
+                        return ki._apply_combine(spaces, j0, j1, sigma)
     return None
 
 
@@ -389,8 +387,8 @@ def _same_structure(got, expected):
         return got is None
     return (
         got is not None
-        and got.J == expected.J
-        and all(np.array_equal(u, v) for u, v in zip(got.spaces, expected.spaces))
+        and len(got) == len(expected)
+        and all(np.array_equal(u, v) for u, v in zip(got, expected))
     )
 
 
@@ -433,7 +431,7 @@ def test_batched_witness_screen_matches_sequential(monkeypatch):
     for st in _oracle_states():
         calls.clear()
         ki.ki_decompose(st)
-        assert 0 < len(calls) <= 3 * st.regs.dim_R**2 + 2
+        assert 0 < len(calls) <= 3 * st.dims[0]**2 + 2
 
 
 def test_l_screen_never_compresses_a_block_that_cannot_split(monkeypatch):
@@ -464,7 +462,7 @@ def test_combine_candidates_are_built_on_first_use(monkeypatch):
     st = statespace.random_state(np.random.default_rng(464), (4, 6, 4))
     decomp = ki.ki_decompose(st)
     assert [(b.dim_L, b.dim_R) for b in decomp.blocks] == [(1, 6)]  # R-combines ran
-    assert len(calls) <= st.regs.dim_R**2 + 1
+    assert len(calls) <= st.dims[0]**2 + 1
 
 
 def _planted_specs(count: int, seed: int) -> list:

@@ -12,7 +12,6 @@ from qsm.merge import build_merge_protocol, qubit_optimal_merge
 from qsm.numerics import dagger, tolerance
 from qsm.split import build_split_protocol
 from qsm.statespace import (
-    Registers,
     TripartiteState,
     catalog,
     load_state,
@@ -391,7 +390,7 @@ def _stacked_cases():
     small = random_state(rng, (2, 2, 2))
     amps = np.zeros((2, 3, 2), dtype=complex)
     amps[:, :2, :] = small.amplitudes
-    padded = TripartiteState(Registers(2, 3, 2), amps)
+    padded = TripartiteState(amps)
     assert any(block.p == 0.0 for block in ki_decompose(padded).blocks)
     states.append(padded)
     for state in states:

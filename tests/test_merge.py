@@ -25,7 +25,6 @@ from qsm.merge import (
 )
 from qsm.numerics import majorization_check, orthonormal_complement
 from qsm.statespace import (
-    Registers,
     TripartiteState,
     catalog,
     max_entangled_counterpart,
@@ -212,8 +211,7 @@ def test_same_protocol_merges_whole_family(name, d):
     for _ in range(3):
         member = sample_schmidt_span_member(state, rng)
         member_state = TripartiteState(
-            Registers(1, state.regs.dim_A, state.regs.dim_B),
-            member.reshape(1, state.regs.dim_A, state.regs.dim_B),
+            member.reshape(1, state.dims[1], state.dims[2]),
         )
         rep = verify_merge(member_state, build)
         assert rep.passed
@@ -257,7 +255,7 @@ def _pad_sender(state):
     r, a, b = state.dims
     amps = np.zeros((r, a + 1, b), dtype=complex)
     amps[:, :a, :] = state.amplitudes
-    return TripartiteState(Registers(r, a + 1, b), amps)
+    return TripartiteState(amps)
 
 
 def test_random_states_merge_exactly_both_modes():
@@ -292,7 +290,7 @@ def _per_pair_oracle(state, decomp, mode, delta):
     a dense receiver matrix.  Returns ``(labels, a_ops, b_ops, name)``."""
     report = achievable_cost(decomp, mode=mode, delta=delta)
     K, L, J = report.K, report.L, decomp.J
-    dA, dB = state.regs.dim_A, state.regs.dim_B
+    dA, dB = state.dims[1], state.dims[2]
     catalytic = mode == "catalytic"
     data = []
     for block in decomp.blocks:
@@ -545,7 +543,7 @@ def _two_unitary_mix(rng):
     for m, w in enumerate([p, 1.0 - p]):
         u = random_unitary(rng, 2)
         amps[:, m, :] = np.sqrt(w) * (np.kron(np.eye(2), u) @ PHI2).reshape(2, 2)
-    return TripartiteState(Registers(2, 2, 2), amps)
+    return TripartiteState(amps)
 
 
 def test_qubit_optimal_zero_cost_cases():
@@ -598,8 +596,8 @@ def _choi_of_mixture(terms):
 
 def test_mixed_unitary_identity_channel():
     mu = mixed_unitary_decomposition_qubit(np.outer(PHI2, PHI2))
-    assert len(mu.terms) == 1
-    p, u = mu.terms[0]
+    assert len(mu) == 1
+    p, u = mu[0]
     assert p == pytest.approx(1.0)
     # unitary equals identity up to global phase
     assert np.abs(np.abs(np.trace(u)) - 2.0) < 1e-9
@@ -609,8 +607,8 @@ def test_mixed_unitary_dephasing_channel():
     z = np.diag([1.0, -1.0]).astype(complex)
     choi = _choi_of_mixture([(0.5, np.eye(2, dtype=complex)), (0.5, z)])
     mu = mixed_unitary_decomposition_qubit(choi)
-    assert len(mu.terms) == 2
-    assert sorted(p for p, _ in mu.terms) == pytest.approx([0.5, 0.5])
+    assert len(mu) == 2
+    assert sorted(p for p, _ in mu) == pytest.approx([0.5, 0.5])
 
 
 def test_mixed_unitary_random_mixtures_roundtrip():
@@ -621,11 +619,11 @@ def test_mixed_unitary_random_mixtures_roundtrip():
         terms = [(w[i], random_unitary(rng, 2)) for i in range(k)]
         choi = _choi_of_mixture(terms)
         mu = mixed_unitary_decomposition_qubit(choi)
-        assert 1 <= len(mu.terms) <= 4
-        assert sum(p for p, _ in mu.terms) == pytest.approx(1.0)
-        for _, u in mu.terms:
+        assert 1 <= len(mu) <= 4
+        assert sum(p for p, _ in mu) == pytest.approx(1.0)
+        for _, u in mu:
             assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-9)
-        assert np.max(np.abs(_choi_of_mixture(mu.terms) - choi)) < 1e-8
+        assert np.max(np.abs(_choi_of_mixture(mu) - choi)) < 1e-8
 
 
 def test_mixed_unitary_rejects_invalid_channels():

@@ -16,7 +16,6 @@ from qsm.split import (
     verify_split,
 )
 from qsm.statespace import (
-    Registers,
     TripartiteState,
     catalog,
     random_state,
@@ -31,7 +30,7 @@ def _rank2_in_dim4():
     amps = np.zeros((1, 2, 4), dtype=complex)
     amps[0, 0, :] = math.sqrt(0.7) * q[:, 0]
     amps[0, 1, :] = math.sqrt(0.3) * q[:, 1]
-    return TripartiteState(Registers(1, 2, 4), amps)
+    return TripartiteState(amps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -51,7 +50,7 @@ def test_split_product_third_register():
     amps = np.zeros((1, 2, 3), dtype=complex)
     amps[0, 0, 0] = 0.8
     amps[0, 1, 0] = 0.6
-    state = TripartiteState(Registers(1, 2, 3), amps)
+    state = TripartiteState(amps)
     report = split_cost(state)
     assert report.rank == 1
     assert report.cost_bits == 0.0
@@ -124,7 +123,7 @@ def test_split_borderline_rank_warning():
     amps = np.zeros((1, 2, 2), dtype=complex)
     amps[0, 0, 0] = math.sqrt(1.0 - c * c)
     amps[0, 1, 1] = c
-    state = TripartiteState(Registers(1, 2, 2), amps)
+    state = TripartiteState(amps)
     with pytest.warns(UserWarning, match="rank cutoff"):
         report = split_cost(state)
     assert report.rank == 2

@@ -217,10 +217,11 @@ def best_smoothing_candidate(
     """
     _check_epsilon(epsilon)
     check_delta(delta)
-    if candidates < 0:
-        raise ValidationError(f"candidate count must be nonnegative, got {candidates}")
-    if seed < 0:
-        raise ValidationError(f"heuristic seed must be nonnegative, got {seed}")
+    for name, value in (("candidate count", candidates), ("heuristic seed", seed)):
+        if not is_integer(value):
+            raise ValidationError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise ValidationError(f"{name} must be nonnegative, got {value}")
     best: SmoothingCertificate | None = None
     failures: list[str] = []
 

@@ -58,21 +58,22 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     return np.clip(vals[::-1], 0.0, None)
 
 
-def _uniform_spectator_form(state: TripartiteState) -> tuple[TripartiteState, bool]:
-    """Return ``(state', applicable)`` where ``state'`` has a uniform spectator.
+def _uniform_spectator_form(state: TripartiteState) -> tuple[TripartiteState, int, bool]:
+    """Return ``(state', D, applicable)`` where ``state'`` has a uniform spectator.
 
-    ``applicable`` records whether the input already had ``psi^R = 1/D`` on its
-    support; if not, the maximally entangled counterpart (same Schmidt rank,
-    uniform spectator spectrum) is substituted, since the cost bounds are stated
-    for that normal form.
+    ``D`` is the spectator Schmidt rank, shared by both states.  ``applicable``
+    records whether the input already had ``psi^R = 1/D`` on its support; if
+    not, the maximally entangled counterpart (same Schmidt rank, uniform
+    spectator spectrum) is substituted, since the cost bounds are stated for
+    that normal form.
     """
     dim = schmidt_rank_r(state)
     evals = _spectrum(state.marginal("R"))
     tol = 10.0 * tolerance()
     applicable = bool(np.all(np.abs(evals[:dim] - 1.0 / dim) <= tol))
     if applicable:
-        return state, True
-    return max_entangled_counterpart(state), False
+        return state, dim, True
+    return max_entangled_counterpart(state), dim, False
 
 
 def converse_simple(state: TripartiteState) -> dict:
@@ -84,8 +85,7 @@ def converse_simple(state: TripartiteState) -> dict:
     without a uniform spectator marginal are first replaced by their maximally
     entangled counterpart.
     """
-    normal, _ = _uniform_spectator_form(state)
-    dim = schmidt_rank_r(normal)
+    normal, dim, _ = _uniform_spectator_form(state)
     lam0 = float(_spectrum(normal.marginal("B"))[0])
     product = lam0 * dim
     return {
@@ -480,7 +480,7 @@ def compare_bounds(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> 
     ``simple_catalytic >= h_max - 1e-6`` and ``search.catalytic_bits >=
     simple_catalytic - 1e-6``.
     """
-    normal, applicable = _uniform_spectator_form(state)
+    normal, _, applicable = _uniform_spectator_form(state)
     simple = converse_simple(normal)
     search = converse_search(normal, K_max=K_max, L_max=L_max)
     h_max = h_max_conditional(normal)

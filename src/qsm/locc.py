@@ -36,8 +36,8 @@ BATCH_BYTES = 512 * 1024
 def generalized_paulis(d: int) -> np.ndarray:
     """Every X^x Z^z on C^d, indexed ``[x, z]``, with X|l> = |l+1 mod d>
     and Z|l> = e^{2 pi i l/d}|l>."""
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
+    if not is_integer(d) or d < 1:
+        raise ValidationError(f"dimension d must be a positive int, got {d!r}")
     ls = np.arange(d)
     phases = np.exp(2j * np.pi * ls[:, None] * ls / d)  # [z, l]
     ops = np.zeros((d, d, d, d), dtype=complex)
@@ -279,10 +279,8 @@ def teleportation_protocol(d: int) -> OneWayProtocol:
     basis indexed by (x, z); the receiver corrects with X^x Z^z.  ``d = 1``
     degenerates to the single trivial branch.
     """
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
-    labels = [(x, z) for x in range(d) for z in range(d)]
     sigmas = generalized_paulis(d).reshape(d * d, d, d)
+    labels = [(x, z) for x in range(d) for z in range(d)]
     scale = 1.0 / np.sqrt(float(d))
     a_ops = sigmas.conj().reshape(d * d, 1, d * d) * scale
     return OneWayProtocol(
@@ -313,12 +311,16 @@ def flatten_schedule(p: Sequence[float], L: int) -> list:
     masses = np.asarray(p, dtype=float)
     if masses.ndim != 1 or masses.size == 0:
         raise ValidationError("mass vector must be a nonempty 1-d sequence")
+    if not np.isfinite(masses).all():
+        raise ValidationError("mass vector has non-finite entries")
     if np.any(masses < -tol):
         raise ValidationError("mass vector has negative entries")
     if np.any(np.diff(masses) > tol):
         raise ValidationError("mass vector must be sorted in descending order")
-    if L < 1 or L > masses.size:
-        raise ValidationError(f"target level count {L} out of range 1..{masses.size}")
+    if not is_integer(L) or not 1 <= L <= masses.size:
+        raise ValidationError(
+            f"target level count L must be an int in 1..{masses.size}, got {L!r}"
+        )
     masses = np.clip(masses, 0.0, None)
     total = float(masses.sum())
     if total <= tol:

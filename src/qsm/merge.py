@@ -591,68 +591,31 @@ def verify_merge(state: TripartiteState, build: MergeBuild) -> VerificationRepor
 # qubit-optimal construction
 # --------------------------------------------------------------------------
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def _su2_from_so3(rot: np.ndarray) -> np.ndarray:
-    """SU(2) element whose Bloch-vector action matches the SO(3) matrix."""
-    # quaternion extraction with the numerically stable largest-pivot branch
-    t = np.trace(rot)
-    if t > 0:
-        r = np.sqrt(1.0 + t)
-        w = 0.5 * r
-        x = (rot[2, 1] - rot[1, 2]) / (2 * r)
-        y = (rot[0, 2] - rot[2, 0]) / (2 * r)
-        z = (rot[1, 0] - rot[0, 1]) / (2 * r)
-    else:
-        i = int(np.argmax(np.diag(rot)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        r = np.sqrt(1.0 + rot[i, i] - rot[j, j] - rot[k, k])
-        q = [0.0, 0.0, 0.0]
-        q[i] = 0.5 * r
-        q[j] = (rot[j, i] + rot[i, j]) / (2 * r)
-        q[k] = (rot[k, i] + rot[i, k]) / (2 * r)
-        w = (rot[k, j] - rot[j, k]) / (2 * r)
-        x, y, z = q
-    return w * _PAULIS[0] - 1j * (x * _PAULIS[1] + y * _PAULIS[2] + z * _PAULIS[3])
-
-
-def _pauli_transfer(channel_blocks: np.ndarray) -> np.ndarray:
-    """3x3 Bloch-rotation part of a unital qubit channel given its action
-    channel_blocks[i, j] = E(|i><j|)."""
-    ptm = np.zeros((3, 3))
-    for b in range(3):
-        rho = sum(
-            _PAULIS[b + 1][i, j] * channel_blocks[i, j]
-            for i in range(2)
-            for j in range(2)
-        )
-        for a in range(3):
-            val = 0.5 * np.trace(_PAULIS[a + 1] @ rho)
-            if abs(val.imag) > 1e-7:
-                raise ValidationError("channel is not Hermiticity-preserving")
-            ptm[a, b] = val.real
-    return ptm
+# columns Phi+, i Phi-, i Psi+, Psi- on (input, output): the magic basis
+_MAGIC = np.array(
+    [[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
+) / np.sqrt(2.0)
 
 
 def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> tuple[tuple[float, np.ndarray], ...]:
     """Decompose a unital qubit channel, given its normalized Choi matrix on
     (input, output), into a mixture of at most four unitaries: the channel
-    is sum_m p_m U_m rho U_m^dag for the returned ``(p_m, U_m)`` pairs.
+    is sum_m p_m U_m rho U_m^dag for the returned ``(p_m, U_m)`` pairs, in
+    descending order of p_m.
 
-    The Bloch rotation part is brought to signed-singular-value form
-    R1 diag(s) R2^T with R1, R2 special orthogonal; the diagonal channel is a
-    Pauli mixture and the rotations lift to SU(2) conjugations.
+    Every unital qubit channel is a mixture of unitaries (Landau-Streater,
+    Linear Algebra Appl. 193, 107 (1993)).  In the magic basis each vector
+    (1 (x) U)|Phi+> is real up to a global phase, and every real unit vector
+    is maximally entangled (Hill-Wootters, PRL 78, 5022 (1997)).  So the
+    Choi matrix is real symmetric in that basis, and its eigenvectors are
+    the terms (1 (x) U_m)|Phi+> with the eigenvalues p_m as weights.
     """
     tol = tolerance()
     choi = np.asarray(choi, dtype=complex)
     if choi.shape != (4, 4):
         raise ValidationError("expected a 4x4 qubit Choi matrix")
+    if not np.isfinite(choi).all():
+        raise ValidationError("Choi matrix has non-finite entries")
     if np.max(np.abs(choi - dagger(choi))) > 10 * tol:
         raise ValidationError("Choi matrix is not Hermitian")
     evals = np.linalg.eigvalsh(choi)
@@ -667,36 +630,12 @@ def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> tuple[tuple[float, np
     tr_in = np.einsum("iaib->ab", blocks)
     if np.max(np.abs(tr_in - np.eye(2) / 2)) > 10 * tol:
         raise ValidationError("channel is not unital")
-    channel_blocks = 2.0 * blocks.transpose(0, 2, 1, 3)  # [i, j, b, b']
-    ptm = _pauli_transfer(channel_blocks)
-    o1, s, o2t = np.linalg.svd(ptm)
-    d1, d2 = np.linalg.det(o1), np.linalg.det(o2t.T)
-    o1[:, 2] *= np.sign(d1)
-    o2 = o2t.T.copy()
-    o2[:, 2] *= np.sign(d2)
-    s = s.copy()
-    s[2] *= np.sign(d1) * np.sign(d2)
-    weights = 0.25 * np.array(
-        [
-            1 + s[0] + s[1] + s[2],
-            1 + s[0] - s[1] - s[2],
-            1 - s[0] + s[1] - s[2],
-            1 - s[0] - s[1] + s[2],
-        ]
-    )
-    if weights.min() < -1e-7:
-        raise SolverError(
-            "channel admits no mixed-unitary form within tolerance "
-            f"(weight {weights.min():.2e})"
-        )
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    v1 = _su2_from_so3(o1)
-    v2 = _su2_from_so3(o2.T)
-    terms = []
-    for m in range(4):
-        if weights[m] > tol:
-            terms.append((float(weights[m]), v1 @ _PAULIS[m] @ v2))
+    weights, vecs = np.linalg.eigh((dagger(_MAGIC) @ choi @ _MAGIC).real)
+    terms = [
+        (float(weights[m]), np.sqrt(2.0) * (_MAGIC @ vecs[:, m]).reshape(2, 2).T)
+        for m in range(3, -1, -1)
+        if weights[m] > tol
+    ]
     # round-trip check against the input Choi matrix
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1 / np.sqrt(2.0)

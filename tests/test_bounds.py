@@ -205,7 +205,7 @@ def _search_oracle_states():
     rng = np.random.default_rng(2024)
     states.extend(random_state(rng, dims) for dims in ((2, 2, 2), (3, 3, 3), (2, 5, 3), (4, 4, 4)))
     forms = [_uniform_spectator_form(state) for state in states]
-    return states + [form for form, applicable in forms if not applicable]
+    return states + [form for form, _, applicable in forms if not applicable]
 
 
 def test_search_staircase_equals_grid(monkeypatch):
@@ -483,7 +483,7 @@ def _oracle_state(name):
 def test_structured_solver_matches_dense_oracle_bit_for_bit(name, normal_form):
     state = _oracle_state(name)
     if normal_form:
-        state, _ = _uniform_spectator_form(state)
+        state, _, _ = _uniform_spectator_form(state)
     structured = qsm.bounds._MinSpectralNormSolver(state.vector, state.dims)
     dense = _DenseSolver(state.vector, state.dims)
     # the starting point of solve() (zero off-diagonal coordinates) and a generic one

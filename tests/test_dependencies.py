@@ -140,3 +140,36 @@ def test_every_public_name_has_a_caller_outside_tests():
                 if not node.name.startswith("_") and node.name not in referenced:
                     offenders.append(f"{path.name}:{node.lineno}: {node.name}")
     assert offenders == []
+
+
+def _private_definitions(tree: ast.Module):
+    """``(lineno, name)`` of each private top-level function, class or assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    """No private top-level function, class or assigned name in ``src/qsm`` is
+    left behind once its last caller in the package is gone."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _referenced_names(tree)
+    offenders = [
+        f"{path.name}:{lineno}: {name}"
+        for path, tree in trees.items()
+        for lineno, name in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert offenders == []

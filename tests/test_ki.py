@@ -296,6 +296,24 @@ def test_reconstruction_check_rejects_mutated_blocks(name):
             ki._verify_reconstruction(st, mutant)
 
 
+_CATALOG_CASES = [(name, None) for name in statespace.CATALOG_NAMES if name != "ghz"] + [
+    ("ghz", d) for d in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("name,d", _CATALOG_CASES)
+def test_reconstruction_check_rejects_blocks_scaled_by_one_ppm(name, d):
+    st = statespace.catalog(name, d=d)
+    blocks = ki.ki_decompose(st).blocks
+    heavy = [j for j, b in enumerate(blocks) if b.p >= 0.1]
+    assert heavy
+    for j in heavy:
+        for c in (1.0 - 1e-6, 1.0 + 1e-6):
+            mutant = dataclasses.replace(blocks[j], p=c * blocks[j].p)
+            with pytest.raises(VerificationError, match="reconstruction (fidelity|squared norm)"):
+                ki._verify_reconstruction(st, blocks[:j] + (mutant,) + blocks[j + 1 :])
+
+
 def test_ki_decompose_random_states_terminate():
     rng = np.random.default_rng(99)
     for dims in ((2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 4, 3)):

@@ -6,6 +6,7 @@ import pytest
 
 import qsm.cli as cli
 from qsm import locc
+from qsm.approx import best_smoothing_candidate
 from qsm.errors import ValidationError
 from qsm.ki import ki_decompose
 from qsm.merge import build_merge_protocol, qubit_optimal_merge
@@ -337,6 +338,41 @@ def test_flatten_rejects_bad_level_count():
         locc.flatten_schedule([0.5, 0.5], 3)
     with pytest.raises(ValidationError):
         locc.flatten_schedule([0.5, 0.5], 0)
+
+
+_GHZ2 = catalog("ghz", d=2)
+
+
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: locc.generalized_paulis(2.0), "dimension d"),
+        (lambda: locc.generalized_paulis(True), "dimension d"),
+        (lambda: locc.teleportation_protocol(2.0), "dimension d"),
+        (lambda: locc.teleportation_protocol(True), "dimension d"),
+        (lambda: locc.flatten_schedule([0.5, 0.5], 1.5), "level count L"),
+        (lambda: locc.flatten_schedule([0.5, 0.5], True), "level count L"),
+        (lambda: locc.flatten_to_uniform([0.5, 0.5], 1.5), "level count L"),
+        (lambda: locc.flatten_to_uniform([0.5, 0.5], True), "level count L"),
+        (lambda: locc.flatten_schedule([np.nan, 0.5], 1), "mass vector"),
+        (lambda: locc.flatten_schedule([np.inf, 0.5], 1), "mass vector"),
+        (lambda: best_smoothing_candidate(_GHZ2, 0.1, candidates=2.5), "candidate count"),
+        (lambda: best_smoothing_candidate(_GHZ2, 0.1, candidates=True), "candidate count"),
+        (lambda: best_smoothing_candidate(_GHZ2, 0.1, seed=1.5), "heuristic seed"),
+        (lambda: best_smoothing_candidate(_GHZ2, 0.1, seed=True), "heuristic seed"),
+    ],
+    ids=[
+        "paulis-float", "paulis-bool", "teleport-float", "teleport-bool",
+        "schedule-float", "schedule-bool", "uniform-float", "uniform-bool",
+        "schedule-nan", "schedule-inf", "candidates-float", "candidates-bool",
+        "seed-float", "seed-bool",
+    ],
+)
+def test_constructors_reject_non_integer_and_non_finite_arguments(call, named):
+    """Booleans and floats are not counts, and a NaN mass is not a mass: each
+    fails with a ``ValidationError`` that names the argument."""
+    with pytest.raises(ValidationError, match=named):
+        call()
 
 
 def _materialised_outcomes(protocol, vec, indices):

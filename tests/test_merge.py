@@ -23,7 +23,7 @@ from qsm.merge import (
     rational_upper_approx,
     verify_merge,
 )
-from qsm.numerics import majorization_check, orthonormal_complement
+from qsm.numerics import majorization_check, orthonormal_complement, tolerance
 from qsm.statespace import (
     TripartiteState,
     catalog,
@@ -594,6 +594,11 @@ def _choi_of_mixture(terms):
     return choi
 
 
+def _term_vectors(terms):
+    """The vectors (1 (x) U_m)|Phi+> of ``(p_m, U_m)`` terms, one per row."""
+    return np.array([np.kron(np.eye(2), u) @ PHI2 for _, u in terms])
+
+
 def test_mixed_unitary_identity_channel():
     mu = mixed_unitary_decomposition_qubit(np.outer(PHI2, PHI2))
     assert len(mu) == 1
@@ -603,12 +608,29 @@ def test_mixed_unitary_identity_channel():
     assert np.abs(np.abs(np.trace(u)) - 2.0) < 1e-9
 
 
-def test_mixed_unitary_dephasing_channel():
-    z = np.diag([1.0, -1.0]).astype(complex)
-    choi = _choi_of_mixture([(0.5, np.eye(2, dtype=complex)), (0.5, z)])
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "unitaries",
+    [
+        (np.eye(2, dtype=complex), _PAULI_Z),
+        (_PAULI_X, _PAULI_Y, _PAULI_Z),
+        (np.eye(2, dtype=complex), _PAULI_X, _PAULI_Y, _PAULI_Z),
+    ],
+    ids=["dephasing", "three-pauli", "depolarizing"],
+)
+def test_mixed_unitary_dephasing_channel(unitaries):
+    """Equal Pauli mixtures: the Choi matrix has a k-fold eigenvalue 1/k."""
+    k = len(unitaries)
+    choi = _choi_of_mixture([(1.0 / k, u) for u in unitaries])
     mu = mixed_unitary_decomposition_qubit(choi)
-    assert len(mu) == 2
-    assert sorted(p for p, _ in mu) == pytest.approx([0.5, 0.5])
+    assert len(mu) == k
+    assert sorted(p for p, _ in mu) == pytest.approx([1.0 / k] * k)
+    vecs = _term_vectors(mu)
+    assert np.allclose(vecs.conj() @ vecs.T, np.eye(k), atol=1e-9)
 
 
 def test_mixed_unitary_random_mixtures_roundtrip():
@@ -624,6 +646,12 @@ def test_mixed_unitary_random_mixtures_roundtrip():
         for _, u in mu:
             assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-9)
         assert np.max(np.abs(_choi_of_mixture(mu) - choi)) < 1e-8
+        # the terms (1 (x) U_m)|Phi+> are orthonormal eigenvectors of the Choi
+        # matrix, weighted by its eigenvalues above tau in descending order
+        vecs = _term_vectors(mu)
+        assert np.allclose(vecs.conj() @ vecs.T, np.eye(len(mu)), atol=1e-9)
+        evals = np.linalg.eigvalsh(choi)[::-1]
+        assert [p for p, _ in mu] == pytest.approx(list(evals[evals > tolerance()]), abs=1e-12)
 
 
 def test_mixed_unitary_rejects_invalid_channels():
@@ -641,3 +669,8 @@ def test_mixed_unitary_rejects_invalid_channels():
         mixed_unitary_decomposition_qubit(np.eye(4) / 2.0)  # not normalized
     with pytest.raises(ValidationError):
         mixed_unitary_decomposition_qubit(np.eye(3))
+    for bad in (np.nan, np.inf):
+        choi = np.outer(PHI2, PHI2).astype(complex)
+        choi[0, 3] = choi[3, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            mixed_unitary_decomposition_qubit(choi)

@@ -25,13 +25,8 @@ import math
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import guarded_ceil, is_integer, majorization_check, tolerance
-from .statespace import (
-    TripartiteState,
-    catalog,
-    max_entangled_counterpart,
-    schmidt_rank_r,
-)
+from .numerics import guarded_ceil, is_integer, majorization_check, schmidt_decompose, tolerance
+from .statespace import TripartiteState, _uniform_counterpart, catalog
 
 __all__ = [
     "H_MAX_DIM_CAP",
@@ -67,13 +62,14 @@ def _uniform_spectator_form(state: TripartiteState) -> tuple[TripartiteState, in
     spectator spectrum) is substituted, since the cost bounds are stated for
     that normal form.
     """
-    dim = schmidt_rank_r(state)
+    sd = schmidt_decompose(state.vector, state.dims[0])
+    dim = sd.rank()
     evals = _spectrum(state.marginal("R"))
     tol = 10.0 * tolerance()
     applicable = bool(np.all(np.abs(evals[:dim] - 1.0 / dim) <= tol))
     if applicable:
         return state, dim, True
-    return max_entangled_counterpart(state), dim, False
+    return _uniform_counterpart(state, sd), dim, False
 
 
 def converse_simple(state: TripartiteState) -> dict:
@@ -86,8 +82,12 @@ def converse_simple(state: TripartiteState) -> dict:
     entangled counterpart.
     """
     normal, dim, _ = _uniform_spectator_form(state)
-    lam0 = float(_spectrum(normal.marginal("B"))[0])
-    product = lam0 * dim
+    return _simple_bounds(normal, dim)
+
+
+def _simple_bounds(normal: TripartiteState, dim: int) -> dict:
+    """:func:`converse_simple` of a state in normal form with spectator rank ``dim``."""
+    product = float(_spectrum(normal.marginal("B"))[0]) * dim
     return {
         "catalytic": math.log2(product),
         "noncatalytic": math.log2(guarded_ceil(product)),
@@ -480,8 +480,8 @@ def compare_bounds(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> 
     ``simple_catalytic >= h_max - 1e-6`` and ``search.catalytic_bits >=
     simple_catalytic - 1e-6``.
     """
-    normal, _, applicable = _uniform_spectator_form(state)
-    simple = converse_simple(normal)
+    normal, dim, applicable = _uniform_spectator_form(state)
+    simple = _simple_bounds(normal, dim)
     search = converse_search(normal, K_max=K_max, L_max=L_max)
     h_max = h_max_conditional(normal)
     if simple["catalytic"] < h_max - 1e-6:

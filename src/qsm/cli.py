@@ -32,7 +32,7 @@ from .errors import ValidationError, VerificationError
 from .ki import ki_decompose
 from .merge import build_merge_protocol, verify_merge
 from .split import build_split_protocol, split_cost, verify_split
-from .statespace import catalog, load_state, random_state, save_state
+from .statespace import catalog, encode_complex, load_state, random_state, save_state
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,13 +69,11 @@ def _jsonable(obj):
             f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"real": obj.real.tolist(), "imag": obj.imag.tolist()}
-        return obj.tolist()
+        return encode_complex(obj) if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return _jsonable(obj.item())
     if isinstance(obj, complex):
-        return {"real": obj.real, "imag": obj.imag}
+        return encode_complex(obj)
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, Fraction):

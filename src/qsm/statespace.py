@@ -2,7 +2,9 @@
 
 A state lives on three registers R (reference), A (sender), B (receiver) and
 is its complex amplitude tensor indexed ``(iR, iA, iB)``: the tensor's shape
-is the one record of the register dimensions.
+is the one record of the register dimensions.  A state file (version 2)
+holds that tensor in :func:`encode_complex` form, the encoding every run
+report uses for complex arrays, plus an optional ``name``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import is_integer, schmidt_decompose
+from .numerics import SchmidtDecomposition, is_integer, schmidt_decompose
 
 _MARGINAL_AXES = {"R": (0,), "A": (1,), "B": (2,), "RA": (0, 1), "RB": (0, 2), "AB": (1, 2)}
 
@@ -80,89 +82,75 @@ class TripartiteState:
 # ---------------------------------------------------------------------------
 
 
+def encode_complex(arr) -> dict:
+    """The one JSON encoding of a complex array or scalar: nested lists of its
+    real and imaginary parts, which round-trip floats exactly."""
+    arr = np.asarray(arr)
+    return {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
+
+
 def save_state(state: TripartiteState, path) -> None:
-    """Write the JSON state file (explicit index rows; floats round-trip exactly)."""
-    rows = []
-    it = np.nditer(state.amplitudes, flags=["multi_index"])
-    for x in it:
-        val = complex(x)
-        if val != 0:
-            i, a, b = it.multi_index
-            rows.append([int(i), int(a), int(b), float(val.real), float(val.imag)])
-    doc: dict = {
-        "version": 1,
-        "dims": dict(zip("RAB", state.dims)),
-        "amps": rows,
-    }
+    """Write the JSON state file: the amplitude tensor in :func:`encode_complex` form."""
+    doc = {"version": 2, "amplitudes": encode_complex(state.amplitudes)}
     if state.name:
         doc["name"] = state.name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def _int_field(value, field: str, minimum: int) -> int:
-    """A JSON integer ``>= minimum``; booleans, fractions and non-numbers are rejected."""
-    if not is_integer(value) or value < minimum:
-        raise ValidationError(
-            f"state file field {field} must be an integer >= {minimum}, got {json.dumps(value)}"
-        )
-    return value
-
-
-def _real_field(value, field: str) -> float:
-    """A finite JSON number; booleans, NaN and infinities are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValidationError(
-            f"state file field {field} must be a finite number, got {json.dumps(value)}"
-        )
-    return float(value)
-
-
-def _zero_amplitudes(dims: tuple[int, int, int]) -> np.ndarray:
-    """Zero amplitude tensor; dimensions too large to allocate are a ValidationError."""
     try:
-        return np.zeros(dims, dtype=complex)
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"register dimensions {dims} are too large to allocate") from exc
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write state file {path}: {exc}") from exc
+
+
+def _real_tensor(amplitudes: dict, key: str) -> np.ndarray:
+    """``amplitudes[key]`` as a float tensor: a rectangular list nested 3 deep,
+    with no empty axis, of finite numbers (a boolean is not a number)."""
+    arr = np.array(amplitudes.get(key), dtype=object)
+    try:
+        if arr.ndim == 3 and arr.size and all(
+            type(x) in (int, float) and math.isfinite(x) for x in arr.flat
+        ):
+            return arr.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValidationError(
+        f"state file field amplitudes.{key} must be a rectangular list nested 3 deep, "
+        "with no empty axis, of finite numbers"
+    )
 
 
 def load_state(path) -> TripartiteState:
     """Load and validate a JSON state file written by :func:`save_state`.
 
     Every malformed field raises :class:`ValidationError` naming it; values are
-    never coerced (a dimension of ``2.7`` or ``true`` is an error, not ``2``).
+    never coerced (an amplitude of ``true`` or ``"0.5"`` is an error, not a
+    number).  The constructor checks the norm.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ValidationError(f"cannot read state file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise ValidationError("state file must be a JSON object with version 1")
-    dims = doc.get("dims")
-    if not isinstance(dims, dict) or not all(k in dims for k in "RAB"):
-        raise ValidationError("state file dims must be an object with keys R, A, B")
-    shape = tuple(_int_field(dims[k], f"dims.{k}", 1) for k in "RAB")
-    amps = _zero_amplitudes(shape)
-    seen: set[tuple[int, int, int]] = set()
-    rows = doc.get("amps")
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError("state file has no amplitude rows")
-    for n, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 5:
-            raise ValidationError(f"malformed amplitude row {row!r}")
-        i, a, b = (_int_field(row[k], f"amps[{n}][{k}]", 0) for k in range(3))
-        if not (i < shape[0] and a < shape[1] and b < shape[2]):
-            raise ValidationError(f"amplitude index ({i},{a},{b}) out of range for dims {shape}")
-        if (i, a, b) in seen:
-            raise ValidationError(f"duplicate amplitude index ({i},{a},{b})")
-        seen.add((i, a, b))
-        amps[i, a, b] = _real_field(row[3], f"amps[{n}][3]") + 1j * _real_field(row[4], f"amps[{n}][4]")
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValidationError(f"state file norm {norm} deviates from 1 by more than 1e-6")
-    return TripartiteState(amps, name=str(doc.get("name", "")))
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != 2:
+        raise ValidationError(
+            f"state file must be a JSON object with version 2, found version {json.dumps(version)}"
+        )
+    amplitudes = doc.get("amplitudes")
+    if not isinstance(amplitudes, dict):
+        raise ValidationError("state file field amplitudes must be an object with keys real and imag")
+    real, imag = (_real_tensor(amplitudes, key) for key in encode_complex(0j))  # the encoder's keys
+    if real.shape != imag.shape:
+        raise ValidationError(
+            f"state file fields amplitudes.real and amplitudes.imag differ in shape: "
+            f"{real.shape} and {imag.shape}"
+        )
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValidationError(f"state file field name must be a string, got {json.dumps(name)}")
+    amps = np.empty(real.shape, dtype=complex)
+    amps.real = real
+    amps.imag = imag
+    return TripartiteState(amps, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +168,14 @@ def _bell(sign: float, kind: str) -> np.ndarray:
         v[0, 1] = 1.0
         v[1, 0] = sign
     return v / np.sqrt(2.0)
+
+
+def _zero_amplitudes(dims: tuple[int, int, int]) -> np.ndarray:
+    """Zero amplitude tensor; dimensions too large to allocate are a ValidationError."""
+    try:
+        return np.zeros(dims, dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"register dimensions {dims} are too large to allocate") from exc
 
 
 def _ghz(d: int) -> TripartiteState:
@@ -291,17 +287,16 @@ def max_entangled_counterpart(state: TripartiteState) -> TripartiteState:
     The output has psi^R = I/D with D the Schmidt rank of the input across
     R | AB; it is a fixed point of this map (idempotent).
     """
-    sd = schmidt_decompose(state.vector, state.dims[0])
+    return _uniform_counterpart(state, schmidt_decompose(state.vector, state.dims[0]))
+
+
+def _uniform_counterpart(state: TripartiteState, sd: SchmidtDecomposition) -> TripartiteState:
+    """:func:`max_entangled_counterpart` of ``state`` from its R | AB decomposition ``sd``."""
     rank = sd.rank()
     mat = sd.left[:, :rank] @ sd.right[:, :rank].T / np.sqrt(float(rank))
     amps = mat.reshape(state.dims)
     name = f"{state.name}_uniformR" if state.name else ""
     return TripartiteState(amps, name=name)
-
-
-def schmidt_rank_r(state: TripartiteState) -> int:
-    """Schmidt rank of the state across the R | AB cut."""
-    return schmidt_decompose(state.vector, state.dims[0]).rank()
 
 
 def random_state(rng: np.random.Generator, dims: tuple[int, int, int], name: str = "") -> TripartiteState:
@@ -317,9 +312,9 @@ __all__ = [
     "TripartiteState",
     "CATALOG_NAMES",
     "catalog",
+    "encode_complex",
     "load_state",
     "save_state",
     "max_entangled_counterpart",
-    "schmidt_rank_r",
     "random_state",
 ]

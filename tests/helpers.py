@@ -106,6 +106,11 @@ def sample_schmidt_span_member(state: TripartiteState, rng: np.random.Generator)
     return sd.right[:, :rank] @ c
 
 
+def schmidt_rank_r(state: TripartiteState) -> int:
+    """Schmidt rank of the state across the R | AB cut."""
+    return schmidt_decompose(state.vector, state.dims[0]).rank()
+
+
 def max_entangled_vector(d: int) -> np.ndarray:
     """Return the maximally entangled vector (1/sqrt(d)) sum_l |l>|l> in C^{d*d}."""
     if d < 1:

@@ -558,6 +558,31 @@ def test_compare_random_sweep():
     assert min_gap >= -1e-6
 
 
+@pytest.mark.parametrize(
+    "bound, state, applicable",
+    [
+        (converse_simple, random_state(np.random.default_rng(5), (2, 3, 2)), False),
+        (compare_bounds, random_state(np.random.default_rng(5), (2, 3, 2)), False),
+        (converse_simple, catalog("ghz", d=2), True),
+        (compare_bounds, catalog("ghz", d=2), True),
+    ],
+    ids=["simple-skewed", "compare-skewed", "simple-ghz2", "compare-ghz2"],
+)
+def test_one_schmidt_decomposition_per_bounds_call(monkeypatch, bound, state, applicable):
+    assert _uniform_spectator_form(state)[2] is applicable
+    calls = []
+    decompose = qsm.numerics.schmidt_decompose
+
+    def spy(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    for module in (qsm.bounds, qsm.statespace):
+        monkeypatch.setattr(module, "schmidt_decompose", spy)
+    bound(state)
+    assert len(calls) == 1
+
+
 def test_simple_dominates_hmax_via_feasible_point():
     # the witness behind the ordering: Z = D * psi^{AB} is feasible and has
     # spectral norm D * lambda0^B once the spectator marginal is uniform

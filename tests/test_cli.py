@@ -15,7 +15,7 @@ import qsm
 import qsm.cli as cli
 from qsm.errors import VerificationError
 from qsm.ki import ki_decompose
-from qsm.statespace import random_state, save_state
+from qsm.statespace import CATALOG_NAMES, encode_complex, random_state, save_state
 
 
 def _state_file(tmp_path, name, d=None):
@@ -88,45 +88,90 @@ def test_invalid_inputs_exit_2(tmp_path):
 
 
 _AMP = 0.7071067811865475
-_GHZ2_ROWS = [[0, 0, 0, _AMP, 0.0], [1, 1, 1, _AMP, 0.0]]
+_DELETE = object()
+
+
+def _ghz2_doc():
+    amps = np.zeros((2, 2, 2), dtype=complex)
+    amps[0, 0, 0] = amps[1, 1, 1] = _AMP
+    return {"version": 2, "amplitudes": encode_complex(amps)}
 
 
 @pytest.mark.parametrize(
-    "dims, rows, field",
+    "keys, value, field",
     [
-        ({"R": 2, "A": 2, "B": 2}, [[0, 0, 0, float("nan"), 0.0]], "amps[0][3]"),
-        ({"R": 2, "A": 2, "B": 2}, [_GHZ2_ROWS[0], [1, float("nan"), 1, _AMP, 0.0]], "amps[1][1]"),
-        ({"R": 2, "A": 2, "B": 2}, [[0.5, 0, 0, _AMP, 0.0], _GHZ2_ROWS[1]], "amps[0][0]"),
-        ({"R": 2, "A": True, "B": 2}, _GHZ2_ROWS, "dims.A"),
-        ({"R": 2, "A": 2, "B": 2.7}, _GHZ2_ROWS, "dims.B"),
+        (("amplitudes", "real", 0, 0, 0), float("nan"), "amplitudes.real"),
+        (("amplitudes", "imag", 1, 1, 1), float("inf"), "amplitudes.imag"),
+        (("amplitudes", "real", 0, 0, 0), True, "amplitudes.real"),
+        (("amplitudes", "real", 1, 1, 1), str(_AMP), "amplitudes.real"),
+        (("amplitudes", "imag", 0, 1, 0), None, "amplitudes.imag"),
+        (("amplitudes", "real", 1, 0), [0.0], "amplitudes.real"),
+        (("amplitudes", "imag", 1), [0.0, 0.0], "amplitudes.imag"),
+        (("amplitudes",), {"real": [[1.0]], "imag": [[0.0]]}, "amplitudes.real"),
+        (("amplitudes",), {"real": [[[[1.0]]]], "imag": [[[[0.0]]]]}, "amplitudes.real"),
+        (("amplitudes",), {"real": [[[]]], "imag": [[[]]]}, "amplitudes.real"),
+        (("amplitudes", "imag"), [[[0.0] * 3] * 2] * 2, "amplitudes.imag"),
+        (("amplitudes", "imag"), _DELETE, "amplitudes.imag"),
+        (("amplitudes",), _DELETE, "amplitudes"),
+        (("version",), 1, "version 1"),
     ],
-    ids=["nan-amplitude", "nan-index", "fractional-index", "bool-dim", "fractional-dim"],
+    ids=["nan-amplitude", "infinity-amplitude", "bool-amplitude", "string-amplitude",
+         "null-amplitude", "ragged-length", "ragged-depth", "nested-2-deep", "nested-4-deep",
+         "empty-axis", "shapes-differ", "missing-imag", "missing-amplitudes", "version-1"],
 )
-def test_malformed_state_file_exits_2_naming_field(tmp_path, dims, rows, field):
+def test_malformed_state_file_exits_2_naming_field(tmp_path, keys, value, field):
+    doc = _ghz2_doc()
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps({"version": 1, "dims": dims, "amps": rows}))
+    path.write_text(json.dumps(doc))
     code, report = cli.run(["merge", str(path)])
     assert code == 2
     assert report["exit_code"] == 2
     assert field in report["error"]
 
 
+def test_ghz2_document_loads_unedited(tmp_path):
+    path = tmp_path / "ghz2.json"
+    path.write_text(json.dumps(_ghz2_doc()))
+    code, _ = cli.run(["ki", str(path)])
+    assert code == 0
+
+
 _HUGE = 1_000_000  # a 10^18-entry tensor: numpy refuses it before allocating
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["ki", "STATE"], ["bounds", "STATE"], ["catalog", "ghz", "--d", str(_HUGE)]],
-    ids=["ki", "bounds", "catalog-ghz"],
-)
-def test_oversized_dimensions_exit_2_naming_them(tmp_path, argv):
-    path = tmp_path / "huge.json"
-    dims = {"R": _HUGE, "A": _HUGE, "B": _HUGE}
-    path.write_text(json.dumps({"version": 1, "dims": dims, "amps": [[0, 0, 0, 1.0, 0.0]]}))
-    code, report = cli.run([str(path) if arg == "STATE" else arg for arg in argv])
+@pytest.mark.parametrize("argv", [["catalog", "ghz", "--d", str(_HUGE)]], ids=["catalog-ghz"])
+def test_oversized_dimensions_exit_2_naming_them(argv):
+    code, report = cli.run(argv)
     assert code == 2
     assert report["exit_code"] == 2
     assert f"({_HUGE}, {_HUGE}, {_HUGE})" in report["error"]
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, target):
+    path = tmp_path / target
+    code, report = cli.run(["catalog", "ghz", "--d", "2", "-o", str(path), "--quiet"])
+    assert code == 2
+    assert report["exit_code"] == 2
+    assert str(path) in report["error"]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_report_and_state_file_share_the_amplitude_encoding(tmp_path, name):
+    argv = ["catalog", name, "--quiet"] + (["--d", "3"] if name == "ghz" else [])
+    code, report = cli.run(argv)
+    assert code == 0
+    path = tmp_path / "state.json"
+    code, _ = cli.run(argv + ["-o", str(path)])
+    assert code == 0
+    assert report["results"]["amplitudes"] == json.loads(path.read_text())["amplitudes"]
 
 
 @pytest.mark.parametrize(

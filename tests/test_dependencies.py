@@ -173,3 +173,18 @@ def test_every_private_name_has_a_caller_in_the_package():
         if name not in referenced
     ]
     assert offenders == []
+
+
+def test_only_statespace_spells_the_complex_encoding():
+    """The string literal ``"imag"`` appears only in ``statespace.py``, home of
+    ``encode_complex``, the one JSON encoding of complex arrays."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "statespace.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == "imag"
+    ]
+    assert offenders == []

@@ -8,7 +8,7 @@ import pytest
 from qsm import statespace
 from qsm.errors import ValidationError
 
-from helpers import partial_trace, sample_schmidt_span_member, swap_ab
+from helpers import partial_trace, sample_schmidt_span_member, schmidt_rank_r, swap_ab
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 2, 2), (0, 2, 2), (2, 2, 0)],
@@ -176,27 +176,48 @@ def test_random_state_rejects_bad_dims(dims):
 
 def test_load_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(ValidationError):
-        statespace.load_state(path)
+    for text in (b"not json", b'{"version": 2, "name": "\xff"}', b"[" + b"1" * 5000 + b"]"):
+        path.write_bytes(text)  # not JSON, not UTF-8, an integer beyond the digit limit
+        with pytest.raises(ValidationError, match="cannot read state file"):
+            statespace.load_state(path)
     path.write_text(json.dumps({"version": 2}))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="field amplitudes must be an object"):
         statespace.load_state(path)
-    # out-of-range index
-    doc = {"version": 1, "dims": {"R": 2, "A": 2, "B": 2}, "amps": [[0, 0, 5, 1.0, 0.0]]}
+    # a version-1 file: dims block and sparse index rows
+    doc = {"version": 1, "dims": {"R": 2, "A": 2, "B": 2}, "amps": [[0, 0, 0, 1.0, 0.0]]}
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match=re.escape("out of range for dims (2, 2, 2)")):
+    with pytest.raises(ValidationError, match="found version 1"):
         statespace.load_state(path)
-    # duplicate index
-    doc["amps"] = [[0, 0, 0, 0.8, 0.0], [0, 0, 0, 0.6, 0.0]]
+    # bad norm: the constructor's check
+    amps = np.zeros((2, 2, 2))
+    amps[0, 0, 0] = 0.5
+    path.write_text(json.dumps({"version": 2, "amplitudes": statespace.encode_complex(amps)}))
+    with pytest.raises(ValidationError, match="state norm 0.5 deviates from 1"):
+        statespace.load_state(path)
+    # an integer too large for a float
+    amps = statespace.encode_complex(np.ones((1, 1, 1)))
+    amps["real"][0][0][0] = 10**400
+    path.write_text(json.dumps({"version": 2, "amplitudes": amps}))
+    with pytest.raises(ValidationError, match="amplitudes.real must be"):
+        statespace.load_state(path)
+
+
+@pytest.mark.parametrize("name", [None, 5, ["x"], {"x": 1}], ids=["null", "int", "list", "object"])
+def test_load_rejects_a_name_that_is_not_a_string(tmp_path, name):
+    path = tmp_path / "state.json"
+    statespace.save_state(statespace.catalog("ghz", d=2), path)
+    doc = json.loads(path.read_text())
+    doc["name"] = name
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(f"field name must be a string, got {json.dumps(name)}")):
         statespace.load_state(path)
-    # bad norm
-    doc["amps"] = [[0, 0, 0, 0.5, 0.0]]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
-        statespace.load_state(path)
+
+
+def test_load_without_a_name_gives_the_empty_name(tmp_path):
+    path = tmp_path / "state.json"
+    statespace.save_state(statespace.random_state(np.random.default_rng(3), (2, 2, 3)), path)
+    assert "name" not in json.loads(path.read_text())
+    assert statespace.load_state(path).name == ""
 
 
 def test_swap_ab():
@@ -215,7 +236,7 @@ def test_max_entangled_counterpart():
     me2 = statespace.max_entangled_counterpart(me)
     assert np.allclose(np.abs(me2.overlap(me)), 1.0)
     # rank preserved
-    assert statespace.schmidt_rank_r(me) == statespace.schmidt_rank_r(st)
+    assert schmidt_rank_r(me) == schmidt_rank_r(st)
 
 
 def test_max_entangled_counterpart_rank_deficient():
@@ -224,7 +245,7 @@ def test_max_entangled_counterpart_rank_deficient():
     amps[0, 1, 1] = 1.0
     st = statespace.TripartiteState(amps)
     me = statespace.max_entangled_counterpart(st)
-    assert statespace.schmidt_rank_r(me) == 1
+    assert schmidt_rank_r(me) == 1
     assert abs(abs(me.overlap(st)) - 1.0) < 1e-12
 
 

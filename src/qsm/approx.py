@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
 from .locc import apply_protocol
-from .merge import build_merge_protocol, check_delta, merge_target_vector
+from .ki import KIDecomposition, ki_decompose
+from .merge import achievable_cost, build_merge_protocol, check_delta, merge_target_vector
 from .numerics import is_integer, majorization_check, tolerance
 from .statespace import TripartiteState
 
@@ -64,6 +65,7 @@ def verify_approximate_merge(
     epsilon: float,
     mode: str = "noncatalytic",
     delta: float = 1e-6,
+    decomp: KIDecomposition | None = None,
 ) -> SmoothingCertificate:
     """Merge ``state`` approximately using the exact protocol of ``candidate``.
 
@@ -72,7 +74,8 @@ def verify_approximate_merge(
     exact protocol for the candidate, applies it to the true state with the
     candidate's rank-K resource pair, and checks that the output-mixture
     fidelity to the true target is at least ``1 - epsilon**2``, which the
-    triangle inequality for the purified distance guarantees.
+    triangle inequality for the purified distance guarantees.  ``decomp``,
+    if given, is the candidate's KI decomposition.
     """
     if state.dims != candidate.dims:
         raise ValidationError(
@@ -86,7 +89,7 @@ def verify_approximate_merge(
             f"candidate fidelity^2 {f2_in:.6f} is below the required "
             f"1 - (epsilon/2)^2 = {1.0 - (epsilon / 2.0) ** 2:.6f}"
         )
-    build = build_merge_protocol(candidate, mode=mode, delta=delta)
+    build = build_merge_protocol(candidate, decomp, mode=mode, delta=delta)
     K, L = build.report.K, build.report.L
     target = merge_target_vector(state, L)
     f2_out = 0.0
@@ -210,10 +213,14 @@ def best_smoothing_candidate(
     """Heuristic search for a cheap candidate inside the ``epsilon/2`` ball.
 
     Tries the state itself plus ``candidates`` seeded random in-ball
-    rotations, verifies each end to end, and returns the certificate with
-    the lowest cost (ties broken by output fidelity).  This is a best-effort
-    heuristic: the true infimum over the ball is not computed, and the block
-    structure of nearby states can change discontinuously.
+    rotations and returns the verified certificate with the lowest cost
+    (ties broken by output fidelity).  Each candidate is priced first from
+    its KI decomposition; one dearer than the incumbent by more than 1e-12
+    bits cannot win and is never built, so only its output-fidelity check is
+    skipped, which the triangle inequality guarantees inside the ball.  The
+    rest, cost ties included, are built and verified end to end.  This is a
+    best-effort heuristic: the true infimum over the ball is not computed,
+    and the block structure of nearby states can change discontinuously.
     """
     _check_epsilon(epsilon)
     check_delta(delta)
@@ -228,17 +235,19 @@ def best_smoothing_candidate(
     def consider(cand: TripartiteState) -> None:
         nonlocal best
         try:
-            cert = verify_approximate_merge(state, cand, epsilon, mode=mode, delta=delta)
+            decomp = ki_decompose(cand)
+            cost = achievable_cost(decomp, mode=mode, delta=delta).cost_bits
+            if best is not None and cost > best.cost_bits + 1e-12:
+                return
+            cert = verify_approximate_merge(state, cand, epsilon, mode, delta, decomp)
         except (SolverError, ValidationError) as exc:
             failures.append(str(exc))
             return
+        # not dearer than the incumbent, so either cheaper or a cost tie
         if (
             best is None
             or cert.cost_bits < best.cost_bits - 1e-12
-            or (
-                abs(cert.cost_bits - best.cost_bits) <= 1e-12
-                and cert.output_fidelity_sq > best.output_fidelity_sq
-            )
+            or cert.output_fidelity_sq > best.output_fidelity_sq
         ):
             best = cert
 

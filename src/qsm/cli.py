@@ -68,12 +68,12 @@ def _jsonable(obj):
         return {
             f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, np.ndarray):
-        return encode_complex(obj) if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, (np.ndarray, complex)):
+        doc = encode_complex(obj) if np.iscomplexobj(obj) else obj.tolist()
+        # non-finite entries take the float rule below
+        return doc if np.isfinite(obj).all() else _jsonable(doc)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return _jsonable(obj.item())
-    if isinstance(obj, complex):
-        return encode_complex(obj)
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, Fraction):

@@ -379,7 +379,11 @@ def _merged_breakpoints(cums: list) -> list:
         else:
             merged[-1] = max(merged[-1], p)
     if not merged or abs(merged[-1] - 1.0) > 10 * tol:
-        raise VerificationError("outcome probabilities do not accumulate to 1")
+        total = float(merged[-1]) if merged else 0.0
+        raise VerificationError(
+            f"outcome probabilities do not accumulate to 1: merged total {total!r}, "
+            f"block totals {[float(c[-1]) for c in cums]}"
+        )
     merged[-1] = 1.0
     return merged
 

@@ -12,7 +12,7 @@ from qsm.approx import (
     check_ensemble_certificate,
     verify_approximate_merge,
 )
-from qsm import locc
+from qsm import approx, locc, merge
 from qsm.errors import SolverError, ValidationError
 from qsm.locc import apply_protocol
 from qsm.merge import build_merge_protocol
@@ -257,3 +257,68 @@ def test_best_smoothing_skips_over_budget_candidates(monkeypatch):
     with pytest.raises(SolverError, match=r"last failure: protocol of \d+ branches.* "
                        r"need \d+ bytes, over the budget of 1024 bytes"):
         best_smoothing_candidate(catalog("implication3"), 0.2, candidates=4, seed=5)
+
+
+def _spy_builds_and_ki(monkeypatch) -> dict:
+    """Count protocol builds and KI decompositions made through the search."""
+    calls = {"build": 0, "ki": 0}
+
+    def spy(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(approx, "build_merge_protocol", "build")
+    spy(approx, "ki_decompose", "ki")
+    spy(merge, "ki_decompose", "ki")  # reached only if a build gets no decomposition
+    return calls
+
+
+def test_best_smoothing_never_builds_a_dearer_candidate(monkeypatch):
+    """implication2 costs 0 bits and both its K = 12 candidates log2(12):
+    each is priced by one KI decomposition and none is built."""
+    calls = _spy_builds_and_ki(monkeypatch)
+    cert = best_smoothing_candidate(catalog("implication2"), 0.1, candidates=2, seed=0)
+    assert calls == {"build": 1, "ki": 3}
+    assert cert.cost_bits == 0.0
+    assert cert.candidate.name == "implication2"
+
+
+def test_best_smoothing_builds_every_cost_tie(monkeypatch):
+    """Every candidate of a generic (2,3,2) state ties the state on cost, so
+    each is built: the output-fidelity tie-break needs them all."""
+    state = random_state(np.random.default_rng(7), (2, 3, 2))
+    calls = _spy_builds_and_ki(monkeypatch)
+    costs = []
+    original = approx.verify_approximate_merge
+
+    def record(*args, **kwargs):
+        cert = original(*args, **kwargs)
+        costs.append(cert.cost_bits)
+        return cert
+
+    monkeypatch.setattr(approx, "verify_approximate_merge", record)
+    best_smoothing_candidate(state, 0.05, candidates=4, seed=0)
+    assert calls == {"build": 5, "ki": 5}
+    assert len(set(costs)) == 1
+
+
+def test_best_smoothing_without_candidates_builds_the_state_once(monkeypatch):
+    calls = _spy_builds_and_ki(monkeypatch)
+    cert = best_smoothing_candidate(catalog("implication3"), 0.1, candidates=0)
+    assert calls == {"build": 1, "ki": 1}
+    assert cert.candidate.name == "implication3"
+
+
+def test_best_smoothing_prunes_nothing_without_an_incumbent(monkeypatch):
+    """While every build fails there is no incumbent to compare with, so every
+    candidate is built, and the search ends in its ``SolverError``."""
+    monkeypatch.setattr(locc, "PROTOCOL_BYTE_BUDGET", 1024)
+    calls = _spy_builds_and_ki(monkeypatch)
+    with pytest.raises(SolverError, match="no smoothing candidate produced"):
+        best_smoothing_candidate(catalog("implication3"), 0.2, candidates=4, seed=5)
+    assert calls == {"build": 5, "ki": 5}

@@ -3,8 +3,7 @@
 Every op of the instance runs through ``cli.run`` and the JSON encoding of
 ``cli.main`` (the bench's ``run_op``), and its checked part must match the
 recorded reference under the bench's own comparator.  A change to any
-report on this path then fails here, not only in a bench run.  The
-catalog-certify ``approx`` op of implication2 is left out: it takes seconds.
+report on this path then fails here, not only in a bench run.
 """
 
 import os
@@ -29,7 +28,6 @@ from workloads import plan, write_states  # noqa: E402
 def _replay_instance_0(tmp_path, workload, count):
     refs = load_reference(workload)["ops"]
     ops = plan(workload, 0, write_states(workload, str(tmp_path))[0])
-    ops = [op for op in ops if not (op.case == "implication2" and op.command == "approx")]
     assert len(ops) == count
     for op in ops:
         assert refs[op.key] is not None, op.key
@@ -43,7 +41,7 @@ def test_random_merge_instance_0_matches_reference(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "workload, count", [("catalog-certify", 54), ("bounds-sdp", 15)],
+    "workload, count", [("catalog-certify", 55), ("bounds-sdp", 15)],
     ids=["catalog-certify", "bounds-sdp"],
 )
 def test_instance_0_matches_reference(tmp_path, workload, count):

@@ -554,3 +554,23 @@ def test_console_script_installed(tmp_path):
     assert out.stderr == ""
     # main's return value must reach the exit status: a usage error exits 64.
     assert qsm_process("merge").returncode == 64
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (float("nan"), "nan"),
+        (np.array([[1.0, np.inf], [-np.inf, np.nan]]), [[1.0, "inf"], ["-inf", "nan"]]),
+        (complex(float("inf"), float("nan")), {"real": "inf", "imag": "nan"}),
+        (
+            np.array([1 + 1j, complex(0.0, -np.inf), complex(np.nan, 2.0)]),
+            {"real": [1.0, 0.0, "nan"], "imag": [1.0, "-inf", 2.0]},
+        ),
+    ],
+    ids=["scalar", "real-array", "complex-scalar", "complex-array"],
+)
+def test_non_finite_floats_encode_as_strict_json(value, expected):
+    """Every non-finite float becomes its ``repr`` string, in a scalar, an
+    array or a complex encoding alike, so reports stay strict JSON."""
+    text = json.dumps(cli._jsonable({"v": value}), allow_nan=False)
+    assert json.loads(text) == {"v": expected}

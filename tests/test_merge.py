@@ -1,6 +1,7 @@
 """Tests for achievable merging costs and the exact protocol construction."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsm import locc, merge
-from qsm.errors import SolverError, ValidationError
+from qsm.errors import SolverError, ValidationError, VerificationError
 from qsm.ki import ki_decompose
 from qsm.locc import apply_protocol, flatten_schedule, generalized_paulis, verify_protocol
 from qsm.merge import (
@@ -674,3 +675,12 @@ def test_mixed_unitary_rejects_invalid_channels():
         choi[0, 3] = choi[3, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             mixed_unitary_decomposition_qubit(choi)
+
+
+def test_unaccumulated_outcome_grid_names_its_totals():
+    """A flattening grid whose blocks do not reach probability 1 names the
+    merged total and each block's last cumulative probability."""
+    with pytest.raises(VerificationError, match=re.escape(
+        "do not accumulate to 1: merged total 0.9, block totals [0.5, 0.9]"
+    )):
+        merge._merged_breakpoints([[0.25, 0.5], [0.4, 0.9]])

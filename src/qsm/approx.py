@@ -213,8 +213,10 @@ def best_smoothing_candidate(
     """Heuristic search for a cheap candidate inside the ``epsilon/2`` ball.
 
     Tries the state itself plus ``candidates`` seeded random in-ball
-    rotations and returns the verified certificate with the lowest cost
-    (ties broken by output fidelity).  Each candidate is priced first from
+    rotations (a random direction parallel to the state is redrawn; a state
+    with a single amplitude has no other direction and is tried alone) and
+    returns the verified certificate with the lowest cost (ties broken by
+    output fidelity).  Each candidate is priced first from
     its KI decomposition; one dearer than the incumbent by more than 1e-12
     bits cannot win and is never built, so only its output-fidelity check is
     skipped, which the triangle inequality guarantees inside the ball.  The
@@ -255,14 +257,13 @@ def best_smoothing_candidate(
     theta_max = math.acos(math.sqrt(max(0.0, 1.0 - (epsilon / 2.0) ** 2))) * 0.999
     rng = np.random.default_rng(seed)
     vec = state.vector
-    for _ in range(candidates):
-        if theta_max <= 0.0:
-            break
-        g = rng.normal(size=vec.size) + 1j * rng.normal(size=vec.size)
-        g = g - np.vdot(vec, g) * vec
-        norm = np.linalg.norm(g)
-        if norm <= tolerance():
-            continue
+    # a single amplitude leaves no direction off the state to rotate towards
+    for _ in range(candidates if theta_max > 0.0 and vec.size > 1 else 0):
+        norm = 0.0
+        while norm <= tolerance():  # redraw a perturbation parallel to the state
+            g = rng.normal(size=vec.size) + 1j * rng.normal(size=vec.size)
+            g = g - np.vdot(vec, g) * vec
+            norm = np.linalg.norm(g)
         theta = theta_max * float(rng.uniform(0.0, 1.0))
         cand_vec = math.cos(theta) * vec + math.sin(theta) * (g / norm)
         consider(

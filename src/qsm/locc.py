@@ -1,5 +1,4 @@
-"""One-way LOCC protocols: representation, execution, qudit teleportation
-(whose qubit case the K = 2 fallback of the qubit-optimal merge extends) and
+"""One-way LOCC protocols: representation, execution, qudit teleportation and
 flattening of a Schmidt spectrum onto a maximally entangled target (whose
 schedule, :func:`flatten_schedule`, also drives the merging protocol).
 

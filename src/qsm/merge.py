@@ -30,7 +30,6 @@ from .locc import (
     check_protocol_budget,
     flatten_schedule,
     generalized_paulis,
-    teleportation_protocol,
     verify_protocol,
 )
 from .numerics import dagger, guarded_ceil, orthonormal_complement, tolerance
@@ -670,8 +669,9 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
     """Optimal non-catalytic merging for a three-qubit state with maximally
     mixed spectator marginal: zero cost when the receiver marginal is also
     maximally mixed (via the mixed-unitary form of the channel whose
-    normalized Choi matrix is the spectator-receiver marginal), else one
-    shared bit via teleportation."""
+    normalized Choi matrix is the spectator-receiver marginal), else the
+    one-bit non-catalytic protocol of :func:`build_merge_protocol`, built
+    from the state's KI decomposition."""
     tol = tolerance()
     if state.dims != (2, 2, 2):
         raise ValidationError("qubit-optimal merging requires three qubits")
@@ -715,13 +715,6 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
         return QubitMergeReport(
             cost_bits=0.0, K=1, protocol=protocol, mixed_unitary=mu
         )
-    # teleportation fallback: one shared bit
-    teleport = teleportation_protocol(2)
-    protocol = OneWayProtocol(
-        branches=teleport.branches,
-        a_ops=teleport.a_ops,
-        # receiver: |a_out, b> from |b, kbar>, weighted by sigma[a_out, kbar]
-        b_ops=np.einsum("iak,bc->iabck", teleport.b_ops, np.eye(2)).reshape(4, 4, 4),
-        name="qubit-merge[K=2]",
-    )
-    return QubitMergeReport(cost_bits=1.0, K=2, protocol=protocol, mixed_unitary=None)
+    build = build_merge_protocol(state, mode="noncatalytic")
+    report = build.report
+    return QubitMergeReport(report.cost_bits, report.K, build.protocol, mixed_unitary=None)

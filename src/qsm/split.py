@@ -98,38 +98,36 @@ def build_split_protocol(state: TripartiteState) -> OneWayProtocol:
     and decompresses onto the transmitted register's Schmidt support.
     Branches labelled ``("kernel", c, k)`` complete the measurement on the
     unused part of the third register and never fire on the given state.
-    A protocol over the byte budget of :func:`~qsm.locc.check_protocol_budget`
-    raises :class:`~qsm.errors.SolverError` (exit 3) before allocation.
+    The measurement rows M on (third register, resource half) are the K²
+    Bell rows, from one stacked product, then the kernel rows; the sender
+    stack ``1_A (x) M`` is written in one assignment, and the receivers
+    ``support @ sigma_xz`` come from one stacked product.  A protocol over
+    the byte budget of :func:`~qsm.locc.check_protocol_budget` raises
+    :class:`~qsm.errors.SolverError` (exit 3) before allocation.
     """
     dim_r, dim_a, dim_c = state.dims
     sd = _transmit_schmidt(state)
     K = sd.rank()
-    a_shape, b_shape = (dim_a, dim_a * dim_c * K), (dim_c, K)
-    check_protocol_budget(dim_c * K, a_shape, b_shape)
+    n = dim_c * K  # branches, and the length of one measurement row
+    a_shape, b_shape = (dim_a, dim_a * n), (dim_c, K)
+    check_protocol_budget(n, a_shape, b_shape)
     support = sd.right[:, :K]  # dim_c x K, orthonormal columns
-    eye_a = np.eye(dim_a)
-    scale = 1.0 / math.sqrt(float(K))
-    labels = []
-    a_ops = np.zeros((dim_c * K, *a_shape), dtype=complex)
-    b_ops = np.zeros((dim_c * K, *b_shape), dtype=complex)
     paulis = generalized_paulis(K)
-    for x in range(K):
-        for z in range(K):
-            sigma = paulis[x, z]
-            meas = (support.conj() @ sigma.conj()) * scale
-            a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
-            b_ops[len(labels)] = support @ sigma
-            labels.append((x, z))
+    labels = [(x, z) for x in range(K) for z in range(K)]
+    meas = np.zeros((n, dim_c, K), dtype=complex)  # M, one row per branch
+    scale = 1.0 / math.sqrt(float(K))
+    meas[: K * K] = ((support.conj() @ paulis.conj()) * scale).reshape(K * K, dim_c, K)
+    b_ops = np.empty((n, *b_shape), dtype=complex)
+    b_ops[: K * K] = (support @ paulis).reshape(K * K, dim_c, K)
+    b_ops[K * K :] = support
     if K < dim_c:
         kernel = np.linalg.svd(support)[0][:, K:]  # orthonormal complement
-        for c in range(dim_c - K):
-            row = kernel[:, c].conj()
-            for k in range(K):
-                meas = np.zeros((dim_c, K), dtype=complex)
-                meas[:, k] = row
-                a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
-                b_ops[len(labels)] = support
-                labels.append(("kernel", c, k))
+        ks = np.arange(K)  # row (c, k): kernel column c, conjugated, in resource column k
+        meas[K * K :].reshape(dim_c - K, K, dim_c, K)[:, ks, :, ks] = kernel.T.conj()
+        labels += [("kernel", c, k) for c in range(dim_c - K) for k in range(K)]
+    a_ops = np.zeros((n, *a_shape), dtype=complex)
+    diag = np.arange(dim_a)
+    a_ops.reshape(n, dim_a, dim_a, n)[:, diag, diag] = meas.reshape(n, 1, n)  # 1_A (x) M
     return OneWayProtocol(
         branches=labels, a_ops=a_ops, b_ops=b_ops, name=f"split[K={K}]"
     )

@@ -20,16 +20,6 @@ from .numerics import SchmidtDecomposition, is_integer, schmidt_decompose
 
 _MARGINAL_AXES = {"R": (0,), "A": (1,), "B": (2,), "RA": (0, 1), "RB": (0, 2), "AB": (1, 2)}
 
-CATALOG_NAMES = (
-    "ghz",
-    "implication2",
-    "implication3",
-    "implication4_psi",
-    "implication4_psi_prime",
-    "appendixD",
-    "qutrit_choi",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class TripartiteState:
@@ -255,6 +245,18 @@ def _qutrit_choi() -> TripartiteState:
     return TripartiteState(amps, name="qutrit_choi")
 
 
+# the catalog states without parameters; ghz, which takes a dimension, comes first
+_BUILDERS = {
+    "implication2": _implication2,
+    "implication3": _implication3,
+    "implication4_psi": lambda: _implication4(False),
+    "implication4_psi_prime": lambda: _implication4(True),
+    "appendixD": _appendix_d,
+    "qutrit_choi": _qutrit_choi,
+}
+CATALOG_NAMES = ("ghz", *_BUILDERS)
+
+
 def catalog(name: str, d: int | None = None) -> TripartiteState:
     """Return a named example state; ``ghz`` additionally takes the dimension ``d``."""
     if name == "ghz":
@@ -263,17 +265,9 @@ def catalog(name: str, d: int | None = None) -> TripartiteState:
         return _ghz(int(d))
     if d is not None:
         raise ValidationError(f"catalog state {name!r} takes no dimension parameter")
-    builders = {
-        "implication2": _implication2,
-        "implication3": _implication3,
-        "implication4_psi": lambda: _implication4(False),
-        "implication4_psi_prime": lambda: _implication4(True),
-        "appendixD": _appendix_d,
-        "qutrit_choi": _qutrit_choi,
-    }
-    if name not in builders:
-        raise ValidationError(f"unknown catalog state {name!r}; known: ghz, {', '.join(builders)}")
-    return builders[name]()
+    if name not in _BUILDERS:
+        raise ValidationError(f"unknown catalog state {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    return _BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------

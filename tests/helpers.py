@@ -10,6 +10,7 @@ import numpy as np
 
 from qsm.errors import ValidationError
 from qsm.ki import KIBlock
+from qsm.locc import generalized_paulis
 from qsm.numerics import dagger, schmidt_decompose, tolerance
 from qsm.statespace import TripartiteState
 
@@ -140,6 +141,40 @@ def split_input_vector(state: TripartiteState, K: int) -> np.ndarray:
     phi = max_entangled_vector(K).reshape(K, K)
     vec = np.einsum("iac,kl->iackl", state.amplitudes, phi)
     return vec.reshape(-1)
+
+
+def per_branch_split(state: TripartiteState) -> tuple[list, np.ndarray, np.ndarray]:
+    """Labels, sender stack and receiver stack of the splitting protocol,
+    built one branch at a time with ``np.kron``: the reference for
+    :func:`qsm.split.build_split_protocol`, which writes ``1_A (x) M`` once."""
+    dim_r, dim_a, dim_c = state.dims
+    sd = schmidt_decompose(state.vector, dim_r * dim_a, dim_c)
+    K = sd.rank()
+    support = sd.right[:, :K]
+    eye_a = np.eye(dim_a)
+    scale = 1.0 / math.sqrt(float(K))
+    labels = []
+    a_ops = np.zeros((dim_c * K, dim_a, dim_a * dim_c * K), dtype=complex)
+    b_ops = np.zeros((dim_c * K, dim_c, K), dtype=complex)
+    paulis = generalized_paulis(K)
+    for x in range(K):
+        for z in range(K):
+            sigma = paulis[x, z]
+            meas = (support.conj() @ sigma.conj()) * scale
+            a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
+            b_ops[len(labels)] = support @ sigma
+            labels.append((x, z))
+    if K < dim_c:
+        kernel = np.linalg.svd(support)[0][:, K:]
+        for c in range(dim_c - K):
+            row = kernel[:, c].conj()
+            for k in range(K):
+                meas = np.zeros((dim_c, K), dtype=complex)
+                meas[:, k] = row
+                a_ops[len(labels)] = np.kron(eye_a, meas.reshape(1, dim_c * K))
+                b_ops[len(labels)] = support
+                labels.append(("kernel", c, k))
+    return labels, a_ops, b_ops
 
 
 def flatten_source_vector(p: Sequence[float]) -> np.ndarray:

@@ -322,3 +322,23 @@ def test_best_smoothing_prunes_nothing_without_an_incumbent(monkeypatch):
     with pytest.raises(SolverError, match="no smoothing candidate produced"):
         best_smoothing_candidate(catalog("implication3"), 0.2, candidates=4, seed=5)
     assert calls == {"build": 5, "ki": 5}
+
+
+def test_best_smoothing_redraws_a_perturbation_parallel_to_the_state(monkeypatch):
+    """The state and the first perturbation come from the same seed, so that
+    draw is the state's own direction; it is redrawn, and all 4 candidates
+    are priced after the state."""
+    state = random_state(np.random.default_rng(0), (2, 3, 2))
+    calls = _spy_builds_and_ki(monkeypatch)
+    best_smoothing_candidate(state, 0.05, candidates=4, seed=0)
+    assert calls["ki"] == 5
+
+
+def test_best_smoothing_of_a_single_amplitude_tries_the_state_alone(monkeypatch):
+    """Every perturbation of a single amplitude is parallel to it, so there
+    is nothing to redraw towards: the search returns with the state."""
+    state = TripartiteState(np.ones((1, 1, 1), dtype=complex), name="one")
+    calls = _spy_builds_and_ki(monkeypatch)
+    cert = best_smoothing_candidate(state, 0.1, candidates=4, seed=0)
+    assert calls == {"build": 1, "ki": 1}
+    assert cert.candidate.name == "one"

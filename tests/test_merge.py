@@ -573,6 +573,20 @@ def test_qubit_optimal_one_bit_case():
     assert ver.passed
 
 
+def test_qubit_optimal_one_bit_sweep():
+    """Uniform-spectator three-qubit states with a receiver marginal away from
+    uniform: the one-bit protocol has K = 2 and four branches, and verifies."""
+    rng = np.random.default_rng(28)
+    for _ in range(50):
+        state = max_entangled_counterpart(random_state(rng, (2, 2, 2)))
+        assert np.max(np.abs(state.marginal("B") - np.eye(2) / 2)) > 1e-3
+        rep = qubit_optimal_merge(state)
+        assert (rep.cost_bits, rep.K, len(rep.protocol.branches)) == (1.0, 2, 4)
+        assert rep.mixed_unitary is None
+        outcomes = apply_protocol(rep.protocol, state.amplitudes, 2)
+        assert verify_protocol(rep.protocol, outcomes, merge_target_vector(state, 1)).passed
+
+
 def test_qubit_optimal_validations():
     with pytest.raises(ValidationError):
         qubit_optimal_merge(catalog("ghz", d=3))

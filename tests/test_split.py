@@ -16,12 +16,13 @@ from qsm.split import (
     verify_split,
 )
 from qsm.statespace import (
+    CATALOG_NAMES,
     TripartiteState,
     catalog,
     random_state,
 )
 
-from helpers import split_input_vector, swap_ab
+from helpers import per_branch_split, random_unitary, split_input_vector, swap_ab
 
 
 def _rank2_in_dim4():
@@ -97,6 +98,33 @@ def test_split_protocol_shapes_and_kernel_branches(monkeypatch):
             state.dims[0], protocol.a_in_dim, protocol.b_in_dim
         ).transpose(1, 0, 2).reshape(protocol.a_in_dim, -1))
         assert amp <= 1e-9  # kernel branches never fire on the given state
+
+
+def _split_reference_states():
+    """Every catalog state, one random state per bench shape, and two states
+    whose third register is rank-deficient, so that, like implication2, they
+    have kernel branches."""
+    rng = np.random.default_rng(28)
+    states = [catalog(name, d=3 if name == "ghz" else None) for name in CATALOG_NAMES]
+    shapes = ((2, 2, 2), (2, 3, 2), (3, 4, 3), (4, 6, 4), (2, 2, 4), (2, 4, 2), (4, 2, 2))
+    states += [random_state(rng, dims) for dims in shapes]
+    u = random_unitary(rng, 5)[:, :2]  # rank 2 of 5, with a spectator of 2
+    states.append(TripartiteState(random_state(rng, (2, 2, 2)).amplitudes @ u.T))
+    return states + [_rank2_in_dim4()]
+
+
+def test_split_protocol_matches_per_branch_reference():
+    """The stacked construction gives the per-branch kron loop's labels and
+    receivers bit for bit, and its sender operators up to the sign of zero."""
+    kernels = 0
+    for state in _split_reference_states():
+        labels, a_ops, b_ops = per_branch_split(state)
+        protocol = build_split_protocol(state)
+        assert protocol.branches == tuple(labels)
+        assert protocol.b_ops.tobytes() == b_ops.tobytes()
+        assert np.array_equal(protocol.a_ops, a_ops)
+        kernels += sum(label[0] == "kernel" for label in labels)
+    assert kernels == 20 + 3 * 2 + 2 * 2  # implication2 and the two rank-deficient states
 
 
 def test_split_entropy_never_exceeds_cost():

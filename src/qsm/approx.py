@@ -116,9 +116,10 @@ def verify_approximate_merge(
 class EnsembleCertificate:
     """Converse-side certificate for approximate merging.
 
-    ``members`` are pure-state vectors on registers (spectator, moved
-    content, receiver, returned-resource sender half, returned-resource
-    receiver half) with dimensions ``(dim_R, dim_A, dim_B, L, L)``;
+    ``members`` are pure-state vectors in the register order of a merge
+    branch output and of :func:`~qsm.merge.merge_target_vector`: spectator,
+    returned-resource sender half, moved content, receiver, returned-resource
+    receiver half, with dimensions ``(dim_R, L, dim_A, dim_B, L)``;
     ``weights`` their probabilities, ``K``/``L`` the resource ranks, and
     ``epsilon`` the allowed error.
     """
@@ -151,23 +152,16 @@ def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> 
     if not abs(sum(cert.weights) - 1.0) <= 1e-6:
         raise ValidationError("certificate weights must sum to 1")
     dim_r, dim_a, dim_b = state.dims
-    expected = dim_r * dim_a * dim_b * cert.L * cert.L
+    expected = dim_r * cert.L * dim_a * dim_b * cert.L
     for member in cert.members:
         if member.size != expected:
             raise ValidationError(
                 f"certificate member dimension {member.size} does not match "
-                f"(dim_R, dim_A, dim_B, L, L) = "
-                f"({dim_r}, {dim_a}, {dim_b}, {cert.L}, {cert.L})"
+                f"(dim_R, L, dim_A, dim_B, L) = "
+                f"({dim_r}, {cert.L}, {dim_a}, {dim_b}, {cert.L})"
             )
         if not abs(np.linalg.norm(member) - 1.0) <= 1e-6:
             raise ValidationError("certificate members must be normalized")
-
-
-def _certificate_target(state: TripartiteState, L: int) -> np.ndarray:
-    """True target in certificate layout: the state moved, plus the rank-L pair."""
-    dim_r, dim_a, dim_b = state.dims
-    target = merge_target_vector(state, L).reshape(dim_r, L, dim_a, dim_b, L)
-    return target.transpose(0, 2, 3, 1, 4).reshape(-1)
 
 
 def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate) -> bool:
@@ -187,14 +181,14 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
     eig_b = np.clip(np.linalg.eigvalsh(state.marginal("B"))[::-1], 0.0, None)
     y = np.zeros(dim_a * dim_b * L)
     for weight, member in zip(cert.weights, cert.members):
-        tensor = member.reshape(dim_r, dim_a, dim_b, L, L)
-        mat = tensor.transpose(1, 2, 4, 0, 3).reshape(dim_a * dim_b * L, dim_r * L)
+        tensor = member.reshape(dim_r, L, dim_a, dim_b, L)
+        mat = tensor.transpose(2, 3, 4, 0, 1).reshape(dim_a * dim_b * L, dim_r * L)
         rho = mat @ mat.conj().T
         spec = np.clip(np.linalg.eigvalsh(rho)[::-1].real, 0.0, None)
         y += weight * spec
     majorized = majorization_check(eig_b, cert.K, y, 1)
 
-    target = _certificate_target(state, L)
+    target = merge_target_vector(state, L)
     f2 = sum(
         weight * abs(np.vdot(target, member)) ** 2
         for weight, member in zip(cert.weights, cert.members)

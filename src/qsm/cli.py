@@ -32,23 +32,12 @@ from .errors import ValidationError, VerificationError
 from .ki import ki_decompose
 from .merge import build_merge_protocol, verify_merge
 from .split import build_split_protocol, split_cost, verify_split
-from .statespace import catalog, encode_complex, load_state, random_state, save_state
+from .statespace import CATALOG_NAMES, catalog, encode_complex, load_state, random_state, save_state
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_USAGE = 64
-
-_CORPUS = (
-    ("ghz2", "ghz", 2),
-    ("ghz3", "ghz", 3),
-    ("appendixD", "appendixD", None),
-    ("implication2", "implication2", None),
-    ("implication3", "implication3", None),
-    ("implication4_psi", "implication4_psi", None),
-    ("implication4_psi_prime", "implication4_psi_prime", None),
-    ("qutrit_choi", "qutrit_choi", None),
-)
 
 
 class _UsageError(Exception):
@@ -326,8 +315,10 @@ def _run_verify_corpus(args):
             entry["detail"] = detail
         checks.append(entry)
 
-    for label, cat_name, d in _CORPUS:
-        state = catalog(cat_name, d=d)
+    # the golden corpus is the catalog: ghz at d = 2 and 3, then every other state
+    corpus = [(f"ghz{d}", catalog("ghz", d=d)) for d in (2, 3)]
+    corpus += [(name, catalog(name)) for name in CATALOG_NAMES if name != "ghz"]
+    for label, state in corpus:
         decomp = ki_decompose(state)
         for mode in ("catalytic", "noncatalytic"):  # noncatalytic last: noncat keeps its cost
             build = build_merge_protocol(state, decomp, mode=mode)

@@ -25,7 +25,7 @@ from .numerics import (
     canonical_eigh,
     _lex_key,
     dagger,
-    isometry_deviation,
+    isometry_deviations,
     orthonormal_complement,
     tolerance,
 )
@@ -405,7 +405,7 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int) -> KIBlock:
         bm = beta[m].reshape(-1, psi_j.shape[3])
         ws[:, m, :] = np.sqrt(lam[0] / lam[m]) * (bm.T @ xs.conj()) / svals[:n_r]
     w_flat = ws.reshape(dim_B, -1)
-    deviation = isometry_deviation(w_flat)
+    deviation = float(isometry_deviations(w_flat))
     if not deviation <= 1e3 * tol:
         raise VerificationError(
             f"block {index}: B-side factors fail the isometry check "

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import is_integer, isometry_deviation, isometry_deviations, tolerance
+from .numerics import is_integer, isometry_deviations, tolerance
 
 # Bytes a protocol may take, as check_protocol_budget counts them: 2 GiB
 # admits every catalog and bench build and splits up to (1, 20, 20).
@@ -118,7 +118,7 @@ class OneWayProtocol:
                 raise ValidationError(
                     f"branch {labels[sel.start + bad[0]]}: receiver operator is not an isometry"
                 )
-        residual = isometry_deviation(self.a_ops.reshape(-1, self.a_in_dim))
+        residual = float(isometry_deviations(self.a_ops.reshape(-1, self.a_in_dim)))
         if not residual <= 10 * tol:
             raise ValidationError(
                 f"measurement completeness fails (residual {residual:.2e})"
@@ -241,8 +241,10 @@ def verify_protocol(
 
     Each outcome is compared with ``target`` by the squared overlap
     ``|<target|out>|^2``, so a global phase per branch is allowed.  The
-    protocol passes when every such fidelity is at least ``1 - 10 tau`` and
-    its completeness residual is at most ``10 tau``.
+    protocol passes when every such fidelity is at least ``1 - 10 tau``.
+    Measurement completeness is not tested again: :class:`OneWayProtocol`
+    enforces a residual of at most ``10 tau`` at construction, and the
+    report carries it as ``completeness_residual``.
     """
     tol = tolerance()
     target = np.asarray(target, dtype=complex).reshape(-1)
@@ -260,14 +262,12 @@ def verify_protocol(
         fid = abs(overlap) ** 2
         min_fid = min(min_fid, fid)
         total += out.probability
-    residual = protocol.completeness_residual()
-    passed = min_fid >= 1.0 - 10 * tol and residual <= 10 * tol
     return VerificationReport(
         min_branch_fidelity=min_fid,
-        completeness_residual=residual,
+        completeness_residual=protocol.completeness_residual(),
         probability_total=total,
         branch_count=len(outcomes),
-        passed=passed,
+        passed=min_fid >= 1.0 - 10 * tol,
     )
 
 

@@ -387,14 +387,6 @@ def _merged_breakpoints(cums: list) -> list:
     return merged
 
 
-def _locate(cum: list, point: float) -> int:
-    """Index of the original outcome whose cumulative interval contains point."""
-    for s, edge in enumerate(cum):
-        if point <= edge:
-            return s
-    return len(cum) - 1
-
-
 def build_merge_protocol(
     state: TripartiteState,
     decomp: Optional[KIDecomposition] = None,
@@ -523,7 +515,8 @@ def build_merge_protocol(
         for bd in live:
             ph_a, ph_b = phases[bd.index]
             steps, probs, cum, tables = schedules[bd.index]
-            s = _locate(cum, mid)
+            # the step whose cumulative interval holds mid: the first cum[s] >= mid
+            s = min(int(np.searchsorted(cum, mid)), len(cum) - 1)
             tab = tables[s]
             scale = np.sqrt(width / probs[s])
             amps = scale * np.sqrt(steps[s].mass / (bd.lam[tab.levels] / bd.per))
@@ -552,11 +545,8 @@ def build_merge_protocol(
                 for row, col, v, kr, ws_conj in tab.recv_rounds:
                     blocks = recv[which[:, None], v, kr]
                     acc[:, row, col] += (ph_b[sel, None, None, None] * blocks)[..., None] * ws_conj
-            if pairs:
-                mats = acc.transpose(0, 3, 4, 1, 5, 2).reshape(nb, *b_shape)
-                b_ops[i0 : i0 + nb] = receiver_isometries(i0, mats)
-            else:
-                b_ops[i0 : i0 + nb] = default_b
+            mats = acc.transpose(0, 3, 4, 1, 5, 2).reshape(nb, *b_shape)
+            b_ops[i0 : i0 + nb] = receiver_isometries(i0, mats)
 
     # zero-probability outcomes covering the dead (zero-amplitude) directions,
     # P·P·J branches (x, z, m3) per direction and resource offset

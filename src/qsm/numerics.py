@@ -42,17 +42,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def isometry_deviation(m: np.ndarray) -> float:
-    """``max |m^dag m - 1|``: how far the columns of ``m`` are from orthonormal.
-
-    NaN entries give NaN, so callers compare with ``not deviation <= bound``.
-    """
-    return float(isometry_deviations(m))
-
-
 def isometry_deviations(stack: np.ndarray) -> np.ndarray:
-    """:func:`isometry_deviation` of every matrix of ``stack`` (last two
-    axes), from one stacked Gram product."""
+    """``max |m^dag m - 1|``, how far the columns of ``m`` are from orthonormal,
+    for every matrix ``m`` of ``stack`` (last two axes; one matrix gives a 0-d
+    array), from one stacked Gram product.  NaN entries give NaN, so callers
+    compare with ``not deviation <= bound``."""
     gram = np.matmul(np.swapaxes(stack.conj(), -1, -2), stack)
     gram = gram.astype(np.result_type(gram, 1.0), copy=False)  # integer input
     n = gram.shape[-1]

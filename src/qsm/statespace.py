@@ -245,13 +245,14 @@ def _qutrit_choi() -> TripartiteState:
     return TripartiteState(amps, name="qutrit_choi")
 
 
-# the catalog states without parameters; ghz, which takes a dimension, comes first
+# the catalog states without parameters, in the order `qsm verify-corpus`
+# checks them; ghz, which takes a dimension, comes first
 _BUILDERS = {
+    "appendixD": _appendix_d,
     "implication2": _implication2,
     "implication3": _implication3,
     "implication4_psi": lambda: _implication4(False),
     "implication4_psi_prime": lambda: _implication4(True),
-    "appendixD": _appendix_d,
     "qutrit_choi": _qutrit_choi,
 }
 CATALOG_NAMES = ("ghz", *_BUILDERS)

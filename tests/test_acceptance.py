@@ -63,14 +63,6 @@ def _in_ball_rotation(state, epsilon, rng, fraction=0.999):
     return TripartiteState(rotated.reshape(state.dims))
 
 
-def _singleton_member(state, L):
-    amps = state.amplitudes
-    out = np.zeros((*state.dims, L, L), dtype=complex)
-    for l in range(L):
-        out[:, :, :, l, l] = amps / math.sqrt(float(L))
-    return out.reshape(-1)
-
-
 def test_criterion_01_ghz_merge_is_free():
     for d in range(2, 6):
         state = catalog("ghz", d=d)
@@ -264,7 +256,7 @@ def test_criterion_09_smoothing_chain_and_certificates():
         K = int(cert_rng.integers(1, 6))
         L = int(cert_rng.integers(1, 4))
         singleton = EnsembleCertificate(
-            (1.0,), (_singleton_member(state, L),), K, L, 0.0
+            (1.0,), (merge_target_vector(state, L),), K, L, 0.0
         )
         eig_b = np.clip(np.linalg.eigvalsh(state.marginal("B"))[::-1], 0.0, None)
         eig_ab = np.clip(np.linalg.eigvalsh(state.marginal("AB"))[::-1], 0.0, None)

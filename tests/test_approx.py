@@ -14,32 +14,18 @@ from qsm.approx import (
 )
 from qsm import approx, locc, merge
 from qsm.errors import SolverError, ValidationError
-from qsm.locc import apply_protocol
-from qsm.merge import build_merge_protocol
-from qsm.statespace import TripartiteState, catalog, random_state
+from qsm.locc import apply_protocol, verify_protocol
+from qsm.merge import build_merge_protocol, merge_target_vector
+from qsm.statespace import CATALOG_NAMES, TripartiteState, catalog, random_state
 
 from helpers import uniform_resource_majorization
 
 
-def ensemble_from_merge_outcomes(
-    state: TripartiteState, outcomes, K: int, L: int, epsilon: float
-) -> EnsembleCertificate:
-    """Package protocol branch outputs as an ensemble certificate.
-
-    Branch outputs live on (spectator; sender resource part; moved content,
-    receiver, receiver resource part); they are reordered into the
-    certificate layout with the two resource registers last.
-    """
-    dim_r, dim_a, dim_b = state.dims
-    weights = []
-    members = []
-    for outcome in outcomes:
-        tensor = outcome.state.reshape(dim_r, L, dim_a, dim_b, L)
-        members.append(tensor.transpose(0, 2, 3, 1, 4).reshape(-1))
-        weights.append(outcome.probability)
+def ensemble_from_merge_outcomes(outcomes, K: int, L: int, epsilon: float) -> EnsembleCertificate:
+    """Package protocol branch outputs, as they stand, as an ensemble certificate."""
     return EnsembleCertificate(
-        weights=tuple(weights),
-        members=tuple(members),
+        weights=tuple(outcome.probability for outcome in outcomes),
+        members=tuple(outcome.state for outcome in outcomes),
         K=K,
         L=L,
         epsilon=epsilon,
@@ -55,14 +41,6 @@ def _in_ball_rotation(state, epsilon, rng, fraction=0.999):
     theta = math.acos(math.sqrt(1.0 - (epsilon / 2.0) ** 2)) * fraction
     cand = math.cos(theta) * vec + math.sin(theta) * g
     return TripartiteState(cand.reshape(state.dims))
-
-
-def _singleton_target(state, L):
-    amps = state.amplitudes
-    out = np.zeros((*state.dims, L, L), dtype=complex)
-    for l in range(L):
-        out[:, :, :, l, l] = amps / math.sqrt(float(L))
-    return out.reshape(-1)
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +124,7 @@ def test_singleton_certificate_reduces_to_exact_condition():
         K = int(rng.integers(1, 6))
         L = int(rng.integers(1, 4))
         singleton = EnsembleCertificate(
-            (1.0,), (_singleton_target(state, L),), K, L, 0.0
+            (1.0,), (merge_target_vector(state, L),), K, L, 0.0
         )
         got = check_ensemble_certificate(state, singleton)
         eig_b = np.clip(np.linalg.eigvalsh(state.marginal("B"))[::-1], 0.0, None)
@@ -158,9 +136,7 @@ def test_certificate_from_exact_merge_run():
     state = catalog("implication3")
     build = build_merge_protocol(state, mode="noncatalytic")
     outcomes = apply_protocol(build.protocol, state.amplitudes, build.report.K)
-    cert = ensemble_from_merge_outcomes(
-        state, outcomes, build.report.K, build.report.L, 0.0
-    )
+    cert = ensemble_from_merge_outcomes(outcomes, build.report.K, build.report.L, 0.0)
     assert check_ensemble_certificate(state, cert)
     # decrementing K below the exact converse breaks the spectra prefix
     smaller = EnsembleCertificate(
@@ -169,9 +145,24 @@ def test_certificate_from_exact_merge_run():
     assert not check_ensemble_certificate(state, smaller)
 
 
+@pytest.mark.parametrize("mode", ["catalytic", "noncatalytic"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_merge_outputs_form_a_certificate_as_they_stand(name, mode):
+    """The live outputs of a verified merge run, weighted by their
+    probabilities, are an exact (epsilon = 0) certificate in the register
+    order the protocol leaves them in."""
+    state = catalog(name, d=3 if name == "ghz" else None)
+    build = build_merge_protocol(state, mode=mode)
+    K, L = build.report.K, build.report.L
+    outcomes = apply_protocol(build.protocol, state.amplitudes, K)
+    assert verify_protocol(build.protocol, outcomes, merge_target_vector(state, L)).passed
+    cert = ensemble_from_merge_outcomes(outcomes, K, L, 0.0)
+    assert check_ensemble_certificate(state, cert)
+
+
 def test_certificate_validation():
     state = catalog("ghz", d=2)
-    member = _singleton_target(state, 1)
+    member = merge_target_vector(state, 1)
     with pytest.raises(ValidationError):
         check_ensemble_certificate(
             state, EnsembleCertificate((0.5,), (member,), 1, 1, 0.0)
@@ -202,7 +193,7 @@ def test_certificate_validation():
 )
 def test_certificate_rejects_non_finite_fields(weight, member_scale, epsilon, field):
     state = catalog("ghz", d=2)
-    member = _singleton_target(state, 1) * member_scale
+    member = merge_target_vector(state, 1) * member_scale
     cert = EnsembleCertificate((weight,), (member,), 1, 1, epsilon)
     with pytest.raises(ValidationError, match=field):
         check_ensemble_certificate(state, cert)
@@ -215,10 +206,10 @@ def test_certificate_rejects_non_finite_fields(weight, member_scale, epsilon, fi
 )
 def test_certificate_rejects_non_integer_ranks(K, L, shown):
     state = catalog("ghz", d=2)
-    cert = EnsembleCertificate((1.0,), (_singleton_target(state, 1),), K, L, 0.0)
+    cert = EnsembleCertificate((1.0,), (merge_target_vector(state, 1),), K, L, 0.0)
     with pytest.raises(ValidationError, match=re.escape(shown)):
         check_ensemble_certificate(state, cert)
-    ok = EnsembleCertificate((1.0,), (_singleton_target(state, 1),), np.int64(2), 1, 0.0)
+    ok = EnsembleCertificate((1.0,), (merge_target_vector(state, 1),), np.int64(2), 1, 0.0)
     assert check_ensemble_certificate(state, ok)
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: exit codes, report shape,
 determinism, and the documented usage examples."""
 
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +16,8 @@ import qsm
 import qsm.cli as cli
 from qsm.errors import VerificationError
 from qsm.ki import ki_decompose
-from qsm.statespace import CATALOG_NAMES, encode_complex, random_state, save_state
+from qsm.bounds import converse_search, converse_simple, h_max_conditional
+from qsm.statespace import CATALOG_NAMES, encode_complex, load_state, random_state, save_state
 
 
 def _state_file(tmp_path, name, d=None):
@@ -355,6 +357,26 @@ def test_bounds_cli_small_and_large(tmp_path):
     assert res["simple"]["noncatalytic"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_bounds_cli_reports_simple_of_the_normal_form_and_the_rest_of_the_state(tmp_path):
+    """``qsm bounds`` reports ``simple`` by :func:`converse_simple`, which
+    works on the uniform-spectator normal form, but ``search`` and ``h_max``
+    of the state as given, so for a state off the normal form the three
+    bound two different states (``compare_bounds`` uses the normal form for
+    all three).  Pinned, so that unifying them is a declared report change."""
+    path = tmp_path / "random.json"
+    save_state(random_state(np.random.default_rng(1), (2, 2, 2)), path)
+    state = load_state(path)
+    code, report = cli.run(["bounds", str(path)])
+    assert code == 0
+    res = report["results"]
+    assert res["simple"] == converse_simple(state)
+    assert res["search"] == dataclasses.asdict(converse_search(state, K_max=64, L_max=64))
+    assert res["h_max"] == h_max_conditional(state)
+    assert res["gap_simple_minus_h_max"] == res["simple"]["catalytic"] - res["h_max"]
+    # the as-given search sits below the normal form's simple bound
+    assert res["search"]["catalytic_bits"] < res["simple"]["catalytic"]
+
+
 def test_approx_cli_candidate_and_heuristic(tmp_path):
     path = _state_file(tmp_path, "ghz", d=2)
     code, report = cli.run(
@@ -516,6 +538,14 @@ def test_verify_corpus_passes():
     assert res["all_passed"] is True
     assert len(res["checks"]) >= 30
     assert all(c["passed"] for c in res["checks"])
+    # the golden checks are ghz2, ghz3 and every other catalog state, in
+    # catalog order, four each, so a new catalog state reaches the corpus
+    labels = ["ghz2", "ghz3"] + [name for name in CATALOG_NAMES if name != "ghz"]
+    kinds = ("merge-catalytic", "merge-noncatalytic", "split", "search-below-achievable")
+    expected = [f"{label}:{kind}" for label in labels for kind in kinds]
+    checks = [c["check"] for c in res["checks"]]
+    assert checks[: len(expected)] == expected
+    assert all(name.startswith("random") for name in checks[len(expected) :])
 
 
 def test_console_script_installed(tmp_path):

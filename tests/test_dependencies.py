@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qsm
+from qsm.statespace import CATALOG_NAMES
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
@@ -186,5 +187,27 @@ def test_only_statespace_spells_the_complex_encoding():
         if path.name != "statespace.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Constant) and node.value == "imag"
+    ]
+    assert offenders == []
+
+
+def test_only_statespace_lists_catalog_states():
+    """No tuple or list literal outside ``statespace.py`` holds two or more
+    distinct catalog names, nested literals included: the catalog is the one
+    list of example states, and ``qsm verify-corpus`` reads it from there.  A
+    single name, as in ``catalog("qutrit_choi")``, is allowed."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "statespace.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Tuple, ast.List))
+        and len({
+            leaf.value
+            for leaf in ast.walk(node)
+            if isinstance(leaf, ast.Constant) and leaf.value in CATALOG_NAMES
+        }) >= 2
     ]
     assert offenders == []

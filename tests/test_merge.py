@@ -14,7 +14,6 @@ from qsm.errors import SolverError, ValidationError, VerificationError
 from qsm.ki import ki_decompose
 from qsm.locc import apply_protocol, flatten_schedule, generalized_paulis, verify_protocol
 from qsm.merge import (
-    _locate,
     _merged_breakpoints,
     achievable_cost,
     build_merge_protocol,
@@ -373,7 +372,8 @@ def _per_pair_oracle(state, decomp, mode, delta):
                         if not bd.live:
                             continue
                         steps, probs, cum = schedules[bd.index]
-                        s = _locate(cum, mid)
+                        # the first step whose cumulative edge reaches mid
+                        s = next((k for k, edge in enumerate(cum) if mid <= edge), len(cum) - 1)
                         scale = np.sqrt(width / probs[s])
                         mass = steps[s].mass
                         ph_a, ph_b = a_phase(bd.index, m3), b_phase(bd.index, m3)

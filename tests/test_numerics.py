@@ -159,18 +159,18 @@ def test_majorization_check_exact_ties_on_uniform_spectra(x_copies):
 
 def test_isometry_deviation():
     u = random_unitary(RNG, 4)
-    assert numerics.isometry_deviation(u) <= 1e-9
-    assert numerics.isometry_deviation(u[:, :2]) <= 1e-9
-    assert not numerics.isometry_deviation(u[:2, :]) <= 1e-9  # wide, not an isometry
-    assert numerics.isometry_deviation(2.0 * np.eye(3)) == pytest.approx(3.0)
-    assert numerics.isometry_deviation(2 * np.eye(3, dtype=int)) == 3.0
+    assert float(numerics.isometry_deviations(u)) <= 1e-9
+    assert float(numerics.isometry_deviations(u[:, :2])) <= 1e-9
+    assert not float(numerics.isometry_deviations(u[:2, :])) <= 1e-9  # wide, not an isometry
+    assert float(numerics.isometry_deviations(2.0 * np.eye(3))) == pytest.approx(3.0)
+    assert float(numerics.isometry_deviations(2 * np.eye(3, dtype=int))) == 3.0
     m = u.copy()
     m[0, 0] = np.nan
-    assert not numerics.isometry_deviation(m) <= 1e-9
+    assert not float(numerics.isometry_deviations(m)) <= 1e-9
 
 
 def _dense_deviation(m):
-    """``isometry_deviation`` as the plain formula: one Gram, a dense identity."""
+    """``isometry_deviations`` of one matrix as the plain formula: one Gram, a dense identity."""
     return float(np.max(np.abs(numerics.dagger(m) @ m - np.eye(m.shape[1]))))
 
 
@@ -198,10 +198,10 @@ def _deviation_cases():
 def test_isometry_deviation_matches_dense_formula():
     """Same float bits as the dense formula, and NaN stays NaN."""
     for m in _deviation_cases():
-        assert numerics.isometry_deviation(m) == _dense_deviation(m), m.shape
+        assert float(numerics.isometry_deviations(m)) == _dense_deviation(m), m.shape
     m = random_unitary(np.random.default_rng(53), 6)
     m[2, -1] = np.nan
-    assert math.isnan(numerics.isometry_deviation(m))
+    assert math.isnan(numerics.isometry_deviations(m))
     assert math.isnan(_dense_deviation(m))
 
 
@@ -212,7 +212,7 @@ def test_isometry_deviation_keeps_one_gram_live():
     n = m.shape[1]
     tracemalloc.start()
     try:
-        numerics.isometry_deviation(m)
+        numerics.isometry_deviations(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,8 +223,8 @@ _KERNEL_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from test_numerics import _deviation_cases, _dense_deviation
-from qsm.numerics import isometry_deviation
-print(all(isometry_deviation(m) == _dense_deviation(m) for m in _deviation_cases()))
+from qsm.numerics import isometry_deviations
+print(all(float(isometry_deviations(m)) == _dense_deviation(m) for m in _deviation_cases()))
 """
 
 

@@ -47,21 +47,6 @@ def _probe_vectors(dim: int) -> list[np.ndarray]:
     ]
 
 
-def steering_generators(dim_R: int) -> list[np.ndarray]:
-    """PSD operators on R whose real span is all Hermitian operators.
-
-    Returns the rank-one projectors onto |k>, |k>+|l>, and |k>+i|l> (the
-    latter two unnormalized), dim_R^2 operators in total.
-    """
-    return [np.outer(v, v.conj()) for v in _probe_vectors(dim_R)]
-
-
-def _steered_unnormalized(state: TripartiteState, lam: np.ndarray) -> np.ndarray:
-    """tr_R[(lam (x) 1) psi^{RA}] without normalization (PSD for PSD lam)."""
-    amps = state.amplitudes
-    return np.einsum("rs,rab,scb->ac", np.asarray(lam, dtype=complex), amps, amps.conj())
-
-
 # ---------------------------------------------------------------------------
 # Block structures (intermediate decompositions)
 #
@@ -124,31 +109,38 @@ def _split_eigenspaces(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 class SteeredOperators:
-    """The unnormalized steered operators of one state, each computed once.
+    """The unnormalized steered operators of one state, read off one Gram tensor.
 
-    ``full`` is steered by the identity on R and ``generators[g]`` by the
-    g-th operator of :func:`steering_generators`.  :meth:`combine` yields
-    the R-combining candidates: the identity, then ``1 + gen`` and
-    ``1 + 2 gen`` for each generator in order.  Each candidate after
-    ``full`` is built on first use and kept, since most combines fire on
-    ``full`` and only a structure with two or more blocks asks at all.
+    The operator steered by a PSD ``lam`` on R is
+    ``sum_{r,s} lam[r,s] G[r,:,s,:]`` with
+    ``G[r,a,s,c] = sum_b psi[r,a,b] conj(psi[s,c,b])``.  ``full`` is steered
+    by the identity on R, and ``generators[g]`` by the projector onto the
+    g-th vector of :func:`_probe_vectors`: ``G[k,:,k,:]`` for |k>, then
+    ``G[k,:,k,:] + G[l,:,l,:] + conj(phase) G[k,:,l,:] + phase G[l,:,k,:]``
+    for |k> + phase |l>, phase in (1, i), for every k < l.  The real span of
+    these projectors is all Hermitian operators on R.
     """
 
     def __init__(self, state: TripartiteState):
-        self._state = state
-        eye = np.eye(state.dims[0], dtype=complex)
-        gens = steering_generators(state.dims[0])
-        self.full = _steered_unnormalized(state, eye)
-        self.generators = np.stack([_steered_unnormalized(state, gen) for gen in gens])
-        self._combine_lams = [lam for gen in gens for lam in (eye + gen, eye + 2 * gen)]
-        self._combine: list[np.ndarray] = []
+        amps = state.amplitudes
+        dim_R = state.dims[0]
+        gram = np.einsum("rab,scb->rasc", amps, amps.conj())
+        diagonal = [gram[k, :, k, :] for k in range(dim_R)]
+        self.full = np.einsum("rab,rcb->ac", amps, amps.conj())
+        self.generators = np.stack(diagonal + [
+            diagonal[k] + diagonal[l] + np.conj(phase) * gram[k, :, l, :] + phase * gram[l, :, k, :]
+            for k in range(dim_R)
+            for l in range(k + 1, dim_R)
+            for phase in (1.0, 1.0j)
+        ])
 
     def combine(self) -> Iterator[np.ndarray]:
+        """The R-combining candidates: the operators steered by the identity,
+        then by ``1 + gen`` and ``1 + 2 gen`` for each generator in order."""
         yield self.full
-        for k, lam in enumerate(self._combine_lams):
-            if k == len(self._combine):
-                self._combine.append(_steered_unnormalized(self._state, lam))
-            yield self._combine[k]
+        for gen in self.generators:
+            yield self.full + gen
+            yield self.full + 2 * gen
 
 
 def _generator_witness(space: np.ndarray, generators: np.ndarray, ref: np.ndarray) -> np.ndarray | None:
@@ -527,5 +519,4 @@ __all__ = [
     "l_decompose_step",
     "r_combine_step",
     "refinement_index",
-    "steering_generators",
 ]

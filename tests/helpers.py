@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from qsm.errors import ValidationError
-from qsm.ki import KIBlock
+from qsm.ki import KIBlock, _probe_vectors
 from qsm.locc import generalized_paulis
 from qsm.numerics import dagger, schmidt_decompose, tolerance
 from qsm.statespace import TripartiteState
@@ -249,3 +249,34 @@ def planted_ki_state(
     u_a, u_b = random_unitary(rng, d_a), random_unitary(rng, d_b)
     amps = np.einsum("xa,rab,yb->rxy", u_a, amps, u_b)
     return TripartiteState(amps), planted
+
+
+def steering_generators(dim_R: int) -> list[np.ndarray]:
+    """The rank-one projectors onto the probe vectors of R (|k>, then |k>+|l>
+    and |k>+i|l> for k < l, unnormalized): dim_R^2 PSD operators whose real
+    span is all Hermitian operators on R."""
+    return [np.outer(v, v.conj()) for v in _probe_vectors(dim_R)]
+
+
+def steered_unnormalized(state: TripartiteState, lam: np.ndarray) -> np.ndarray:
+    """tr_R[(lam (x) 1) psi^{RA}] without normalization, by one 3-operand einsum."""
+    amps = state.amplitudes
+    return np.einsum("rs,rab,scb->ac", np.asarray(lam, dtype=complex), amps, amps.conj())
+
+
+class PerProbeSteeredOperators:
+    """Every steered operator by its own :func:`steered_unnormalized` call:
+    the reference for :class:`qsm.ki.SteeredOperators`, which reads them all
+    off one Gram tensor."""
+
+    def __init__(self, state: TripartiteState):
+        eye = np.eye(state.dims[0], dtype=complex)
+        gens = steering_generators(state.dims[0])
+        self.full = steered_unnormalized(state, eye)
+        self.generators = np.stack([steered_unnormalized(state, gen) for gen in gens])
+        self.candidates = [self.full] + [
+            steered_unnormalized(state, lam) for gen in gens for lam in (eye + gen, eye + 2 * gen)
+        ]
+
+    def combine(self):
+        yield from self.candidates

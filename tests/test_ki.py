@@ -7,7 +7,14 @@ from qsm import ki, statespace
 from qsm.errors import ValidationError, VerificationError
 from qsm.numerics import dagger, tolerance
 
-from helpers import planted_ki_state, projector, random_unitary
+from helpers import (
+    PerProbeSteeredOperators,
+    planted_ki_state,
+    projector,
+    random_unitary,
+    steered_unnormalized,
+    steering_generators,
+)
 
 
 def _proj(cols):
@@ -22,7 +29,7 @@ def steered_state(state: statespace.TripartiteState, lam: np.ndarray) -> np.ndar
     evals = np.linalg.eigvalsh((lam + dagger(lam)) / 2)
     if evals.min() < -10 * tolerance() * max(1.0, float(evals.max())):
         raise ValidationError("steering operator must be PSD")
-    rho = ki._steered_unnormalized(state, lam)
+    rho = steered_unnormalized(state, lam)
     tr = float(np.trace(rho).real)
     if tr <= tolerance():
         raise ValidationError("steering operator has vanishing overlap with the state")
@@ -54,7 +61,7 @@ def test_steered_state_examples():
 
 def test_steering_generators_span():
     for d in (2, 3):
-        gens = ki.steering_generators(d)
+        gens = steering_generators(d)
         assert len(gens) == d * d
         # real span of the generators covers all Hermitian operators
         basis = np.array([g.reshape(-1) for g in gens])
@@ -244,7 +251,7 @@ def test_steered_states_invariant_under_block_mixed_unitaries():
             u = basis @ np.diag(phases) @ dagger(basis)
             op = flat @ np.kron(u, np.eye(b.dim_R)) @ dagger(flat)
             krauses.append(np.sqrt(w) * op)
-    for gen in ki.steering_generators(3):
+    for gen in steering_generators(3):
         rho = steered_state(st, gen + 1e-3 * np.eye(3))
         mapped = sum(k @ rho @ dagger(k) for k in krauses)
         assert np.linalg.norm(mapped - rho) < 1e-7
@@ -334,21 +341,20 @@ def test_ki_decompose_b_trivial():
 
 
 def _sequential_l_decompose_step(state, spaces):
-    """Pair-by-pair L-decomposing step: every steered operator rebuilt, every
-    (generator, R-factor vector) compression tested in turn."""
+    """Pair-by-pair L-decomposing step on the per-probe steered operators:
+    every (generator, R-factor vector) compression tested in turn."""
     tol = tolerance()
-    full = ki._steered_unnormalized(state, np.eye(state.dims[0]))
-    generators = ki.steering_generators(state.dims[0])
+    steered = PerProbeSteeredOperators(state)
     for j0, space in enumerate(spaces):
-        t_full = ki._compressed(space, full)
+        t_full = ki._compressed(space, steered.full)
         diagonals = [t_full[:, b, :, b] for b in range(space.shape[2])]
         ref = next((d for d in diagonals if float(np.trace(d).real) > 100 * tol), None)
         if ref is None:
             continue
         witness = next((d for d in diagonals if not ki._proportional(d, ref)), None)
         if witness is None:
-            for gen in generators:
-                t_gen = ki._compressed(space, ki._steered_unnormalized(state, gen))
+            for op in steered.generators:
+                t_gen = ki._compressed(space, op)
                 for a in ki._r_factor_vectors(space.shape[2]):
                     rho = np.einsum("lrms,r,s->lm", t_gen, a.conj(), a)
                     if not ki._proportional(rho, ref):
@@ -369,19 +375,15 @@ def _sequential_l_decompose_step(state, spaces):
 
 
 def _sequential_r_combine_step(state, spaces):
-    """R-combining step with its 2 d_R^2 + 1 steered candidates rebuilt per call."""
+    """R-combining step over the 2 d_R^2 + 1 per-probe steered candidates."""
     tol = tolerance()
     if len(spaces) < 2:
         return None
-    eye = np.eye(state.dims[0], dtype=complex)
-    candidates = [eye]
-    for gen in ki.steering_generators(state.dims[0]):
-        candidates += [eye + gen, eye + 2 * gen]
+    candidates = PerProbeSteeredOperators(state).candidates
     for j0 in range(len(spaces)):
         for j1 in range(j0 + 1, len(spaces)):
             v0, v1 = spaces[j0], spaces[j1]
-            for lam in candidates:
-                op = ki._steered_unnormalized(state, lam)
+            for op in candidates:
                 scale = max(1.0, abs(float(np.trace(op).real)))
                 cross = np.einsum("alr,ab,bms->lrms", v1.conj(), op, v0)
                 for b in range(v1.shape[2]):
@@ -421,7 +423,7 @@ def _oracle_states():
     return states
 
 
-def test_batched_witness_screen_matches_sequential(monkeypatch):
+def test_batched_witness_screen_matches_sequential():
     for st in _oracle_states():
         steered = ki.SteeredOperators(st)
         structure = ki.initial_structure(st)
@@ -437,19 +439,6 @@ def test_batched_witness_screen_matches_sequential(monkeypatch):
             structure = expected
             steps += 1
         assert steps + 1 == len(ki.ki_decompose(st).trajectory)
-
-    calls = []
-    original = ki._steered_unnormalized
-
-    def counting(state, lam):
-        calls.append(lam.shape)
-        return original(state, lam)
-
-    monkeypatch.setattr(ki, "_steered_unnormalized", counting)
-    for st in _oracle_states():
-        calls.clear()
-        ki.ki_decompose(st)
-        assert 0 < len(calls) <= 3 * st.dims[0]**2 + 2
 
 
 def test_l_screen_never_compresses_a_block_that_cannot_split(monkeypatch):
@@ -467,48 +456,35 @@ def test_l_screen_never_compresses_a_block_that_cannot_split(monkeypatch):
     assert dims_l and min(dims_l) > 1
 
 
-def test_combine_candidates_are_built_on_first_use(monkeypatch):
-    """A generic (4,6,4) state combines on ``full``; no other candidate is built."""
-    calls = []
-    original = ki._steered_unnormalized
-
-    def counting(state, lam):
-        calls.append(lam.shape)
-        return original(state, lam)
-
-    monkeypatch.setattr(ki, "_steered_unnormalized", counting)
-    st = statespace.random_state(np.random.default_rng(464), (4, 6, 4))
-    decomp = ki.ki_decompose(st)
-    assert [(b.dim_L, b.dim_R) for b in decomp.blocks] == [(1, 6)]  # R-combines ran
-    assert len(calls) <= st.dims[0]**2 + 1
-
-
-def _planted_specs(count: int, seed: int) -> list:
-    """Seeded ``(blocks, dim_r)`` specs: J in {2, 3}, dim_L, dim_R and dim_bR
-    up to 3, some block with at least two redundant levels, and every φ_j
-    able to fill its a_j^R."""
+def _planted_specs(
+    count: int, seed: int, n_blocks: tuple = (2, 3), max_dim_r: int = 3, max_dim_a: int = 27
+) -> list:
+    """Seeded ``(blocks, dim_r)`` specs: J in ``n_blocks``, dim_L, dim_R and
+    dim_bR up to 3, dim_r from 2 to ``max_dim_r``, d_A up to ``max_dim_a``,
+    some block with at least two redundant levels, and every φ_j able to fill
+    its a_j^R."""
     rng = np.random.default_rng(seed)
     specs = []
     while len(specs) < count:
-        dim_r = int(rng.integers(2, 4))
+        dim_r = int(rng.integers(2, max_dim_r + 1))
         blocks = [
             tuple(int(k) for k in rng.integers(1, 4, size=3))
-            for _ in range(rng.integers(2, 4))
+            for _ in range(rng.integers(n_blocks[0], n_blocks[1] + 1))
         ]
         if max(dl for dl, _, _ in blocks) < 2:
             continue
         if any(dim_r * dbr < dr for _, dr, dbr in blocks):
             continue
+        if sum(dl * dr for dl, dr, _ in blocks) > max_dim_a:
+            continue
         specs.append((blocks, dim_r))
     return specs
 
 
-@pytest.mark.parametrize("k,spec", list(enumerate(_planted_specs(40, 606))))
-def test_planted_structure_recovered(k, spec):
+def _assert_planted_recovered(rng, blocks, dim_r):
     """ki_decompose returns the planted J, (dim_L, dim_R) pairs, p_j and ω_j
     spectra of a locally rotated ⊕_j √p_j |ω_j⟩|φ_j⟩."""
-    blocks, dim_r = spec
-    state, planted = planted_ki_state(np.random.default_rng([606, k]), blocks, dim_r)
+    state, planted = planted_ki_state(rng, blocks, dim_r)
     dec = ki.ki_decompose(state)
     assert dec.J == len(blocks)
     got = sorted((b.dim_L, b.dim_R, b.p, tuple(b.lambdas)) for b in dec.blocks)
@@ -517,3 +493,110 @@ def test_planted_structure_recovered(k, spec):
     for g, w in zip(got, want):
         assert g[2] == pytest.approx(w[2], abs=1e-9)
         assert np.allclose(g[3], w[3], atol=1e-9, rtol=0.0)
+
+
+@pytest.mark.parametrize("k,spec", list(enumerate(_planted_specs(40, 606))))
+def test_planted_structure_recovered(k, spec):
+    _assert_planted_recovered(np.random.default_rng([606, k]), *spec)
+
+
+_MORE_BLOCKS = _planted_specs(12, 707, n_blocks=(4, 5), max_dim_r=8, max_dim_a=30)
+
+
+@pytest.mark.parametrize("k,spec", list(enumerate(_MORE_BLOCKS)))
+def test_planted_structure_recovered_at_more_blocks(k, spec):
+    """J in {4, 5} planted blocks with up to 8 spectator levels and d_A up to 30."""
+    _assert_planted_recovered(np.random.default_rng([707, k]), *spec)
+
+
+def _steering_cases():
+    """The catalog (ghz at d = 2-4), seeded random states up to a 16-level
+    spectator, and 20 planted states."""
+    states = [statespace.catalog(name) for name in statespace.CATALOG_NAMES if name != "ghz"]
+    states += [statespace.catalog("ghz", d) for d in (2, 3, 4)]
+    rng = np.random.default_rng(1414)
+    for dims in ((1, 4, 4), (2, 2, 2), (2, 3, 2), (3, 4, 3), (4, 6, 4), (5, 4, 4), (8, 6, 6), (16, 4, 4)):
+        states += [statespace.random_state(rng, dims) for _ in range(2)]
+    for k, (blocks, dim_r) in enumerate(_planted_specs(20, 1414)):
+        states.append(planted_ki_state(np.random.default_rng([1414, k]), blocks, dim_r)[0])
+    return states
+
+
+def _same_bytes(u, v) -> bool:
+    u, v = np.asarray(u), np.asarray(v)
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def test_gram_steering_matches_per_probe_steering(monkeypatch):
+    """Reading the steered operators off one Gram tensor leaves every
+    decomposition byte for byte as the per-probe 3-operand einsums give it,
+    and the operators themselves agree within 1e-13 max|G|."""
+    for n, st in enumerate(_steering_cases()):
+        gram = np.einsum("rab,scb->rasc", st.amplitudes, st.amplitudes.conj())
+        bound = 1e-13 * np.max(np.abs(gram))
+        new, ref = ki.SteeredOperators(st), PerProbeSteeredOperators(st)
+        assert new.generators.shape == ref.generators.shape == (st.dims[0] ** 2,) + (st.dims[1],) * 2
+        assert np.max(np.abs(new.generators - ref.generators)) <= bound, n
+        for got, want in zip(new.combine(), ref.combine(), strict=True):
+            assert np.max(np.abs(got - want)) <= bound, n
+
+        got = ki.ki_decompose(st)
+        with monkeypatch.context() as m:
+            m.setattr(ki, "SteeredOperators", PerProbeSteeredOperators)
+            want = ki.ki_decompose(st)
+        assert (got.r, got.trajectory) == (want.r, want.trajectory), n
+        assert len(got.blocks) == len(want.blocks), n
+        for b, c in zip(got.blocks, want.blocks):
+            for field in ("index", "iso", "p", "lambdas", "omega_vec", "phi", "ws"):
+                assert _same_bytes(getattr(b, field), getattr(c, field)), (n, b.index, field)
+
+
+@pytest.mark.parametrize("dim_R", [1, 2, 5, 16])
+def test_steered_operators_take_two_einsums(monkeypatch, dim_R):
+    """``SteeredOperators`` contracts the amplitudes in two einsum calls
+    (``full`` and the Gram tensor) into d_R^2 generators, one at d_R = 1, and
+    ``combine`` yields ``full``, then ``full + g`` and ``full + 2 g`` for
+    each generator g in order."""
+    st = statespace.random_state(np.random.default_rng([464, dim_R]), (dim_R, 4, 4))
+    calls = []
+    original = np.einsum
+
+    def counting(*operands, **kwargs):
+        calls.append(any(op is st.amplitudes for op in operands))
+        return original(*operands, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "einsum", counting)
+        steered = ki.SteeredOperators(st)
+    assert calls == [True, True]
+    assert steered.generators.shape == (dim_R**2, 4, 4)
+    expected = [steered.full] + [steered.full + c * g for g in steered.generators for c in (1, 2)]
+    got = list(steered.combine())
+    assert len(got) == 2 * dim_R**2 + 1
+    assert all(_same_bytes(u, v) for u, v in zip(got, expected))
+
+
+def _pad_spectator(state, zeros):
+    """The state with zero R slices inserted at the positions ``zeros`` of the padded R."""
+    dim_R = state.dims[0] + len(zeros)
+    live = [r for r in range(dim_R) if r not in zeros]
+    amps = np.zeros((dim_R,) + state.dims[1:], dtype=complex)
+    amps[live] = state.amplitudes
+    return statespace.TripartiteState(amps)
+
+
+@pytest.mark.parametrize("name", ["appendixD", "implication2"])
+def test_zero_spectator_levels_leave_the_decomposition(name):
+    """Two unpopulated R levels, interleaved or at the end, give the same
+    blocks: (dim_L, dim_R) pairs, p_j within 1e-12 and ω spectra."""
+    st = statespace.catalog(name)
+    dim_R = st.dims[0]
+    want = ki.ki_decompose(st)
+    for zeros in ((1, dim_R), (dim_R, dim_R + 1)):
+        padded = _pad_spectator(st, zeros)
+        got = ki.ki_decompose(padded)
+        assert [(b.dim_L, b.dim_R) for b in got.blocks] == [(b.dim_L, b.dim_R) for b in want.blocks]
+        for b, c in zip(got.blocks, want.blocks):
+            assert abs(b.p - c.p) <= 1e-12
+            assert np.allclose(b.lambdas, c.lambdas, atol=1e-12, rtol=0.0)
+        ki._verify_reconstruction(padded, got.blocks)

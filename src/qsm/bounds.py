@@ -20,6 +20,7 @@ purification is provably costly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -214,6 +215,35 @@ def _trace_out_R(mat: np.ndarray, dim_r: int, dim_ab: int) -> np.ndarray:
     return np.einsum("iaib->ab", mat.reshape(dim_r, dim_ab, dim_r, dim_ab))
 
 
+class _Point:
+    """A point ``x`` of :class:`_MinSpectralNormSolver`, evaluated once: its
+    slacks are built Z first, each after the one before passed its Cholesky,
+    and the barrier adds their ``-log det`` in that order, or is inf from the
+    first that fails.  Inverses and Newton system are formed on first use."""
+
+    def __init__(self, solver: _MinSpectralNormSolver, x: np.ndarray):
+        self.solver = solver
+        self.x = x
+        self.slacks = []
+        self.barrier = 0.0
+        for slack in solver._slacks(x):
+            try:
+                chol = np.linalg.cholesky(slack)
+            except np.linalg.LinAlgError:
+                self.barrier = math.inf
+                return
+            self.slacks.append(slack)
+            self.barrier -= 2.0 * float(np.log(np.abs(chol.diagonal())).sum())
+
+    @functools.cached_property
+    def inverses(self) -> list[np.ndarray]:
+        return [(inv + inv.conj().T) / 2.0 for inv in map(np.linalg.inv, self.slacks)]
+
+    @functools.cached_property
+    def newton(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.solver._newton_system(self.inverses)
+
+
 class _MinSpectralNormSolver:
     """Certified solve of: minimize t over Hermitian Z subject to
 
@@ -233,11 +263,14 @@ class _MinSpectralNormSolver:
     sums give.  Only the small block ``t 1_B - Z^B``, where the partial trace
     adds several terms, keeps its coefficient tensor.
 
-    A log-barrier path follows the central path of the primal; at every
-    centering stage a feasible dual point is extracted from the slack
-    inverses the last centering step already formed, giving a rigorous
-    two-sided interval around the optimum that does not depend on the
-    centering being exact.
+    A log-barrier path follows the central path of the primal.  Each point
+    it visits is a :class:`_Point`, evaluated once: a stage hands its final
+    point to the next, which rebuilds only the gradient of its Newton system
+    (the Hessian does not depend on tau), and a line-search trial stops at
+    its first slack whose Cholesky fails.  At every stage a feasible dual
+    point is extracted from the final point's slack inverses, giving a
+    rigorous two-sided interval around the optimum that does not depend on
+    the centering being exact.
     """
 
     def __init__(self, psi: np.ndarray, dims: tuple[int, int, int]):
@@ -276,7 +309,8 @@ class _MinSpectralNormSolver:
         self.copies = [np.empty((m, d * d), dtype=complex) for d in (n, big, dim_b)]
         self.product = np.empty((m, m), dtype=complex)
 
-    def _slacks(self, x: np.ndarray) -> list[np.ndarray]:
+    def _slacks(self, x: np.ndarray):
+        """Yield the three slacks of x in order, each built when asked for."""
         n, m = self.n, self.m
         dim_r, _, dim_b = self.dims
         src, coef, dst = self.z_plan
@@ -287,37 +321,20 @@ class _MinSpectralNormSolver:
         entries += 0.0
         z = np.zeros((n, n), dtype=complex)
         z.view(np.float64).put(dst, entries)
+        yield z
         # 1_R (x) Z - |psi><psi|: Z added on each diagonal block
         lifted = self.minus_projector.copy()
         blocks = self.diag_blocks
         lifted.reshape(dim_r, n, dim_r, n)[blocks, :, blocks, :] += z
+        yield (lifted + lifted.conj().T) / 2.0
         # t 1_B - Z^B: the (1, m) x (m, dim_b^2) product np.tensordot makes
         traced = np.dot(x.reshape(1, m), self.coeff_b.reshape(m, -1)).reshape(dim_b, dim_b)
-        return [z] + [(s + s.conj().T) / 2.0 for s in (lifted, traced)]
+        yield (traced + traced.conj().T) / 2.0
 
-    @staticmethod
-    def _barrier_value(slacks: list[np.ndarray]) -> float:
-        total = 0.0
-        for s in slacks:
-            try:
-                chol = np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                return math.inf
-            total -= 2.0 * float(np.log(np.abs(chol.diagonal())).sum())
-        return total
-
-    @staticmethod
-    def _inverses(slacks: list[np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for s in slacks:
-            inv = np.linalg.inv(s)
-            out.append((inv + inv.conj().T) / 2.0)
-        return out
-
-    def _newton_system(self, invs: list, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    def _newton_system(self, invs: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(terms, hess)``: one gradient term per slack and the Hessian, free of tau."""
         m = self.m
-        grad = np.zeros(m)
-        grad[0] = tau
+        terms = np.empty((3, m))
         hess = np.zeros((m, m))
         for block, inv in enumerate(invs):
             if block < 2:
@@ -327,31 +344,36 @@ class _MinSpectralNormSolver:
                 np.take(inv.T, rows, axis=0, out=cols, mode="clip")
                 np.multiply(cols, vals, out=cols)
                 prods = cols.transpose(0, 2, 1)
-                grad -= np.einsum("akk->a", prods).real
+                # a copy: this einsum is a view of the reused buffer
+                terms[block] = np.einsum("akk->a", prods).real
                 flat = self.copies[block]
                 np.copyto(flat.reshape(prods.shape), prods)
                 flat_t = cols.reshape(m, -1)
             else:
-                grad -= np.einsum("ij,aji->a", inv, self.coeff_b).real
+                terms[block] = np.einsum("ij,aji->a", inv, self.coeff_b).real
                 prods = np.einsum("ij,ajk->aik", inv, self.coeff_b)
                 flat = prods.reshape(m, -1)
                 flat_t = self.copies[block]
                 np.copyto(flat_t.reshape(prods.shape), prods.transpose(0, 2, 1))
             np.matmul(flat, flat_t.T, out=self.product)
             hess += self.product.real
-        return grad, hess
+        return terms, hess
 
-    def _center(self, x: np.ndarray, slacks: list[np.ndarray], tau: float):
-        """Center at ``tau`` from x and its slacks.
+    def _center(self, point: _Point, tau: float) -> tuple[_Point, int]:
+        """Center at ``tau`` from ``point``.
 
-        Returns ``(x, slacks, inverses, steps)``: the final point, its slacks,
-        their symmetrized inverses and the number of Newton steps taken.
+        Returns ``(point, steps)``: the final point and the number of Newton
+        steps taken.  The final point keeps what it formed, so the next stage
+        starts from its Newton system and the certificate reads its inverses.
         """
         m = self.m
-        phi0 = tau * x[0] + self._barrier_value(slacks)
+        phi0 = tau * point.x[0] + point.barrier
         for steps in range(60):
-            invs = self._inverses(slacks)
-            grad, hess = self._newton_system(invs, tau)
+            terms, hess = point.newton
+            grad = np.zeros(m)
+            grad[0] = tau
+            for term in terms:
+                grad -= term
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -359,27 +381,26 @@ class _MinSpectralNormSolver:
                 step = np.linalg.solve(hess + ridge * np.eye(m), -grad)
             dec2 = float(-grad @ step)
             if not math.isfinite(dec2) or dec2 <= 1e-7:
-                return x, slacks, invs, steps
+                return point, steps
             scale = 1.0
             for _ in range(50):
-                trial = x + scale * step
-                trial_slacks = self._slacks(trial)
-                phi1 = tau * trial[0] + self._barrier_value(trial_slacks)
+                trial = _Point(self, point.x + scale * step)
+                phi1 = tau * trial.x[0] + trial.barrier
                 if phi1 < phi0 - 1e-4 * scale * dec2 or phi1 < phi0:
-                    x, slacks, phi0 = trial, trial_slacks, phi1
+                    point, phi0 = trial, phi1
                     break
                 scale *= 0.5
             else:
-                return x, slacks, invs, steps
+                return point, steps
         # the step cap ended the stage after a move
-        return x, slacks, self._inverses(slacks), 60
+        return point, 60
 
-    def _certificate(self, slacks: list, invs: list) -> tuple[float, float]:
-        """Rigorous (lower, upper) bounds on the optimum from a point's slacks
-        and their symmetrized inverses."""
+    def _certificate(self, point: _Point) -> tuple[float, float]:
+        """Rigorous (lower, upper) bounds on the optimum from a feasible
+        point's slacks and their symmetrized inverses."""
         dim_r, dim_a, dim_b = self.dims
-        upper = float(np.linalg.eigvalsh(_trace_out_A(slacks[0], dim_a, dim_b))[-1].real)
-        s2_inv, s3_inv = invs[1], invs[2]
+        upper = float(np.linalg.eigvalsh(_trace_out_A(point.slacks[0], dim_a, dim_b))[-1].real)
+        s2_inv, s3_inv = point.inverses[1], point.inverses[2]
         trace3 = float(np.trace(s3_inv).real)
         y3 = s3_inv / trace3
         y2 = s2_inv / trace3
@@ -403,7 +424,7 @@ class _MinSpectralNormSolver:
         x = np.zeros(self.m)
         x[0] = 3.0 * dim_a
         x[1 : 1 + self.n] = 1.5  # Z = 1.5 * identity (diagonal basis elements first)
-        slacks = self._slacks(x)
+        point = _Point(self, x)
         lo = 0.0
         hi = math.inf
         target = math.log(2.0) * 9e-7
@@ -411,8 +432,8 @@ class _MinSpectralNormSolver:
         stages = 18
         history = []
         for _ in range(stages):
-            x, slacks, invs, steps = self._center(x, slacks, tau)
-            cert_lo, cert_hi = self._certificate(slacks, invs)
+            point, steps = self._center(point, tau)
+            cert_lo, cert_hi = self._certificate(point)
             history.append((steps, cert_lo, cert_hi))
             lo = max(lo, cert_lo)
             hi = min(hi, cert_hi)

@@ -462,11 +462,13 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
             break
         new_r = refinement_index(refined)
         if new_r <= trajectory[-1]:
-            raise VerificationError("refinement step did not increase the index")
+            raise VerificationError(
+                f"refinement step did not increase the index: {trajectory[-1]} -> {new_r}"
+            )
         spaces = refined
         trajectory.append(new_r)
     else:
-        raise VerificationError("refinement loop exceeded its iteration bound")
+        raise VerificationError(f"refinement loop exceeded its iteration bound of {max_iters}")
 
     raw = []
     for space in spaces:
@@ -505,10 +507,14 @@ def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) 
     rebuilt = rebuilt.reshape(-1)
     f = float(abs(np.vdot(state.amplitudes.reshape(-1), rebuilt)) ** 2)
     if f < 1.0 - 10 * tol:
-        raise VerificationError(f"block-form reconstruction fidelity {f} below threshold")
+        raise VerificationError(
+            f"block-form reconstruction fidelity {f} below threshold 1 - 10 tau = {1.0 - 10 * tol!r}"
+        )
     norm2 = float(np.vdot(rebuilt, rebuilt).real)
     if abs(norm2 - 1.0) > 10 * tol:
-        raise VerificationError(f"block-form reconstruction squared norm {norm2} is not 1")
+        raise VerificationError(
+            f"block-form reconstruction squared norm {norm2} is not 1 within 10 tau = {10 * tol:.1e}"
+        )
 
 
 __all__ = [

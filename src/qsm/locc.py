@@ -112,11 +112,14 @@ class OneWayProtocol:
                 raise ValidationError(f"duplicate branch label {label}")
             seen.add(label)
         b_out, b_in = self.b_ops.shape[1:]
-        for sel in batch_slices(len(labels), 16 * (b_out * b_in + b_in * b_in)):
+        batches = batch_slices(len(labels), 16 * (b_out * b_in + b_in * b_in))
+        for sel in batches:
             bad = np.flatnonzero(~(isometry_deviations(self.b_ops[sel]) <= 10 * tol))
             if len(bad):
+                worst = max(float(isometry_deviations(self.b_ops[s]).max()) for s in batches)
                 raise ValidationError(
-                    f"branch {labels[sel.start + bad[0]]}: receiver operator is not an isometry"
+                    f"branch {labels[sel.start + bad[0]]}: receiver operator is not an "
+                    f"isometry (worst receiver deviation {worst:.2e} > 10 tau = {10 * tol:.1e})"
                 )
         residual = float(isometry_deviations(self.a_ops.reshape(-1, self.a_in_dim)))
         if not residual <= 10 * tol:

@@ -2,6 +2,10 @@
 
 import math
 import re
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from qsm.statespace import (
 )
 
 from helpers import uniform_resource_majorization
+from test_cli import _child_env
 
 LOG2_3_HALVES = math.log2(1.5)
 # reference optima from an independent high-accuracy solver run
@@ -322,13 +327,13 @@ def test_hmax_dimension_cap():
 
 def test_hmax_stage_exhaustion_reports_last_interval(tmp_path, monkeypatch):
     solver = qsm.bounds._MinSpectralNormSolver
-    monkeypatch.setattr(solver, "_certificate", lambda self, slacks, invs: (1.0, 2.0))
+    monkeypatch.setattr(solver, "_certificate", lambda self, point: (1.0, 2.0))
     steps = []
     center = solver._center
 
-    def counted(self, x, slacks, tau):
-        out = center(self, x, slacks, tau)
-        steps.append(out[3])
+    def counted(self, point, tau):
+        out = center(self, point, tau)
+        steps.append(out[1])
         return out
 
     monkeypatch.setattr(solver, "_center", counted)
@@ -375,10 +380,11 @@ def _dense_hermitian_basis(n):
 class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
     """The solver with dense coefficient tensors E_a, 1_R (x) E_a and -tr_A E_a.
 
-    Its slacks are tensor contractions, its Newton step forms every product
-    S^-1 F_a in full, and each stage's certificate is computed from the
-    slacks of x and fresh inverses, reusing nothing from the centering; the
-    structured solver must match it bit for bit.
+    Its slacks are tensor contractions, its barrier factors all three, its
+    Newton step forms every inverse and product S^-1 F_a afresh and in full,
+    and each stage's certificate is computed from the slacks of x and fresh
+    inverses, reusing nothing from the centering; the structured solver must
+    match it bit for bit.
     """
 
     def __init__(self, psi, dims):
@@ -408,9 +414,21 @@ class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
             out.append((s + s.conj().T) / 2.0)
         return out
 
-    def _center(self, x, slacks, tau):
-        """Dense centering from x alone; hands back x with fresh dense slacks."""
+    @staticmethod
+    def _barrier_value(slacks):
+        total = 0.0
+        for s in slacks:
+            try:
+                chol = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                return math.inf
+            total -= 2.0 * float(np.log(np.abs(chol.diagonal())).sum())
+        return total
+
+    def _center(self, point, tau):
+        """Dense centering from the point's x alone; hands back x alone."""
         m = self.m
+        x = point.x
         moves = 0
         for _ in range(60):
             slacks = self._slacks(x)
@@ -447,11 +465,12 @@ class _DenseSolver(qsm.bounds._MinSpectralNormSolver):
             if not moved:
                 break
             moves += 1
-        return x, self._slacks(x), None, moves
+        return types.SimpleNamespace(x=x), moves
 
-    def _certificate(self, slacks, invs):
-        """From scratch: fresh inverses of the dense slacks, none reused."""
+    def _certificate(self, point):
+        """From scratch: fresh dense slacks of x and their fresh inverses."""
         dim_r, dim_a, dim_b = self.dims
+        slacks = self._slacks(point.x)
         z = slacks[0]
         upper = float(np.linalg.eigvalsh(qsm.bounds._trace_out_A(z, dim_a, dim_b))[-1].real)
         s2_inv = np.linalg.inv(slacks[1])
@@ -499,29 +518,133 @@ def test_structured_solver_matches_dense_oracle_bit_for_bit(name, normal_form):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def _start_point(solver, state):
+    """The point ``solve()`` starts from."""
+    x = np.zeros(solver.m)
+    x[0] = 3.0 * state.dims[1]
+    x[1 : 1 + solver.n] = 1.5
+    return qsm.bounds._Point(solver, x)
+
+
 @pytest.mark.parametrize("damping", [1.0, 1e3], ids=["converged", "step-cap"])
 def test_center_hands_back_the_slacks_and_inverses_of_its_point(monkeypatch, damping):
-    """The certificate reuses what _center returns, so those must be the slacks
-    and inverses of the returned point, also when the 60-step cap ends a stage
+    """The certificate reuses the slacks and inverses of the point _center
+    returns, and the next stage its barrier and Newton system, so each must
+    be the fresh one of that point, also when the 60-step cap ends a stage
     (forced here by shrinking every Newton step)."""
     solver_type = qsm.bounds._MinSpectralNormSolver
     newton = solver_type._newton_system
 
-    def damped(self, invs, tau):
-        grad, hess = newton(self, invs, tau)
-        return grad, damping * hess
+    def damped(self, invs):
+        terms, hess = newton(self, invs)
+        return terms, damping * hess
 
     monkeypatch.setattr(solver_type, "_newton_system", damped)
     state = _oracle_state("232")
     solver = solver_type(state.vector, state.dims)
-    x = np.zeros(solver.m)
-    x[0] = 3.0 * state.dims[1]
-    x[1 : 1 + solver.n] = 1.5
-    x, slacks, invs, steps = solver._center(x, solver._slacks(x), 1.0)
+    point, steps = solver._center(_start_point(solver, state), 1.0)
     assert (steps == 60) == (damping > 1.0)
-    fresh = solver._slacks(x)
-    for got, want in zip(slacks + invs, fresh + solver._inverses(fresh)):
-        assert got.tobytes() == want.tobytes()
+    # bytes taken before the fresh point is formed, so no shared buffer hides a change
+    got = [a.tobytes() for a in point.slacks + point.inverses + list(point.newton)]
+    fresh = qsm.bounds._Point(solver, point.x.copy())
+    assert point.barrier.hex() == fresh.barrier.hex()
+    want = [a.tobytes() for a in fresh.slacks + fresh.inverses + list(fresh.newton)]
+    assert len(got) == 8 and got == want
+
+
+@pytest.mark.parametrize("name", ["222", "224", "422", "ghz2"])
+def test_each_point_forms_its_newton_system_once(monkeypatch, name):
+    """A stage starts from the Newton system the last one ended on, so a
+    solve with no capped stage forms one per Newton step plus one."""
+    solver_type = qsm.bounds._MinSpectralNormSolver
+    formed, steps = [], []
+    newton, center = solver_type._newton_system, solver_type._center
+
+    def spy(self, invs):
+        formed.append(len(steps))
+        return newton(self, invs)
+
+    def counted(self, point, tau):
+        out = center(self, point, tau)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver_type, "_newton_system", spy)
+    monkeypatch.setattr(solver_type, "_center", counted)
+    state = _oracle_state(name)
+    solver_type(state.vector, state.dims).solve()
+    assert len(steps) > 1 and 60 not in steps
+    assert len(formed) == sum(steps) + 1
+
+
+def test_trial_stops_at_its_first_failing_slack():
+    """An infeasible trial builds no slack after the first whose Cholesky
+    fails: the later ones' inputs are taken away, so building one raises."""
+    state = _oracle_state("232")
+    cases = [
+        (-0.1, ("minus_projector", "coeff_b"), []),  # Z not positive definite
+        (0.1, ("coeff_b",), [0]),  # Z = 0.1 1 is, but 1_R (x) Z - |psi><psi| is not
+    ]
+    for diag, removed, kept in cases:
+        solver = qsm.bounds._MinSpectralNormSolver(state.vector, state.dims)
+        x = np.zeros(solver.m)
+        x[0] = 3.0 * state.dims[1]
+        x[1 : 1 + solver.n] = diag
+        full = list(solver._slacks(x))
+        for name in removed:
+            setattr(solver, name, None)
+        point = qsm.bounds._Point(solver, x)
+        assert point.barrier == math.inf
+        assert [s.tobytes() for s in point.slacks] == [full[k].tobytes() for k in kept]
+
+
+def test_barrier_sums_the_three_slacks_in_order():
+    """A feasible point's barrier is -2 sum log|diag chol| of Z, the lifted
+    and the traced slack, added in that order, bit for bit."""
+    for name in ("222", "232", "ghz2"):
+        state = _oracle_state(name)
+        solver = qsm.bounds._MinSpectralNormSolver(state.vector, state.dims)
+        start = _start_point(solver, state)
+        for point in (start, solver._center(start, 1.0)[0]):
+            slacks = list(solver._slacks(point.x))
+            total = 0.0
+            for s in slacks:
+                total -= 2.0 * float(np.log(np.abs(np.linalg.cholesky(s).diagonal())).sum())
+            assert point.barrier.hex() == total.hex()
+            assert [s.tobytes() for s in point.slacks] == [s.tobytes() for s in slacks]
+            logdets = sum(np.linalg.slogdet(s)[1] for s in slacks)
+            assert point.barrier == pytest.approx(-logdets, rel=1e-12, abs=1e-12)
+
+
+_KERNEL_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_bounds import _DenseSolver, _oracle_state
+from qsm.bounds import _MinSpectralNormSolver
+same = []
+for name in ("222", "224", "422", "ghz2"):
+    state = _oracle_state(name)
+    got = _MinSpectralNormSolver(state.vector, state.dims).solve()
+    want = _DenseSolver(state.vector, state.dims).solve()
+    same.append([v.hex() for v in got] == [v.hex() for v in want])
+print(all(same))
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_structured_solver_matches_dense_oracle_per_blas_kernel(coretype):
+    """Bit equality of the certified interval with the dense oracle under
+    each OpenBLAS kernel, not only under the one this host's CPU selects."""
+    env = _child_env()
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    child = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHILD, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True"
 
 
 # --------------------------------------------------------------------------

@@ -303,6 +303,36 @@ def test_reconstruction_check_rejects_mutated_blocks(name):
             ki._verify_reconstruction(st, mutant)
 
 
+def test_reconstruction_errors_name_their_threshold():
+    st = statespace.catalog("implication2")
+    blocks = ki.ki_decompose(st).blocks
+    j = max(range(len(blocks)), key=lambda k: blocks[k].p)
+    cases = [  # too little weight lowers the overlap; too much passes it but not the norm
+        (0.5, "block-form reconstruction fidelity ", " below threshold 1 - 10 tau = 0.99999999"),
+        (1.1, "block-form reconstruction squared norm ", " is not 1 within 10 tau = 1.0e-08"),
+    ]
+    for c, head, tail in cases:
+        mutant = dataclasses.replace(blocks[j], p=c * blocks[j].p)
+        with pytest.raises(VerificationError) as info:
+            ki._verify_reconstruction(st, blocks[:j] + (mutant,) + blocks[j + 1 :])
+        message = str(info.value)
+        assert message.startswith(head) and message.endswith(tail), message
+        float(message[len(head) : -len(tail)])  # the measured value sits between them
+
+
+def test_refinement_errors_name_their_numbers(monkeypatch):
+    st = statespace.catalog("ghz", d=2)
+    monkeypatch.setattr(ki, "refinement_index", lambda spaces: 5)
+    with pytest.raises(VerificationError, match=r"did not increase the index: 5 -> 5$"):
+        ki.ki_decompose(st)
+    steps = iter(range(1000))
+    monkeypatch.setattr(ki, "refinement_index", lambda spaces: next(steps))
+    monkeypatch.setattr(ki, "l_decompose_step", lambda spaces, steered: spaces)
+    with pytest.raises(VerificationError, match=r"exceeded its iteration bound of 24$"):
+        ki.ki_decompose(st)  # 4 d_A^2 + 8 steps for d_A = 2
+    assert next(steps) == 25  # the initial index and one per step
+
+
 _CATALOG_CASES = [(name, None) for name in statespace.CATALOG_NAMES if name != "ghz"] + [
     ("ghz", d) for d in (2, 3, 4)
 ]

@@ -67,6 +67,22 @@ def _single(a_op, b_op, label=(0,)):
     )
 
 
+def test_receiver_check_names_the_worst_deviation_and_its_bound():
+    """The first non-isometric receiver is named, with the worst deviation
+    over all receivers and the 10 tau bound it exceeds."""
+    half = np.eye(2) / np.sqrt(2)
+    message = (
+        "branch (0,): receiver operator is not an isometry "
+        "(worst receiver deviation 3.00e+00 > 10 tau = 1.0e-08)"
+    )
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        locc.OneWayProtocol(
+            branches=((0,), (1,)),
+            a_ops=np.stack([half, half]),
+            b_ops=np.stack([0.5 * np.eye(2), 2.0 * np.eye(2)]),  # deviations 0.75 and 3
+        )
+
+
 def test_protocol_validation():
     with pytest.raises(ValidationError):
         # empty protocol rejected at construction

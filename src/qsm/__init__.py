@@ -10,22 +10,9 @@ by exact simulation.
 __version__ = "0.1.0"
 
 from .errors import SolverError, ValidationError, VerificationError
-from .statespace import (
-    TripartiteState,
-    catalog,
-    load_state,
-    max_entangled_counterpart,
-    random_state,
-    save_state,
-)
+from .statespace import TripartiteState, catalog, load_state, random_state, save_state
 from .ki import KIBlock, KIDecomposition, ki_decompose
-from .locc import (
-    OneWayProtocol,
-    apply_protocol,
-    flatten_to_uniform,
-    teleportation_protocol,
-    verify_protocol,
-)
+from .locc import OneWayProtocol, apply_protocol, verify_protocol
 from .merge import (
     CostReport,
     achievable_cost,
@@ -67,17 +54,14 @@ __all__ = [
     "compare_bounds",
     "converse_search",
     "converse_simple",
-    "flatten_to_uniform",
     "h_max_conditional",
     "ki_decompose",
     "load_state",
-    "max_entangled_counterpart",
     "qubit_optimal_merge",
     "qutrit_counterexample_report",
     "random_state",
     "save_state",
     "split_cost",
-    "teleportation_protocol",
     "verify_approximate_merge",
     "verify_merge",
     "verify_protocol",

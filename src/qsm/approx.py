@@ -20,17 +20,15 @@ import numpy as np
 from .errors import SolverError, ValidationError, VerificationError
 from .locc import apply_protocol
 from .ki import KIDecomposition, ki_decompose
-from .merge import achievable_cost, build_merge_protocol, check_delta, merge_target_vector
+from .merge import (
+    DEFAULT_DELTA,
+    achievable_cost,
+    build_merge_protocol,
+    check_delta,
+    merge_target_vector,
+)
 from .numerics import is_integer, majorization_check, tolerance
 from .statespace import TripartiteState
-
-__all__ = [
-    "EnsembleCertificate",
-    "SmoothingCertificate",
-    "best_smoothing_candidate",
-    "check_ensemble_certificate",
-    "verify_approximate_merge",
-]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,7 +62,7 @@ def verify_approximate_merge(
     candidate: TripartiteState,
     epsilon: float,
     mode: str = "noncatalytic",
-    delta: float = 1e-6,
+    delta: float = DEFAULT_DELTA,
     decomp: KIDecomposition | None = None,
 ) -> SmoothingCertificate:
     """Merge ``state`` approximately using the exact protocol of ``candidate``.
@@ -200,7 +198,7 @@ def best_smoothing_candidate(
     state: TripartiteState,
     epsilon: float,
     mode: str = "noncatalytic",
-    delta: float = 1e-6,
+    delta: float = DEFAULT_DELTA,
     candidates: int = 32,
     seed: int = 0,
 ) -> SmoothingCertificate:

@@ -29,21 +29,11 @@ from .errors import SolverError, ValidationError, VerificationError
 from .numerics import guarded_ceil, is_integer, majorization_check, schmidt_decompose, tolerance
 from .statespace import TripartiteState, _uniform_counterpart, catalog
 
-__all__ = [
-    "H_MAX_DIM_CAP",
-    "SEARCH_CAP",
-    "ConverseReport",
-    "QutritChannelReport",
-    "SearchReport",
-    "compare_bounds",
-    "converse_search",
-    "converse_simple",
-    "h_max_conditional",
-    "qutrit_counterexample_report",
-]
 
 # Largest total dimension d_R * d_A * d_B that h_max_conditional accepts.
 H_MAX_DIM_CAP = 16
+# Default K_max and L_max of converse_search and compare_bounds.
+SEARCH_DEFAULT = 64
 # Largest K_max or L_max that converse_search accepts (64x the default).
 SEARCH_CAP = 4096
 
@@ -118,7 +108,9 @@ class SearchReport:
     L_max: int
 
 
-def converse_search(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> SearchReport:
+def converse_search(
+    state: TripartiteState, K_max: int = SEARCH_DEFAULT, L_max: int = SEARCH_DEFAULT
+) -> SearchReport:
     """Smallest certified cost bound over the integer resource grid, exactly.
 
     The spectra majorization test is evaluated on the state as given.  Its pass
@@ -493,7 +485,9 @@ class ConverseReport:
     search: SearchReport
 
 
-def compare_bounds(state: TripartiteState, K_max: int = 64, L_max: int = 64) -> ConverseReport:
+def compare_bounds(
+    state: TripartiteState, K_max: int = SEARCH_DEFAULT, L_max: int = SEARCH_DEFAULT
+) -> ConverseReport:
     """Evaluate the closed-form, grid-search, and max-entropy bounds together.
 
     The state is first brought to its uniform-spectator normal form so that

@@ -23,6 +23,7 @@ from . import __version__
 from .approx import best_smoothing_candidate, verify_approximate_merge
 from .bounds import (
     H_MAX_DIM_CAP,
+    SEARCH_DEFAULT,
     compare_bounds,
     converse_search,
     converse_simple,
@@ -30,7 +31,7 @@ from .bounds import (
 )
 from .errors import ValidationError, VerificationError
 from .ki import ki_decompose
-from .merge import build_merge_protocol, verify_merge
+from .merge import DEFAULT_DELTA, build_merge_protocol, verify_merge
 from .split import build_split_protocol, split_cost, verify_split
 from .statespace import CATALOG_NAMES, catalog, encode_complex, load_state, random_state, save_state
 
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", parents=[common], help="merging cost and protocol")
     p.add_argument("state", help="input state file")
     p.add_argument("--mode", choices=("catalytic", "noncatalytic"), default="catalytic")
-    p.add_argument("--delta", type=float, default=1e-6, help="cost slack for the catalytic rational fit")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="cost slack for the catalytic rational fit")
     p.add_argument("--verify", action="store_true", help="simulate every branch against the target")
     p.add_argument("--dump-protocol", action="store_true", help="include branch operators in the report")
 
@@ -103,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", parents=[common], help="cost lower bounds")
     p.add_argument("state", help="input state file")
-    p.add_argument("--kmax", type=int, default=64, help="consumed-resource search cap, at most 4096")
-    p.add_argument("--lmax", type=int, default=64, help="returned-resource search cap, at most 4096")
+    p.add_argument("--kmax", type=int, default=SEARCH_DEFAULT, help="consumed-resource search cap, at most 4096")
+    p.add_argument("--lmax", type=int, default=SEARCH_DEFAULT, help="returned-resource search cap, at most 4096")
 
     p = sub.add_parser("approx", parents=[common], help="approximate-merge chain")
     p.add_argument("state", help="input state file")
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", default=None, help="candidate state file (defaults to the state itself)")
     p.add_argument("--heuristic", type=int, default=None, metavar="N", help="try N seeded in-ball candidates instead")
     p.add_argument("--mode", choices=("catalytic", "noncatalytic"), default="noncatalytic")
-    p.add_argument("--delta", type=float, default=1e-6)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0, help="heuristic seed")
 
     p = sub.add_parser("verify-corpus", parents=[common], help="golden states + seeded property checks")

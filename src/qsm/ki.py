@@ -329,16 +329,20 @@ class KIBlock:
 
 @dataclass(frozen=True)
 class KIDecomposition:
-    """Final maximal decomposition: its blocks, the refinement index ``r``
-    and the index after each refinement step."""
+    """Final maximal decomposition: its blocks and the refinement index after
+    each refinement step."""
 
     blocks: tuple[KIBlock, ...]
-    r: int
     trajectory: tuple[int, ...]
 
     @property
     def J(self) -> int:
         return len(self.blocks)
+
+    @property
+    def r(self) -> int:
+        """The final refinement index."""
+        return self.trajectory[-1]
 
 
 def _glue_kernel(state: TripartiteState, raw: list) -> list:
@@ -487,7 +491,7 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     for b in blocks:
         _product_test(b, state)
     _verify_reconstruction(state, blocks)
-    return KIDecomposition(blocks=blocks, r=trajectory[-1], trajectory=tuple(trajectory))
+    return KIDecomposition(blocks=blocks, trajectory=tuple(trajectory))
 
 
 def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) -> None:
@@ -515,14 +519,3 @@ def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) 
         raise VerificationError(
             f"block-form reconstruction squared norm {norm2} is not 1 within 10 tau = {10 * tol:.1e}"
         )
-
-
-__all__ = [
-    "KIBlock",
-    "KIDecomposition",
-    "initial_structure",
-    "ki_decompose",
-    "l_decompose_step",
-    "r_combine_step",
-    "refinement_index",
-]

@@ -1,6 +1,6 @@
-"""One-way LOCC protocols: representation, execution, qudit teleportation and
-flattening of a Schmidt spectrum onto a maximally entangled target (whose
-schedule, :func:`flatten_schedule`, also drives the merging protocol).
+"""One-way LOCC protocols: representation, execution, scoring, and the
+schedule that flattens a Schmidt spectrum onto a maximally entangled target
+(:func:`flatten_schedule`, which drives the merging protocol).
 
 A protocol is a finite family of labelled branches, held as two stacked
 arrays: ``a_ops[i]`` is the measurement operator that branch ``i`` applies to
@@ -274,22 +274,6 @@ def verify_protocol(
     )
 
 
-def teleportation_protocol(d: int) -> OneWayProtocol:
-    """Teleport a d-level register using a shared maximally entangled pair.
-
-    The sender measures (input x sender-half) in the maximally entangled
-    basis indexed by (x, z); the receiver corrects with X^x Z^z.  ``d = 1``
-    degenerates to the single trivial branch.
-    """
-    sigmas = generalized_paulis(d).reshape(d * d, d, d)
-    labels = [(x, z) for x in range(d) for z in range(d)]
-    scale = 1.0 / np.sqrt(float(d))
-    a_ops = sigmas.conj().reshape(d * d, 1, d * d) * scale
-    return OneWayProtocol(
-        branches=labels, a_ops=a_ops, b_ops=sigmas, name=f"teleport[{d}]"
-    )
-
-
 @dataclass(frozen=True)
 class FlattenStep:
     """One flattening outcome: the L selected levels and their common mass."""
@@ -359,31 +343,3 @@ def flatten_schedule(p: Sequence[float], L: int) -> list:
             )
         steps.append(FlattenStep(indices=chosen, mass=float(width)))
     return steps
-
-
-def flatten_to_uniform(p: Sequence[float], L: int) -> OneWayProtocol:
-    """Convert the pure state with Schmidt vector ``p`` into a maximally
-    entangled L-level pair, exactly in every branch.
-
-    The sender's outcome-s operator rescales the selected levels to a common
-    mass; the receiver permutes the matching levels to the front of its
-    register, so the output is the L-level maximally entangled vector
-    embedded in (L x len(p)).
-    """
-    steps = flatten_schedule(p, L)
-    n = len(p)
-    a_ops = np.zeros((len(steps), L, n), dtype=complex)
-    b_ops = np.zeros((len(steps), n, n), dtype=complex)
-    for s, step in enumerate(steps):
-        rest = [i for i in range(n) if i not in step.indices]
-        for level, i in enumerate(step.indices):
-            a_ops[s, level, i] = np.sqrt(step.mass / p[i])
-            b_ops[s, level, i] = 1.0
-        for offset, i in enumerate(rest):
-            b_ops[s, L + offset, i] = 1.0
-    return OneWayProtocol(
-        branches=[(s,) for s in range(len(steps))],
-        a_ops=a_ops,
-        b_ops=b_ops,
-        name=f"flatten[{n}->{L}]",
-    )

@@ -35,6 +35,9 @@ from .locc import (
 from .numerics import dagger, guarded_ceil, orthonormal_complement, tolerance
 from .statespace import TripartiteState
 
+# Default cost slack of the catalytic rational fit, in bits.
+DEFAULT_DELTA = 1e-6
+
 
 # --------------------------------------------------------------------------
 # rational upper approximation of the leading eigenvalue
@@ -132,7 +135,7 @@ def _select_leading_block(blocks: Sequence[BlockCost]) -> int:
 
 
 def achievable_cost(
-    decomp: KIDecomposition, mode: str = "catalytic", delta: float = 1e-6
+    decomp: KIDecomposition, mode: str = "catalytic", delta: float = DEFAULT_DELTA
 ) -> CostReport:
     """Resource sizes achievable by the explicit merging protocol.
 
@@ -391,7 +394,7 @@ def build_merge_protocol(
     state: TripartiteState,
     decomp: Optional[KIDecomposition] = None,
     mode: str = "catalytic",
-    delta: float = 1e-6,
+    delta: float = DEFAULT_DELTA,
 ) -> MergeBuild:
     """Construct the branch-by-branch exact merging protocol.
 
@@ -667,8 +670,8 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
         raise ValidationError("qubit-optimal merging requires three qubits")
     if np.max(np.abs(state.marginal("R") - np.eye(2) / 2)) > 10 * tol:
         raise ValidationError(
-            "spectator marginal must be maximally mixed; replace the state by "
-            "its maximally entangled counterpart first"
+            "spectator marginal must be maximally mixed; make the state's R | AB "
+            "Schmidt spectrum uniform on the same Schmidt bases first"
         )
     amps = state.amplitudes
     if np.max(np.abs(state.marginal("B") - np.eye(2) / 2)) <= 10 * tol:

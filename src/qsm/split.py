@@ -30,14 +30,6 @@ from .locc import (
 from .numerics import schmidt_decompose, tolerance
 from .statespace import TripartiteState
 
-__all__ = [
-    "SplitReport",
-    "build_split_protocol",
-    "rank_monotonicity_witness",
-    "split_cost",
-    "verify_split",
-]
-
 
 @dataclasses.dataclass(frozen=True)
 class SplitReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import SchmidtDecomposition, is_integer, schmidt_decompose
+from .numerics import SchmidtDecomposition, is_integer
 
 _MARGINAL_AXES = {"R": (0,), "A": (1,), "B": (2,), "RA": (0, 1), "RB": (0, 2), "AB": (1, 2)}
 
@@ -276,17 +276,10 @@ def catalog(name: str, d: int | None = None) -> TripartiteState:
 # ---------------------------------------------------------------------------
 
 
-def max_entangled_counterpart(state: TripartiteState) -> TripartiteState:
-    """Replace the R|AB Schmidt spectrum by the uniform one on the same Schmidt bases.
-
-    The output has psi^R = I/D with D the Schmidt rank of the input across
-    R | AB; it is a fixed point of this map (idempotent).
-    """
-    return _uniform_counterpart(state, schmidt_decompose(state.vector, state.dims[0]))
-
-
 def _uniform_counterpart(state: TripartiteState, sd: SchmidtDecomposition) -> TripartiteState:
-    """:func:`max_entangled_counterpart` of ``state`` from its R | AB decomposition ``sd``."""
+    """The state with its R | AB Schmidt spectrum, read from its decomposition
+    ``sd``, made uniform on the same Schmidt bases: psi^R = I/D, D the Schmidt
+    rank.  The map is idempotent."""
     rank = sd.rank()
     mat = sd.left[:, :rank] @ sd.right[:, :rank].T / np.sqrt(float(rank))
     amps = mat.reshape(state.dims)
@@ -301,15 +294,3 @@ def random_state(rng: np.random.Generator, dims: tuple[int, int, int], name: str
     g = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     g = g / np.linalg.norm(g)
     return TripartiteState(g, name=name)
-
-
-__all__ = [
-    "TripartiteState",
-    "CATALOG_NAMES",
-    "catalog",
-    "encode_complex",
-    "load_state",
-    "save_state",
-    "max_entangled_counterpart",
-    "random_state",
-]

@@ -10,9 +10,10 @@ import numpy as np
 
 from qsm.errors import ValidationError
 from qsm.ki import KIBlock, _probe_vectors
-from qsm.locc import generalized_paulis
+from qsm.locc import OneWayProtocol, flatten_schedule, generalized_paulis
 from qsm.numerics import dagger, schmidt_decompose, tolerance
-from qsm.statespace import TripartiteState
+from qsm.split import build_split_protocol
+from qsm.statespace import TripartiteState, _uniform_counterpart
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
@@ -175,6 +176,52 @@ def per_branch_split(state: TripartiteState) -> tuple[list, np.ndarray, np.ndarr
                 b_ops[len(labels)] = support
                 labels.append(("kernel", c, k))
     return labels, a_ops, b_ops
+
+
+def teleportation_protocol(d: int) -> OneWayProtocol:
+    """Teleportation of a d-level register over a rank-d maximally entangled
+    pair: the split protocol of the maximally entangled (d, 1, d) state, whose
+    sender measures (input, resource half) in the generalized Bell basis
+    (labels ``(x, z)``) and whose receiver corrects with X^x Z^z."""
+    amps = np.zeros((d, 1, d), dtype=complex)
+    amps[np.arange(d), 0, np.arange(d)] = 1.0 / math.sqrt(d)
+    return build_split_protocol(TripartiteState(amps))
+
+
+def max_entangled_counterpart(state: TripartiteState) -> TripartiteState:
+    """The state with its R | AB Schmidt spectrum made uniform on the same
+    Schmidt bases (psi^R = I/D, D the Schmidt rank): the normal form that
+    :mod:`qsm.bounds` computes from its one Schmidt decomposition."""
+    return _uniform_counterpart(state, schmidt_decompose(state.vector, state.dims[0]))
+
+
+def flatten_to_uniform(p: Sequence[float], L: int) -> OneWayProtocol:
+    """Convert the pure state with Schmidt vector ``p`` into a maximally
+    entangled L-level pair, exactly in every branch, following
+    :func:`qsm.locc.flatten_schedule`.
+
+    The sender's outcome-s operator rescales the selected levels to a common
+    mass; the receiver permutes the matching levels to the front of its
+    register, so the output is the L-level maximally entangled vector
+    embedded in (L x len(p)).
+    """
+    steps = flatten_schedule(p, L)
+    n = len(p)
+    a_ops = np.zeros((len(steps), L, n), dtype=complex)
+    b_ops = np.zeros((len(steps), n, n), dtype=complex)
+    for s, step in enumerate(steps):
+        rest = [i for i in range(n) if i not in step.indices]
+        for level, i in enumerate(step.indices):
+            a_ops[s, level, i] = np.sqrt(step.mass / p[i])
+            b_ops[s, level, i] = 1.0
+        for offset, i in enumerate(rest):
+            b_ops[s, L + offset, i] = 1.0
+    return OneWayProtocol(
+        branches=[(s,) for s in range(len(steps))],
+        a_ops=a_ops,
+        b_ops=b_ops,
+        name=f"flatten[{n}->{L}]",
+    )
 
 
 def flatten_source_vector(p: Sequence[float]) -> np.ndarray:

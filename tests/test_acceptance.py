@@ -23,11 +23,7 @@ from qsm.bounds import (
 )
 from qsm.errors import ValidationError
 from qsm.ki import ki_decompose
-from qsm.locc import (
-    apply_protocol,
-    flatten_to_uniform,
-    verify_protocol,
-)
+from qsm.locc import apply_protocol, verify_protocol
 from qsm.merge import (
     achievable_cost,
     build_merge_protocol,
@@ -39,13 +35,14 @@ from qsm.split import split_cost, verify_split
 from qsm.statespace import (
     TripartiteState,
     catalog,
-    max_entangled_counterpart,
     random_state,
 )
 
 from helpers import (
     flatten_source_vector,
     flatten_target_vector,
+    flatten_to_uniform,
+    max_entangled_counterpart,
     projector,
     sample_schmidt_span_member,
     uniform_resource_majorization,

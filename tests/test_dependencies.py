@@ -123,28 +123,8 @@ def _referenced_names(tree: ast.Module) -> set:
     return found
 
 
-def test_every_public_name_has_a_caller_outside_tests():
-    """No public top-level function or class in ``src/qsm`` is there only for tests."""
-    package = Path(qsm.__file__).resolve().parent
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    sources = sorted(package.glob("*.py"))
-    assert sources
-    callers = sorted(bench.rglob("*.py"))
-    assert callers
-    referenced = set()
-    for path in sources + callers:
-        referenced |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
-    offenders = []
-    for path in sources:
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_") and node.name not in referenced:
-                    offenders.append(f"{path.name}:{node.lineno}: {node.name}")
-    assert offenders == []
-
-
-def _private_definitions(tree: ast.Module):
-    """``(lineno, name)`` of each private top-level function, class or assigned name."""
+def _top_level_definitions(tree: ast.Module):
+    """``(lineno, name)`` of each top-level function, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -154,8 +134,109 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield node.lineno, name
+            yield node.lineno, name
+
+
+# Paper results that no command or bench op reaches yet, each with the ROADMAP
+# item that wires it into a command.  A name leaves the set once it has a
+# caller, so the set only shrinks.
+AWAITING_A_COMMAND = {
+    "qubit_optimal_merge": "item 12",
+    "qutrit_counterexample_report": "item 12",
+    "check_ensemble_certificate": "item 15 stage 2",
+}
+
+
+def public_surface_offenders(sources, callers, awaiting) -> list:
+    """Offences against "public means reached" in a package.
+
+    ``sources`` are the package's module files and ``callers`` the other files
+    whose references count (the bench).  A public name is a top-level
+    function, class or assigned name without a leading underscore in a module
+    other than ``__init__.py``; its callers are ``callers`` and the package's
+    modules other than ``__init__.py``, whose re-exports reach nothing.  An
+    offence is a public name without a caller that is not in ``awaiting``, a
+    name in ``awaiting`` that has a caller, and a name in ``awaiting`` that
+    the package does not define.
+    """
+    modules = [path for path in sources if path.name != "__init__.py"]
+    referenced = set()
+    for path in modules + list(callers):
+        referenced |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    offenders, defined = [], set()
+    for path in modules:
+        for lineno, name in _top_level_definitions(ast.parse(path.read_text(), filename=str(path))):
+            if name.startswith("_"):
+                continue
+            defined.add(name)
+            if name in awaiting and name in referenced:
+                offenders.append(f"{path.name}:{lineno}: {name} has a caller; drop it from the set")
+            elif name not in awaiting and name not in referenced:
+                offenders.append(f"{path.name}:{lineno}: {name} has no caller")
+    offenders += [f"{name} is not defined; drop it from the set" for name in sorted(set(awaiting) - defined)]
+    return offenders
+
+
+def all_assignments(sources) -> list:
+    """``file:line`` of each top-level ``__all__`` assignment outside ``__init__.py``."""
+    return [
+        f"{path.name}:{lineno}"
+        for path in sources
+        if path.name != "__init__.py"
+        for lineno, name in _top_level_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name == "__all__"
+    ]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """No public name in ``src/qsm`` is there only for tests or for the
+    ``qsm`` re-exports, apart from the paper results awaiting a command."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    callers = sorted((Path(__file__).resolve().parents[1] / "perfbench").rglob("*.py"))
+    assert callers
+    assert public_surface_offenders(sources, callers, AWAITING_A_COMMAND) == []
+
+
+def test_only_the_package_init_assigns_all():
+    """``qsm.__all__`` is the one list of the package's API: no submodule
+    keeps a second one."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    assert all_assignments(sources) == []
+
+
+def test_public_surface_guard_on_a_written_package(tmp_path):
+    """The guard passes a package whose every public name is reached, and
+    fails on a name that only ``__init__`` imports, on an awaiting name that
+    gains a caller, on an awaiting name that is gone, and on a submodule
+    ``__all__``."""
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    core = "LIMIT = 4\n\ndef used():\n    return LIMIT\n\ndef awaited():\n    return 0\n"
+    (pkg / "core.py").write_text(core)
+    (pkg / "__init__.py").write_text(
+        "from .core import awaited, used\n__all__ = ['awaited', 'used']\n"
+    )
+    (bench / "run.py").write_text("from pkg.core import used\nused()\n")
+
+    def offenders(awaiting=("awaited",)):
+        sources = sorted(pkg.glob("*.py"))
+        return public_surface_offenders(sources, [bench / "run.py"], set(awaiting))
+
+    assert offenders() == []
+    assert offenders(()) == ["core.py:6: awaited has no caller"]
+    assert offenders(("awaited", "gone")) == ["gone is not defined; drop it from the set"]
+    (pkg / "core.py").write_text(core + "\ndef exported():\n    return 1\n")
+    (pkg / "__init__.py").write_text("from .core import awaited, exported, used\n")
+    assert offenders() == ["core.py:9: exported has no caller"]
+    (pkg / "core.py").write_text(core)
+    (pkg / "cli.py").write_text("from .core import awaited\n")
+    assert offenders() == ["core.py:6: awaited has a caller; drop it from the set"]
+    assert all_assignments(sorted(pkg.glob("*.py"))) == []
+    (pkg / "cli.py").write_text("__all__ = ['main']\n\ndef main():\n    return 0\n")
+    assert all_assignments(sorted(pkg.glob("*.py"))) == ["cli.py:1"]
 
 
 def test_every_private_name_has_a_caller_in_the_package():
@@ -170,8 +251,8 @@ def test_every_private_name_has_a_caller_in_the_package():
     offenders = [
         f"{path.name}:{lineno}: {name}"
         for path, tree in trees.items()
-        for lineno, name in _private_definitions(tree)
-        if name not in referenced
+        for lineno, name in _top_level_definitions(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert offenders == []
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qsm.cli as cli
 from qsm import ki, statespace
 from qsm.errors import ValidationError, VerificationError
 from qsm.numerics import dagger, tolerance
@@ -630,3 +631,113 @@ def test_zero_spectator_levels_leave_the_decomposition(name):
             assert abs(b.p - c.p) <= 1e-12
             assert np.allclose(b.lambdas, c.lambdas, atol=1e-12, rtol=0.0)
         ki._verify_reconstruction(padded, got.blocks)
+
+
+# --------------------------------------------------------------------------
+# tolerance edges: weights and spectral gaps near the cutoffs
+
+
+def _rotated(amps: np.ndarray, seed: int) -> statespace.TripartiteState:
+    """``amps`` with seeded Haar-random unitaries applied on A and on B."""
+    rng = np.random.default_rng(seed)
+    u_a, u_b = random_unitary(rng, amps.shape[1]), random_unitary(rng, amps.shape[2])
+    return statespace.TripartiteState(np.einsum("xa,rab,yb->rxy", u_a, amps, u_b))
+
+
+def _band_state(w: float, seed: int) -> statespace.TripartiteState:
+    """√(1−w)|0⟩|00⟩ + √w|1⟩(|22⟩ + |33⟩)/√2 on (2, 4, 4), rotated on A and B."""
+    amps = np.zeros((2, 4, 4), dtype=complex)
+    amps[0, 0, 0] = np.sqrt(1.0 - w)
+    amps[1, 2, 2] = amps[1, 3, 3] = np.sqrt(w / 2.0)
+    return _rotated(amps, seed)
+
+
+def _omega_state(spectrum, seed: int) -> statespace.TripartiteState:
+    """Two blocks, rotated on A and B: |0⟩_R|ω⟩ with weight 0.6, ω of Schmidt
+    spectrum ``spectrum``, and |1⟩_R|n⟩|n⟩ with weight 0.4, n = len(spectrum)."""
+    n = len(spectrum)
+    amps = np.zeros((2, n + 1, n + 1), dtype=complex)
+    amps[0, np.arange(n), np.arange(n)] = np.sqrt(0.6 * np.asarray(spectrum))
+    amps[1, n, n] = np.sqrt(0.4)
+    return _rotated(amps, seed)
+
+
+def _merge_outcome(state, tmp_path) -> str:
+    """What ``qsm merge --verify`` does with ``state``: "verified", "branch"
+    (a branch misses the target), "reconstruction" (``ki_decompose`` rejects
+    its own block form) or the exit code and error of any other failure.  Any
+    exception other than a ValidationError or VerificationError propagates."""
+    path = tmp_path / "state.json"
+    statespace.save_state(state, path)
+    code, report = cli.run(["merge", str(path), "--verify"])
+    verification = report.get("results", {}).get("verification")
+    if code == 0 and verification["passed"]:
+        return "verified"
+    if code == 3 and verification is not None:
+        assert verification["min_branch_fidelity"] < 1e-8
+        return "branch"
+    if code == 3 and report["error"].startswith("block-form reconstruction fidelity"):
+        return "reconstruction"
+    return f"exit {code}: {report['error']}"
+
+
+# A-side weight w/2 per level of the |1>_R branch.  The support cutoff drops A
+# eigenvalues <= 10 tau and blocks with p_j <= 100 tau are zeroed, while the
+# reconstruction check allows 10 tau of fidelity loss: a valid state between
+# about 3e-9 and 1e-7 exits 3.  Points within an ulp-scale margin of a
+# threshold (5e-9, 1e-7) are left out.
+_BAND_OUTCOMES = [
+    (1e-9, "verified"),
+    (2e-9, "verified"),
+    (3e-9, "branch"),
+    (4e-9, "branch"),
+    (6e-9, "reconstruction"),
+    (1e-8, "reconstruction"),
+    (3e-8, "reconstruction"),
+    (9e-8, "reconstruction"),
+    (1.1e-7, "verified"),
+    (2e-7, "verified"),
+    (1e-6, "verified"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("w, outcome", _BAND_OUTCOMES, ids=[f"{w:g}" for w, _ in _BAND_OUTCOMES])
+def test_merge_outcome_across_the_small_weight_band(tmp_path, w, outcome, seed):
+    """A small second R branch gives a deterministic verdict at every weight,
+    never a raw numpy exception; the band where it exits 3 is pinned as it
+    stands (ROADMAP item 7)."""
+    assert _merge_outcome(_band_state(w, seed), tmp_path) == outcome
+
+
+_UNSORTED = "exit 2: mass vector must be sorted in descending order"
+_SPECTRA = {
+    "pair": lambda g: (0.5 + g / 2, 0.5 - g / 2),
+    "lower-pair": lambda g: (0.5, 0.25 + g / 2, 0.25 - g / 2),
+    "triple": lambda g: (1 / 3 + g, 1 / 3, 1 / 3 - g),
+}
+# (seed, spectrum, gap) of the cases that exit 2; every other case verifies
+_EXIT_2 = {
+    (0, "lower-pair", 2e-9), (0, "lower-pair", 5e-9), (0, "triple", 2e-9),
+    (1, "pair", 2e-9), (1, "pair", 5e-9), (1, "triple", 2e-9), (1, "triple", 5e-9),
+}
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10, 2e-9, 5e-9, 1e-7])
+@pytest.mark.parametrize("shape", sorted(_SPECTRA))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_degenerate_and_near_degenerate_omega_spectra(tmp_path, seed, shape, gap):
+    """ω spectra that are degenerate or split by 1e-10 to 1e-7 keep their
+    block structure, and the merge verifies, except where a split between
+    tau and 10 tau comes out of KI rising: ``canonical_eigh`` orders
+    eigenvalues within 10 tau as ties, by their eigenvectors, and
+    ``flatten_schedule`` rejects masses that rise by more than tau, so the
+    valid state exits 2.  Both are pinned as they stand."""
+    spectrum = _SPECTRA[shape](gap)
+    state = _omega_state(spectrum, seed)
+    dec = ki.ki_decompose(state)
+    assert [(b.dim_L, b.dim_R) for b in dec.blocks] == [(len(spectrum), 1), (1, 1)]
+    rises = bool(np.diff(dec.blocks[0].lambdas).max() > tolerance())
+    outcome = _merge_outcome(state, tmp_path)
+    assert outcome == (_UNSORTED if (seed, shape, gap) in _EXIT_2 else "verified")
+    assert (outcome == _UNSORTED) == rises

@@ -23,12 +23,14 @@ from qsm.statespace import (
 from helpers import (
     flatten_source_vector,
     flatten_target_vector,
+    flatten_to_uniform,
     max_entangled_vector,
     merge_input_vector,
     planted_ki_state,
     random_unitary,
     smoothed_candidate,
     split_input_vector,
+    teleportation_protocol,
 )
 
 
@@ -136,7 +138,7 @@ def test_protocol_validation():
 
 
 def test_verify_protocol_rejects_non_finite_vectors():
-    proto = locc.teleportation_protocol(2)
+    proto = teleportation_protocol(2)
     target = np.array([1, 0], dtype=complex)
     with pytest.raises(ValidationError, match="input vector"):
         locc.verify_protocol(proto, locc.apply_protocol(proto, np.full(2, np.nan), 2), target)
@@ -153,7 +155,7 @@ def test_verify_protocol_rejects_non_finite_vectors():
 
 
 def test_teleport_qubit_plus_state():
-    proto = locc.teleportation_protocol(2)
+    proto = teleportation_protocol(2)
     assert len(proto.branches) == 4
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     outcomes = locc.apply_protocol(proto, plus, 2)
@@ -165,7 +167,7 @@ def test_teleport_qubit_plus_state():
 
 def test_teleport_qutrit_random():
     rng = np.random.default_rng(5)
-    proto = locc.teleportation_protocol(3)
+    proto = teleportation_protocol(3)
     assert len(proto.branches) == 9
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
@@ -177,7 +179,7 @@ def test_teleport_qutrit_random():
 
 def test_teleport_entanglement_swap():
     # teleporting half of a Bell pair moves the entanglement to (spectator, B)
-    proto = locc.teleportation_protocol(2)
+    proto = teleportation_protocol(2)
     bell = max_entangled_vector(2)
     # input on (R, Q) with Q the teleported half; the pair adds (Abar, Bbar)
     outcomes = locc.apply_protocol(proto, bell, 2)
@@ -186,7 +188,7 @@ def test_teleport_entanglement_swap():
 
 
 def test_teleport_trivial_dimension():
-    proto = locc.teleportation_protocol(1)
+    proto = teleportation_protocol(1)
     assert len(proto.branches) == 1
     outcomes = locc.apply_protocol(proto, np.array([1.0 + 0j]), 1)
     assert outcomes[0].probability == pytest.approx(1.0)
@@ -220,7 +222,7 @@ def test_flatten_schedule_examples():
 
 def test_flatten_protocol_example():
     p = (0.5, 0.25, 0.25)
-    proto = locc.flatten_to_uniform(p, 2)
+    proto = flatten_to_uniform(p, 2)
     assert len(proto.branches) == 2
     src = flatten_source_vector(p)
     tgt = flatten_target_vector(2, 3)
@@ -232,7 +234,7 @@ def test_flatten_protocol_example():
 
 def test_flatten_uniform_identity_like():
     p = (0.25,) * 4
-    proto = locc.flatten_to_uniform(p, 4)
+    proto = flatten_to_uniform(p, 4)
     assert len(proto.branches) == 1
     assert np.allclose(proto.a_ops[0], np.eye(4))
     report = locc.verify_protocol(
@@ -251,7 +253,7 @@ def test_flatten_branch_count_bound_random():
         # enforce the flattening precondition by clipping the top mass
         if p[0] > 1.0 / L:
             continue
-        proto = locc.flatten_to_uniform(tuple(p), L)
+        proto = flatten_to_uniform(tuple(p), L)
         assert len(proto.branches) <= n
         report = locc.verify_protocol(
             proto, locc.apply_protocol(proto, flatten_source_vector(p), 1), flatten_target_vector(L, n)
@@ -260,7 +262,7 @@ def test_flatten_branch_count_bound_random():
 
 
 def test_verify_protocol_detects_wrong_target():
-    proto = locc.teleportation_protocol(2)
+    proto = teleportation_protocol(2)
     zero = np.array([1, 0], dtype=complex)
     one = np.array([0, 1], dtype=complex)
     report = locc.verify_protocol(proto, locc.apply_protocol(proto, zero, 2), one)
@@ -269,7 +271,7 @@ def test_verify_protocol_detects_wrong_target():
 
 
 def test_verify_protocol_detects_perturbed_branch():
-    proto = locc.teleportation_protocol(2)
+    proto = teleportation_protocol(2)
     b_ops = proto.b_ops.copy()
     # replace one receiver correction by the identity (still an isometry)
     b_ops[1] = np.eye(2)
@@ -283,7 +285,7 @@ def test_verify_protocol_detects_perturbed_branch():
 
 
 def test_apply_protocol_dimension_mismatch():
-    proto = locc.teleportation_protocol(2)
+    proto = teleportation_protocol(2)
     with pytest.raises(ValidationError, match="rank 2"):
         locc.apply_protocol(proto, np.ones(3, dtype=complex) / np.sqrt(3), 2)
     assert len(locc.apply_protocol(proto, np.eye(2)[0], np.int64(2))) == 4  # numpy ints count
@@ -307,7 +309,7 @@ def test_apply_protocol_dimension_mismatch():
 def test_apply_protocol_rejects_bad_pair_rank(rank, size, pattern):
     """The pair rank is a positive int dividing both input registers, and the
     amplitudes fill whole spectator rows of what is left of them."""
-    proto = locc.teleportation_protocol(2)  # registers 4 x 2
+    proto = teleportation_protocol(2)  # registers 4 x 2
     amps = np.ones(size, dtype=complex) / np.sqrt(size)
     with pytest.raises(ValidationError, match=pattern):
         locc.apply_protocol(proto, amps, rank)
@@ -364,12 +366,10 @@ _GHZ2 = catalog("ghz", d=2)
     [
         (lambda: locc.generalized_paulis(2.0), "dimension d"),
         (lambda: locc.generalized_paulis(True), "dimension d"),
-        (lambda: locc.teleportation_protocol(2.0), "dimension d"),
-        (lambda: locc.teleportation_protocol(True), "dimension d"),
         (lambda: locc.flatten_schedule([0.5, 0.5], 1.5), "level count L"),
         (lambda: locc.flatten_schedule([0.5, 0.5], True), "level count L"),
-        (lambda: locc.flatten_to_uniform([0.5, 0.5], 1.5), "level count L"),
-        (lambda: locc.flatten_to_uniform([0.5, 0.5], True), "level count L"),
+        (lambda: flatten_to_uniform([0.5, 0.5], 1.5), "level count L"),
+        (lambda: flatten_to_uniform([0.5, 0.5], True), "level count L"),
         (lambda: locc.flatten_schedule([np.nan, 0.5], 1), "mass vector"),
         (lambda: locc.flatten_schedule([np.inf, 0.5], 1), "mass vector"),
         (lambda: best_smoothing_candidate(_GHZ2, 0.1, candidates=2.5), "candidate count"),
@@ -378,10 +378,9 @@ _GHZ2 = catalog("ghz", d=2)
         (lambda: best_smoothing_candidate(_GHZ2, 0.1, seed=True), "heuristic seed"),
     ],
     ids=[
-        "paulis-float", "paulis-bool", "teleport-float", "teleport-bool",
-        "schedule-float", "schedule-bool", "uniform-float", "uniform-bool",
-        "schedule-nan", "schedule-inf", "candidates-float", "candidates-bool",
-        "seed-float", "seed-bool",
+        "paulis-float", "paulis-bool", "schedule-float", "schedule-bool",
+        "uniform-float", "uniform-bool", "schedule-nan", "schedule-inf",
+        "candidates-float", "candidates-bool", "seed-float", "seed-bool",
     ],
 )
 def test_constructors_reject_non_integer_and_non_finite_arguments(call, named):
@@ -514,7 +513,7 @@ def _pair_cases(group):
         for d in (2, 3, 4):
             psi = rng.normal(size=d) + 1j * rng.normal(size=d)
             psi /= np.linalg.norm(psi)
-            yield locc.teleportation_protocol(d), psi, d, np.kron(psi, max_entangled_vector(d))
+            yield teleportation_protocol(d), psi, d, np.kron(psi, max_entangled_vector(d))
 
 
 @pytest.mark.parametrize(
@@ -566,7 +565,7 @@ def test_receiver_check_names_first_failing_branch_across_batches(monkeypatch):
     """With the receiver stack cut into batches of two, the check still names
     the first non-isometric receiver in label order, also in a later batch,
     and rejects a NaN receiver; the completeness residual does not move."""
-    good = locc.teleportation_protocol(3)
+    good = teleportation_protocol(3)
     n, b_out, b_in = good.b_ops.shape
     monkeypatch.setattr(locc, "BATCH_BYTES", 2 * 16 * (b_out * b_in + b_in * b_in))
     assert len(locc.batch_slices(n, 16 * (b_out * b_in + b_in * b_in))) >= 3

@@ -27,11 +27,11 @@ from qsm.numerics import majorization_check, orthonormal_complement, tolerance
 from qsm.statespace import (
     TripartiteState,
     catalog,
-    max_entangled_counterpart,
     random_state,
 )
 
 from helpers import (
+    max_entangled_counterpart,
     merge_input_vector,
     planted_ki_state,
     random_unitary,

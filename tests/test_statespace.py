@@ -8,7 +8,13 @@ import pytest
 from qsm import statespace
 from qsm.errors import ValidationError
 
-from helpers import partial_trace, sample_schmidt_span_member, schmidt_rank_r, swap_ab
+from helpers import (
+    max_entangled_counterpart,
+    partial_trace,
+    sample_schmidt_span_member,
+    schmidt_rank_r,
+    swap_ab,
+)
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 2, 2), (0, 2, 2), (2, 2, 0)],
@@ -230,10 +236,10 @@ def test_swap_ab():
 
 def test_max_entangled_counterpart():
     st = statespace.catalog("implication3")
-    me = statespace.max_entangled_counterpart(st)
+    me = max_entangled_counterpart(st)
     assert np.allclose(me.marginal("R"), np.eye(2) / 2)
     # idempotent
-    me2 = statespace.max_entangled_counterpart(me)
+    me2 = max_entangled_counterpart(me)
     assert np.allclose(np.abs(me2.overlap(me)), 1.0)
     # rank preserved
     assert schmidt_rank_r(me) == schmidt_rank_r(st)
@@ -244,7 +250,7 @@ def test_max_entangled_counterpart_rank_deficient():
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 1, 1] = 1.0
     st = statespace.TripartiteState(amps)
-    me = statespace.max_entangled_counterpart(st)
+    me = max_entangled_counterpart(st)
     assert schmidt_rank_r(me) == 1
     assert abs(abs(me.overlap(st)) - 1.0) < 1e-12
 

@@ -75,7 +75,9 @@ def _jsonable(obj):
     return obj
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` uses, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="qsm", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -119,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-corpus", parents=[common], help="golden states + seeded property checks")
     p.add_argument("--seed", type=int, default=7, help="seed for the random-state checks")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`run` uses, built on first use; parsing leaves it unchanged."""
-    return build_parser()
 
 
 # --------------------------------------------------------------------------

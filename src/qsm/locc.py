@@ -301,7 +301,8 @@ def flatten_schedule(p: Sequence[float], L: int) -> list:
         raise ValidationError("mass vector has non-finite entries")
     if np.any(masses < -tol):
         raise ValidationError("mass vector has negative entries")
-    if np.any(np.diff(masses) > tol):
+    # values within 10 tau are ties, as ``numerics.canonical_eigh`` orders them
+    if np.any(np.diff(masses) > 10 * tol):
         raise ValidationError("mass vector must be sorted in descending order")
     if not is_integer(L) or not 1 <= L <= masses.size:
         raise ValidationError(

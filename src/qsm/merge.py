@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -255,10 +255,14 @@ class _BlockData:
     sender rows of each live level; ``a_part``, the teleport-corrected A-part
     of each live level.  The receiver blocks of one correction,
     ``dB·n_r/dim_L`` times larger, come from :meth:`recv_tables` when a batch
-    of its branches is assembled.
+    of its branches is assembled.  ``ph_a`` and ``ph_b``: the sender and
+    receiver Fourier phases of the block label per branch (x, z, m3) of a
+    grid interval.  A live block owns its flattening schedule on the combined
+    (redundant x resource) spectrum: ``steps``, their outcome probabilities
+    ``probs`` and running sums ``cum``, and each step's :meth:`step_table`.
     """
 
-    def __init__(self, block, cost: BlockCost, K: int, catalytic: bool, P: int):
+    def __init__(self, block, cost: BlockCost, K: int, catalytic: bool, P: int, J: int):
         self.index = block.index
         self.iso = block.iso  # (dA, dL, dR)
         self.dim_L = block.dim_L
@@ -280,13 +284,23 @@ class _BlockData:
             self.per, self.target, self.w_cnt = cost.K_j, cost.L_j, cost.W_j
         else:
             self.per, self.target, self.w_cnt = K, self.dim_R, None
-        # conjugated B-factor columns, indexed [m, kr]
-        self.ws_conj = block.ws.transpose(1, 2, 0).conj()
+        # conjugated B-factor columns, indexed [kr, m]
+        self.ws_conj = block.ws.transpose(2, 1, 0).conj()
         sigs = generalized_paulis(self.dim_R)
         self.tb = (np.sqrt(float(self.dim_R)) / P) * sigs.conj()
         self.send = self.sender_rows(self.u_live)
         # A-part columns of each redundant level, teleport-corrected quantum index v
         self.a_part = np.einsum("alr,lm,xzrv->xzamv", self.iso, block.omega_vec, sigs)
+        j = self.index
+        self.ph_a = np.tile(
+            [np.exp(-2j * np.pi * j * m3 / J) / np.sqrt(float(J)) for m3 in range(J)], P * P
+        )
+        self.ph_b = np.tile([np.exp(2j * np.pi * j * m3 / J) for m3 in range(J)], P * P)
+        if self.live:
+            self.steps = flatten_schedule(np.repeat(self.lam, self.per) / self.per, self.target)
+            self.probs = [self.target * st.mass for st in self.steps]
+            self.cum = list(np.cumsum(self.probs))
+            self.tables = [self.step_table(st.indices) for st in self.steps]
 
     def recv_tables(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """``(len(xs), dim_R, n_r, dA, dB)`` receiver blocks of the Pauli
@@ -319,6 +333,32 @@ class _BlockData:
             ]
         return np.array(slots, dtype=np.intp).reshape(-1, 4)
 
+    def step_table(self, indices: Sequence[int]) -> "_StepTable":
+        """Tables of one flattening step, in assembly order: ``levels``, the
+        redundant level of each selected position; ``rounds``, the
+        :func:`_rounds` of the step's slots, each with the ``(row, col)`` of
+        its slots, the ``(pos, v)`` of the sender-row column each copies and
+        the conjugated B-factor columns of each slot's level, indexed [kr]
+        and shaped to broadcast; ``pairs``, the number of receiver pairs,
+        one per slot and B-factor kr.  The pair table is slot-major and
+        kr-minor, so the o-th pair to hit an element is slot round
+        ``o // n_r`` at ``kr = o % n_r``: each round taken once per kr, kr
+        innermost, adds the receiver terms of every element in pair order."""
+        levels, us = np.divmod(np.asarray(indices, dtype=np.intp), self.per)
+        row, col, v, pos = self.slot_table(us).T
+        ws_conj = self.ws_conj[:, levels[pos]]
+        rounds = tuple(
+            (row[r], col[r], pos[r], v[r], ws_conj[:, None, r, None, None, :])
+            for r in _rounds(row, col)
+        )
+        return _StepTable(levels, rounds, len(row) * self.n_r)
+
+
+class _StepTable(NamedTuple):
+    levels: np.ndarray
+    rounds: tuple
+    pairs: int
+
 
 def _rounds(row: np.ndarray, col: np.ndarray) -> tuple:
     """Scatter rounds of the entries ``(row, col)``: round o lists, in table
@@ -330,44 +370,6 @@ def _rounds(row: np.ndarray, col: np.ndarray) -> tuple:
     for e, key in enumerate(zip(row.tolist(), col.tolist())):
         rank[e] = hits[key] = hits.get(key, -1) + 1
     return tuple(np.flatnonzero(rank == o) for o in range(rank.max(initial=-1) + 1))
-
-
-@dataclass(frozen=True)
-class _StepTable:
-    """Index tables of one flattening step of one block, in assembly order,
-    cut into the :func:`_rounds` of their ``(row, col)``.
-
-    - ``levels``: the redundant level of each selected position;
-    - ``send_rounds``: per round, the ``(row, col)`` of each sender write and
-      the ``(pos, v)`` of the sender-row column it copies;
-    - ``recv_rounds``: per round, the ``(row, col)`` of each receiver pair
-      (one per sender write and B-factor kr), the ``(v, kr)`` of its receiver
-      block and its conjugated B-factor column, shaped to broadcast;
-    - ``pairs``: the number of receiver pairs.
-    """
-
-    levels: np.ndarray
-    send_rounds: tuple
-    recv_rounds: tuple
-    pairs: int
-
-    @classmethod
-    def build(cls, bd: _BlockData, indices: Sequence[int]) -> "_StepTable":
-        levels, us = np.divmod(np.asarray(indices, dtype=np.intp), bd.per)
-        slots = bd.slot_table(us)
-        row, col, v, pos = slots.T
-        pairs = np.repeat(slots, bd.n_r, axis=0)
-        kr = np.tile(np.arange(bd.n_r), len(slots))
-        ws_conj = bd.ws_conj[levels[pairs[:, 3]], kr]
-        return cls(
-            levels=levels,
-            send_rounds=tuple((row[r], col[r], pos[r], v[r]) for r in _rounds(row, col)),
-            recv_rounds=tuple(
-                (*pairs[r, :3].T, kr[r], ws_conj[None, r, None, None, :])
-                for r in _rounds(pairs[:, 0], pairs[:, 1])
-            ),
-            pairs=len(pairs),
-        )
 
 
 def _merged_breakpoints(cums: list) -> list:
@@ -410,23 +412,23 @@ def build_merge_protocol(
     the block label, producing the relocated state exactly in every branch.
 
     Assembly is table-driven: each block's sender rows and A-parts are
-    computed for every (x, z) at once, one ``einsum`` each, its index tables
-    and scatter rounds once per flattening step, and its receiver blocks per
-    batch, for the corrections of the batch's branches only, in one
-    ``einsum``.  A grid interval's branches are assembled in batches of
-    consecutive labels, bounded by :data:`~qsm.locc.BATCH_BYTES` (see
-    :func:`~qsm.locc.batch_slices`): per block, the batch's sender rows and
-    receiver terms are added round by round, one buffered ``+=`` per round,
-    with the terms of one round alive at a time, so every element receives
-    the same additions in the same order, from the same zero fill, as a
-    per-pair loop would make.  The receiver isometry is the polar part of
-    the accumulated matrix, from one stacked SVD per batch; the singular
-    values of each branch, checked in label order, must all be 0 or 1.  The
-    zero-probability branches of one dead direction and resource offset are
-    written as one stacked assignment.  A protocol over the byte budget of
-    :func:`~qsm.locc.check_protocol_budget` raises :class:`SolverError`
-    (exit 3) before allocation, and before the flattening schedules when one
-    grid interval is already over it.
+    computed for every (x, z) at once, one ``einsum`` each, its slot table
+    and its one set of scatter rounds once per flattening step, and its
+    receiver blocks per batch, for the corrections of the batch's branches
+    only, in one ``einsum``.  A grid interval's branches are assembled in
+    batches of consecutive labels, bounded by :data:`~qsm.locc.BATCH_BYTES`
+    (see :func:`~qsm.locc.batch_slices`): per block and slot round, the
+    batch's sender rows are added in one buffered ``+=`` and its receiver
+    terms in one per B-factor, with the terms of one round alive at a time,
+    so every element receives the same additions in the same order, from
+    the same zero fill, as a per-pair loop would make.  The receiver
+    isometry is the polar part of the accumulated matrix, from one stacked
+    SVD per batch; the singular values of each branch, checked in label
+    order, must all be 0 or 1.  The zero-probability branches of one dead
+    direction and resource offset are written as one stacked assignment.  A
+    protocol over the byte budget of :func:`~qsm.locc.check_protocol_budget`
+    raises :class:`SolverError` (exit 3) before allocation, and before the
+    flattening schedules when one grid interval is already over it.
     """
     if decomp is None:
         decomp = ki_decompose(state)
@@ -443,21 +445,10 @@ def build_merge_protocol(
     hint = "; increase delta to coarsen the rational approximation" if catalytic else ""
     check_protocol_budget(P * P * J, a_shape, b_shape, hint)
     data = [
-        _BlockData(b, report.blocks[b.index], K, catalytic, P) for b in decomp.blocks
+        _BlockData(b, report.blocks[b.index], K, catalytic, P, J) for b in decomp.blocks
     ]
     live = [bd for bd in data if bd.live]
-
-    # flattening schedules on the combined (redundant x resource) spectrum
-    schedules: dict = {}
-    cums = []
-    for bd in live:
-        steps = flatten_schedule(np.repeat(bd.lam, bd.per) / bd.per, bd.target)
-        probs = [bd.target * st.mass for st in steps]
-        cum = list(np.cumsum(probs))
-        tables = [_StepTable.build(bd, st.indices) for st in steps]
-        schedules[bd.index] = (steps, probs, cum, tables)
-        cums.append(cum)
-    grid = _merged_breakpoints(cums)
+    grid = _merged_breakpoints([bd.cum for bd in live])
     nu = [grid[0]] + [b - a for a, b in zip(grid[:-1], grid[1:])]
 
     dead_count = sum(bd.u_dead.shape[1] * bd.per for bd in data)
@@ -467,12 +458,6 @@ def build_merge_protocol(
     a_ops = np.zeros((n, *a_shape), dtype=complex)
     b_ops = np.zeros((n, *b_shape), dtype=complex)
     default_b = np.eye(*b_shape, dtype=complex)
-
-    def a_phase(j: int, m3: int) -> complex:
-        return np.exp(-2j * np.pi * j * m3 / J) / np.sqrt(float(J))
-
-    def b_phase(j: int, m3: int) -> complex:
-        return np.exp(2j * np.pi * j * m3 / J)
 
     def sender_view(first: int, count: int) -> np.ndarray:
         """``a_ops[first : first + count]`` indexed [branch, returned row,
@@ -506,48 +491,41 @@ def build_merge_protocol(
 
     # branches of one grid interval, in label order (x, z, m3)
     xs, zs, m3s = (a.reshape(-1) for a in np.indices((P, P, J)))
-    phases = {
-        bd.index: tuple(
-            np.array([f(bd.index, m3) for m3 in range(J)])[m3s] for f in (a_phase, b_phase)
-        )
-        for bd in data
-    }
     for t, width in enumerate(nu):
         mid = grid[t] - 0.5 * width
         located = []
         for bd in live:
-            ph_a, ph_b = phases[bd.index]
-            steps, probs, cum, tables = schedules[bd.index]
             # the step whose cumulative interval holds mid: the first cum[s] >= mid
-            s = min(int(np.searchsorted(cum, mid)), len(cum) - 1)
-            tab = tables[s]
-            scale = np.sqrt(width / probs[s])
-            amps = scale * np.sqrt(steps[s].mass / (bd.lam[tab.levels] / bd.per))
-            located.append((bd, tab, amps, ph_a, ph_b))
+            s = min(int(np.searchsorted(bd.cum, mid)), len(bd.cum) - 1)
+            tab = bd.tables[s]
+            scale = np.sqrt(width / bd.probs[s])
+            amps = scale * np.sqrt(bd.steps[s].mass / (bd.lam[tab.levels] / bd.per))
+            located.append((bd, tab, amps))
         first = len(labels)
         labels += [(t, int(x), int(z), int(m3)) for x, z, m3 in zip(xs, zs, m3s)]
         # a branch's receiver accumulator plus the scatter terms of all its
         # receiver pairs; only one scatter round's terms are live at a time,
         # so this over-counts
-        pairs = max(tab.pairs for _, tab, _, _, _ in located)
+        pairs = max(tab.pairs for _, tab, _ in located)
         for sel in batch_slices(len(xs), 16 * dA * dB * dB * (L * K + pairs)):
             x_b, z_b = xs[sel], zs[sel]
             nb = len(x_b)
             i0 = first + sel.start
             a_view = sender_view(i0, nb)
             acc = np.zeros((nb, L, K, dA, dB, dB), dtype=complex)
-            for bd, tab, amps, ph_a, ph_b in located:
+            for bd, tab, amps in located:
                 xz = (x_b % bd.dim_R, z_b % bd.dim_R)
                 row_av = amps[:, None, None] * bd.send[xz][:, tab.levels]
-                for row, col, pos, v in tab.send_rounds:
-                    vals = row_av[:, pos, :, v].transpose(1, 0, 2)  # [branch, write, A index]
-                    a_view[:, row, col] += ph_a[sel, None, None] * vals
                 # receiver tables of the batch's distinct corrections; branch i's is which[i]
                 codes, which = np.unique(xz[0] * bd.dim_R + xz[1], return_inverse=True)
                 recv = bd.recv_tables(*np.divmod(codes, bd.dim_R))
-                for row, col, v, kr, ws_conj in tab.recv_rounds:
-                    blocks = recv[which[:, None], v, kr]
-                    acc[:, row, col] += (ph_b[sel, None, None, None] * blocks)[..., None] * ws_conj
+                ph_a, ph_b = bd.ph_a[sel, None, None], bd.ph_b[sel, None, None, None]
+                for row, col, pos, v, ws_conj in tab.rounds:
+                    vals = row_av[:, pos, :, v].transpose(1, 0, 2)  # [branch, write, A index]
+                    a_view[:, row, col] += ph_a * vals
+                    for kr in range(bd.n_r):
+                        blocks = recv[which[:, None], v, kr]
+                        acc[:, row, col] += (ph_b * blocks)[..., None] * ws_conj[kr]
             mats = acc.transpose(0, 3, 4, 1, 5, 2).reshape(nb, *b_shape)
             b_ops[i0 : i0 + nb] = receiver_isometries(i0, mats)
 
@@ -555,7 +533,7 @@ def build_merge_protocol(
     # P·P·J branches (x, z, m3) per direction and resource offset
     m1 = len(nu)
     for bd in data:
-        ph_a = phases[bd.index][0][:, None, None]
+        ph_a = bd.ph_a[:, None, None]
         dead = bd.sender_rows(bd.u_dead)
         for c in range(bd.u_dead.shape[1]):
             rows = dead[xs % bd.dim_R, zs % bd.dim_R, c]  # [branch, A index, v]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import qsm.cli as cli
-from qsm import ki, statespace
+from qsm import ki, merge, statespace
 from qsm.errors import ValidationError, VerificationError
-from qsm.numerics import dagger, tolerance
+from qsm.numerics import dagger, guarded_ceil, tolerance
 
 from helpers import (
     PerProbeSteeredOperators,
@@ -540,6 +540,31 @@ def test_planted_structure_recovered_at_more_blocks(k, spec):
     _assert_planted_recovered(np.random.default_rng([707, k]), *spec)
 
 
+_COST_SPECS = _planted_specs(12, 707, max_dim_a=8)
+
+
+@pytest.mark.parametrize("k,spec", list(enumerate(_COST_SPECS)))
+def test_planted_costs_match_the_planted_structure(k, spec):
+    """The merging costs of a planted state follow from its planted blocks
+    alone: noncatalytic cost bits are log2 of max_j ceil(λ0_j · dim_R_j),
+    with λ0_j the largest ω_j eigenvalue; the catalytic cost lies within
+    ``DEFAULT_DELTA`` bits above log2 max_j λ0_j · dim_R_j (less 1e-12 for
+    the float logs of one rational, log2 K − log2 L against log2 of the
+    product); and both protocols verify."""
+    state, planted = planted_ki_state(np.random.default_rng([707, k]), *spec)
+    dec = ki.ki_decompose(state)
+    products = [float(lam.max()) * dr for _, dr, _, lam in planted]
+    lowest = float(np.log2(max(products)))
+    for mode in ("noncatalytic", "catalytic"):
+        build = merge.build_merge_protocol(state, dec, mode=mode)
+        bits = build.report.cost_bits
+        if mode == "noncatalytic":
+            assert bits == float(np.log2(max(guarded_ceil(x) for x in products))), (k, bits)
+        else:
+            assert lowest - 1e-12 <= bits <= lowest + merge.DEFAULT_DELTA, (k, bits, lowest)
+        assert merge.verify_merge(state, build).passed, (k, mode)
+
+
 def _steering_cases():
     """The catalog (ghz at d = 2-4), seeded random states up to a 16-level
     spectator, and 20 planted states."""
@@ -710,16 +735,10 @@ def test_merge_outcome_across_the_small_weight_band(tmp_path, w, outcome, seed):
     assert _merge_outcome(_band_state(w, seed), tmp_path) == outcome
 
 
-_UNSORTED = "exit 2: mass vector must be sorted in descending order"
 _SPECTRA = {
     "pair": lambda g: (0.5 + g / 2, 0.5 - g / 2),
     "lower-pair": lambda g: (0.5, 0.25 + g / 2, 0.25 - g / 2),
     "triple": lambda g: (1 / 3 + g, 1 / 3, 1 / 3 - g),
-}
-# (seed, spectrum, gap) of the cases that exit 2; every other case verifies
-_EXIT_2 = {
-    (0, "lower-pair", 2e-9), (0, "lower-pair", 5e-9), (0, "triple", 2e-9),
-    (1, "pair", 2e-9), (1, "pair", 5e-9), (1, "triple", 2e-9), (1, "triple", 5e-9),
 }
 
 
@@ -728,16 +747,12 @@ _EXIT_2 = {
 @pytest.mark.parametrize("seed", [0, 1])
 def test_degenerate_and_near_degenerate_omega_spectra(tmp_path, seed, shape, gap):
     """ω spectra that are degenerate or split by 1e-10 to 1e-7 keep their
-    block structure, and the merge verifies, except where a split between
-    tau and 10 tau comes out of KI rising: ``canonical_eigh`` orders
-    eigenvalues within 10 tau as ties, by their eigenvectors, and
-    ``flatten_schedule`` rejects masses that rise by more than tau, so the
-    valid state exits 2.  Both are pinned as they stand."""
+    block structure, and the merge verifies, also where a split between tau
+    and 10 tau comes out of KI rising: ``canonical_eigh`` orders eigenvalues
+    within 10 tau as ties, by their eigenvectors, and ``flatten_schedule``
+    takes such ties as sorted."""
     spectrum = _SPECTRA[shape](gap)
     state = _omega_state(spectrum, seed)
     dec = ki.ki_decompose(state)
     assert [(b.dim_L, b.dim_R) for b in dec.blocks] == [(len(spectrum), 1), (1, 1)]
-    rises = bool(np.diff(dec.blocks[0].lambdas).max() > tolerance())
-    outcome = _merge_outcome(state, tmp_path)
-    assert outcome == (_UNSORTED if (seed, shape, gap) in _EXIT_2 else "verified")
-    assert (outcome == _UNSORTED) == rises
+    assert _merge_outcome(state, tmp_path) == "verified"

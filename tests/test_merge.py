@@ -462,20 +462,21 @@ def test_branch_assembly_matches_per_pair_oracle(mode, monkeypatch):
     padded = 0
     small_batches = set()
     original_svd = np.linalg.svd
-    original_table = merge._StepTable.build.__func__
+    original_table = merge._BlockData.step_table
     rounds = {"send": 0, "recv": 0}
 
     def recording_svd(a, *args, **kwargs):
         small_batches.add(len(a))
         return original_svd(a, *args, **kwargs)
 
-    def recording_table(cls, bd, indices):
-        table = original_table(cls, bd, indices)
-        rounds["send"] = max(rounds["send"], len(table.send_rounds))
-        rounds["recv"] = max(rounds["recv"], len(table.recv_rounds))
+    def recording_table(bd, indices):
+        table = original_table(bd, indices)
+        # each slot round is taken once per B-factor by the receivers
+        rounds["send"] = max(rounds["send"], len(table.rounds))
+        rounds["recv"] = max(rounds["recv"], len(table.rounds) * bd.n_r)
         return table
 
-    monkeypatch.setattr(merge._StepTable, "build", classmethod(recording_table))
+    monkeypatch.setattr(merge._BlockData, "step_table", recording_table)
 
     for name, state, delta in _oracle_corpus():
         dec = ki_decompose(state)

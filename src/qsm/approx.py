@@ -27,7 +27,8 @@ from .merge import (
     check_delta,
     merge_target_vector,
 )
-from .numerics import is_integer, majorization_check, tolerance
+from .numerics import COST_TIE, FIDELITY_LOSS, NORM_SLACK, PARALLEL_DROP, WEIGHT_SLACK
+from .numerics import is_integer, majorization_check
 from .statespace import TripartiteState
 
 
@@ -80,9 +81,8 @@ def verify_approximate_merge(
             f"candidate dimensions {candidate.dims} differ from state {state.dims}"
         )
     _check_epsilon(epsilon)
-    tol = tolerance()
     f2_in = abs(state.overlap(candidate)) ** 2
-    if f2_in < 1.0 - (epsilon / 2.0) ** 2 - 10.0 * tol:
+    if f2_in < 1.0 - (epsilon / 2.0) ** 2 - FIDELITY_LOSS:
         raise ValidationError(
             f"candidate fidelity^2 {f2_in:.6f} is below the required "
             f"1 - (epsilon/2)^2 = {1.0 - (epsilon / 2.0) ** 2:.6f}"
@@ -93,7 +93,7 @@ def verify_approximate_merge(
     f2_out = 0.0
     for outcome in apply_protocol(build.protocol, state.amplitudes, K):
         f2_out += outcome.probability * abs(np.vdot(target, outcome.state)) ** 2
-    if f2_out < 1.0 - epsilon**2 - 10.0 * tol:
+    if f2_out < 1.0 - epsilon**2 - FIDELITY_LOSS:
         raise VerificationError(
             f"output fidelity^2 {f2_out:.8f} fell below 1 - epsilon^2 "
             f"= {1.0 - epsilon ** 2:.8f}"
@@ -145,9 +145,9 @@ def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> 
     _check_epsilon(cert.epsilon)
     if not cert.members or len(cert.weights) != len(cert.members):
         raise ValidationError("certificate needs matching weights and members")
-    if not all(w >= -1e-12 for w in cert.weights):
+    if not all(w >= -WEIGHT_SLACK for w in cert.weights):
         raise ValidationError(f"certificate weights must be nonnegative, got {cert.weights}")
-    if not abs(sum(cert.weights) - 1.0) <= 1e-6:
+    if not abs(sum(cert.weights) - 1.0) <= NORM_SLACK:
         raise ValidationError("certificate weights must sum to 1")
     dim_r, dim_a, dim_b = state.dims
     expected = dim_r * cert.L * dim_a * dim_b * cert.L
@@ -158,7 +158,7 @@ def _validate_certificate(state: TripartiteState, cert: EnsembleCertificate) -> 
                 f"(dim_R, L, dim_A, dim_B, L) = "
                 f"({dim_r}, {cert.L}, {dim_a}, {dim_b}, {cert.L})"
             )
-        if not abs(np.linalg.norm(member) - 1.0) <= 1e-6:
+        if not abs(np.linalg.norm(member) - 1.0) <= NORM_SLACK:
             raise ValidationError("certificate members must be normalized")
 
 
@@ -172,7 +172,6 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
     ensemble this reduces to the exact uniform-resource spectra test.
     """
     _validate_certificate(state, cert)
-    tol = tolerance()
     dim_r, dim_a, dim_b = state.dims
     L = cert.L
 
@@ -191,7 +190,7 @@ def check_ensemble_certificate(state: TripartiteState, cert: EnsembleCertificate
         weight * abs(np.vdot(target, member)) ** 2
         for weight, member in zip(cert.weights, cert.members)
     )
-    return bool(majorized and f2 >= 1.0 - cert.epsilon**2 - 10.0 * tol)
+    return bool(majorized and f2 >= 1.0 - cert.epsilon**2 - FIDELITY_LOSS)
 
 
 def best_smoothing_candidate(
@@ -209,7 +208,7 @@ def best_smoothing_candidate(
     with a single amplitude has no other direction and is tried alone) and
     returns the verified certificate with the lowest cost (ties broken by
     output fidelity).  Each candidate is priced first from
-    its KI decomposition; one dearer than the incumbent by more than 1e-12
+    its KI decomposition; one dearer than the incumbent by more than ``COST_TIE``
     bits cannot win and is never built, so only its output-fidelity check is
     skipped, which the triangle inequality guarantees inside the ball.  The
     rest, cost ties included, are built and verified end to end.  This is a
@@ -231,7 +230,7 @@ def best_smoothing_candidate(
         try:
             decomp = ki_decompose(cand)
             cost = achievable_cost(decomp, mode=mode, delta=delta).cost_bits
-            if best is not None and cost > best.cost_bits + 1e-12:
+            if best is not None and cost > best.cost_bits + COST_TIE:
                 return
             cert = verify_approximate_merge(state, cand, epsilon, mode, delta, decomp)
         except (SolverError, ValidationError) as exc:
@@ -240,7 +239,7 @@ def best_smoothing_candidate(
         # not dearer than the incumbent, so either cheaper or a cost tie
         if (
             best is None
-            or cert.cost_bits < best.cost_bits - 1e-12
+            or cert.cost_bits < best.cost_bits - COST_TIE
             or cert.output_fidelity_sq > best.output_fidelity_sq
         ):
             best = cert
@@ -252,7 +251,7 @@ def best_smoothing_candidate(
     # a single amplitude leaves no direction off the state to rotate towards
     for _ in range(candidates if theta_max > 0.0 and vec.size > 1 else 0):
         norm = 0.0
-        while norm <= tolerance():  # redraw a perturbation parallel to the state
+        while norm <= PARALLEL_DROP:  # redraw a perturbation parallel to the state
             g = rng.normal(size=vec.size) + 1j * rng.normal(size=vec.size)
             g = g - np.vdot(vec, g) * vec
             norm = np.linalg.norm(g)

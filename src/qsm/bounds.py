@@ -26,7 +26,8 @@ import math
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import guarded_ceil, is_integer, majorization_check, schmidt_decompose, tolerance
+from .numerics import BOUND_SLACK, COST_TIE, MATCH, SPECTRUM_DROP
+from .numerics import guarded_ceil, is_integer, majorization_check, schmidt_decompose
 from .statespace import TripartiteState, _uniform_counterpart, catalog
 
 
@@ -56,8 +57,7 @@ def _uniform_spectator_form(state: TripartiteState) -> tuple[TripartiteState, in
     sd = schmidt_decompose(state.vector, state.dims[0])
     dim = sd.rank()
     evals = _spectrum(state.marginal("R"))
-    tol = 10.0 * tolerance()
-    applicable = bool(np.all(np.abs(evals[:dim] - 1.0 / dim) <= tol))
+    applicable = bool(np.all(np.abs(evals[:dim] - 1.0 / dim) <= MATCH))
     if applicable:
         return state, dim, True
     return _uniform_counterpart(state, sd), dim, False
@@ -147,7 +147,7 @@ def converse_search(
             non_bits = log_k
             non_k = K
         bits = log_k - math.log2(L)
-        if bits < best_bits - 1e-12:
+        if bits < best_bits - COST_TIE:
             best_bits = bits
             best_pair = (K, L)
         if L == L_max:  # every later K costs more at the same L
@@ -471,8 +471,8 @@ def h_max_conditional(state: TripartiteState) -> float:
 class ConverseReport:
     """All cost lower bounds for one state, with the known ordering checked.
 
-    ``gap = simple_catalytic - h_max >= -1e-6`` always holds;
-    ``search.catalytic_bits >= simple_catalytic - 1e-6`` holds because the
+    ``gap = simple_catalytic - h_max >= -BOUND_SLACK`` always holds;
+    ``search.catalytic_bits >= simple_catalytic - BOUND_SLACK`` holds as the
     bounds are evaluated on the uniform-spectator normal form (``applicable``
     records whether the input was already in that form).
     """
@@ -492,19 +492,19 @@ def compare_bounds(
 
     The state is first brought to its uniform-spectator normal form so that
     all three bounds refer to the same merging task; the report enforces
-    ``simple_catalytic >= h_max - 1e-6`` and ``search.catalytic_bits >=
-    simple_catalytic - 1e-6``.
+    ``simple_catalytic >= h_max - BOUND_SLACK`` and ``search.catalytic_bits >=
+    simple_catalytic - BOUND_SLACK``.
     """
     normal, dim, applicable = _uniform_spectator_form(state)
     simple = _simple_bounds(normal, dim)
     search = converse_search(normal, K_max=K_max, L_max=L_max)
     h_max = h_max_conditional(normal)
-    if simple["catalytic"] < h_max - 1e-6:
+    if simple["catalytic"] < h_max - BOUND_SLACK:
         raise VerificationError(
             f"bound ordering violated: closed-form {simple['catalytic']} < "
             f"max-entropy {h_max}"
         )
-    if search.catalytic_bits < simple["catalytic"] - 1e-6:
+    if search.catalytic_bits < simple["catalytic"] - BOUND_SLACK:
         raise VerificationError(
             f"bound ordering violated: grid search {search.catalytic_bits} < "
             f"closed-form {simple['catalytic']}"
@@ -558,12 +558,10 @@ def qutrit_counterexample_report() -> QutritChannelReport:
     Whether the channel is a mixture of unitaries is out of scope.
     """
     state = catalog("qutrit_choi")
-    tol = 10.0 * tolerance()
-
     spec_r = _spectrum(state.marginal("R"))
     spec_b = _spectrum(state.marginal("B"))
-    spectator_uniform = bool(np.abs(spec_r - 1.0 / 3.0).max() <= tol)
-    receiver_uniform = bool(np.abs(spec_b - 1.0 / 3.0).max() <= tol)
+    spectator_uniform = bool(np.abs(spec_r - 1.0 / 3.0).max() <= MATCH)
+    receiver_uniform = bool(np.abs(spec_b - 1.0 / 3.0).max() <= MATCH)
 
     choi = np.zeros((9, 9), dtype=complex)
     for i in range(3):
@@ -572,12 +570,12 @@ def qutrit_counterexample_report() -> QutritChannelReport:
             unit[i, j] = 1.0
             choi += np.kron(unit, _qutrit_channel(unit))
     eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).real
-    completely_positive = bool(eigs.min() >= -tol)
-    rank = int(np.sum(eigs > tol))
+    completely_positive = bool(eigs.min() >= -SPECTRUM_DROP)
+    rank = int(np.sum(eigs > SPECTRUM_DROP))
     partial = np.einsum("ibjb->ij", choi.reshape(3, 3, 3, 3))
-    trace_preserving = bool(np.abs(partial - np.eye(3)).max() <= tol)
-    unital = bool(np.abs(_qutrit_channel(np.eye(3) / 3.0) - np.eye(3) / 3.0).max() <= tol)
-    state_matches_choi = bool(np.abs(state.marginal("RB") - choi / 3.0).max() <= tol)
+    trace_preserving = bool(np.abs(partial - np.eye(3)).max() <= MATCH)
+    unital = bool(np.abs(_qutrit_channel(np.eye(3) / 3.0) - np.eye(3) / 3.0).max() <= MATCH)
+    state_matches_choi = bool(np.abs(state.marginal("RB") - choi / 3.0).max() <= MATCH)
 
     simple = converse_simple(state)
     return QutritChannelReport(

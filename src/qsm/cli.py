@@ -32,6 +32,7 @@ from .bounds import (
 from .errors import ValidationError, VerificationError
 from .ki import ki_decompose
 from .merge import DEFAULT_DELTA, build_merge_protocol, verify_merge
+from .numerics import BOUND_SLACK, COST_SLACK
 from .split import build_split_protocol, split_cost, verify_split
 from .statespace import CATALOG_NAMES, catalog, encode_complex, load_state, random_state, save_state
 
@@ -327,7 +328,7 @@ def _run_verify_corpus(args):
         search = converse_search(state, K_max=16, L_max=16)
         record(
             f"{label}:search-below-achievable",
-            search.noncatalytic_bits <= noncat + 1e-9,
+            search.noncatalytic_bits <= noncat + COST_SLACK,
             f"search {search.noncatalytic_bits:.6g} vs achievable {noncat:.6g}",
         )
 
@@ -338,7 +339,7 @@ def _run_verify_corpus(args):
         record(f"random{idx}:merge-noncatalytic", ver.passed)
         record(f"random{idx}:split", verify_split(state)[0].passed)
         report = compare_bounds(state, K_max=8, L_max=8)
-        record(f"random{idx}:bound-ordering", report.gap >= -1e-6,
+        record(f"random{idx}:bound-ordering", report.gap >= -BOUND_SLACK,
                f"gap {report.gap:.6g}")
 
     all_passed = all(c["passed"] for c in checks)

@@ -21,14 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .numerics import (
-    canonical_eigh,
-    _lex_key,
-    dagger,
-    isometry_deviations,
-    orthonormal_complement,
-    tolerance,
-)
+from .numerics import BLOCK_DROP, FIDELITY_LOSS, ISOMETRY_SLACK, KI_SLACK, MATCH, SPECTRUM_DROP
+from .numerics import _lex_key, canonical_eigh, dagger, isometry_deviations, orthonormal_complement
 from .statespace import TripartiteState
 
 # ---------------------------------------------------------------------------
@@ -66,7 +60,7 @@ def refinement_index(spaces: tuple[np.ndarray, ...]) -> int:
 def initial_structure(state: TripartiteState) -> tuple[np.ndarray, ...]:
     """Single block spanning supp(psi^A), with trivial R-factor."""
     vals, vecs = canonical_eigh(state.marginal("A"))
-    n = int(np.sum(vals > 10 * tolerance()))
+    n = int(np.sum(vals > SPECTRUM_DROP))
     if n == 0:
         raise ValidationError("state has no support on A")
     return (vecs[:, :n].reshape(state.dims[1], n, 1),)
@@ -79,12 +73,11 @@ def _compressed(space: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 def _proportional(rho: np.ndarray, rho_ref: np.ndarray) -> bool:
     """Whether rho = c * rho_ref for some c >= 0; rho_ref must be nonzero."""
-    tol = tolerance()
     tr = float(np.trace(rho).real)
     tr_ref = float(np.trace(rho_ref).real)
-    if tr <= 100 * tol:
+    if tr <= BLOCK_DROP:
         return True  # c = 0
-    return bool(np.max(np.abs(rho / tr - rho_ref / tr_ref)) <= 10 * tol)
+    return bool(np.max(np.abs(rho / tr - rho_ref / tr_ref)) <= MATCH)
 
 
 def _r_factor_vectors(dim: int) -> list[np.ndarray]:
@@ -96,13 +89,13 @@ def _r_factor_vectors(dim: int) -> list[np.ndarray]:
 def _split_eigenspaces(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Split the domain of a traceless Hermitian witness by eigenvalue sign.
 
-    Returns orthonormal bases (plus, minus) with eigenvalues > 10 tau on the
+    Returns orthonormal bases (plus, minus) with eigenvalues > ``SPECTRUM_DROP`` on the
     plus side; flips the sign of the witness if its positive part vanishes.
     Returns ``None`` when the witness is numerically zero.
     """
     for candidate in (eta, -eta):
         vals, vecs = canonical_eigh(candidate)
-        n_plus = int(np.sum(vals > 10 * tolerance()))
+        n_plus = int(np.sum(vals > SPECTRUM_DROP))
         if 0 < n_plus < len(vals):
             return vecs[:, :n_plus], vecs[:, n_plus:]
     return None
@@ -151,7 +144,6 @@ def _generator_witness(space: np.ndarray, generators: np.ndarray, ref: np.ndarra
     generator-major order with the per-vector expression, so the returned
     witness is bit-identical to the one a pair-by-pair scan finds.
     """
-    tol = tolerance()
     dim_A, dim_L, dim_R = space.shape
     avecs = _r_factor_vectors(dim_R)
     flat = space.reshape(dim_A, -1)
@@ -159,10 +151,10 @@ def _generator_witness(space: np.ndarray, generators: np.ndarray, ref: np.ndarra
     vecs = np.array(avecs)
     rhos = np.einsum("glrms,kr,ks->gklm", t_all, vecs.conj(), vecs)
     tr = np.einsum("gkll->gk", rhos).real
-    live = tr > 100 * tol
+    live = tr > BLOCK_DROP
     ref_n = ref / float(np.trace(ref).real)
     dev = np.max(np.abs(rhos / np.where(live, tr, 1.0)[..., None, None] - ref_n), axis=(2, 3))
-    failing = live & ~(dev <= 10 * tol)
+    failing = live & ~(dev <= MATCH)
     if not failing.any():
         return None
     g, k = divmod(int(np.argmax(failing)), len(avecs))
@@ -184,14 +176,13 @@ def l_decompose_step(
     needs ``0 < n_plus < dim_L`` eigenvalues on the plus side, so such a
     block can never split, whatever the tolerance.
     """
-    tol = tolerance()
     for j0, space in enumerate(spaces):
         if space.shape[1] == 1:
             continue
         dim_R = space.shape[2]
         t_full = _compressed(space, steered.full)
         diagonals = [t_full[:, b, :, b] for b in range(dim_R)]
-        ref = next((d for d in diagonals if float(np.trace(d).real) > 100 * tol), None)
+        ref = next((d for d in diagonals if float(np.trace(d).real) > BLOCK_DROP), None)
         if ref is None:
             continue
         # Stage 1: pairwise comparison of the identity-steered compressions.
@@ -226,8 +217,6 @@ def r_combine_step(
     """
     if len(spaces) < 2:
         return None
-    tol = tolerance()
-
     for j0 in range(len(spaces)):
         for j1 in range(j0 + 1, len(spaces)):
             v0, v1 = spaces[j0], spaces[j1]
@@ -237,14 +226,14 @@ def r_combine_step(
                 for b in range(v1.shape[2]):
                     for a in range(v0.shape[2]):
                         sigma = cross[:, b, :, a]
-                        if np.max(np.abs(sigma)) <= 10 * tol * scale:
+                        if np.max(np.abs(sigma)) <= SPECTRUM_DROP * scale:
                             continue
                         # Support conditions: the diagonal compressions at the
                         # same witness must fully support both L-factors.
                         d0 = np.einsum("alr,ab,bmr->lm", v0[:, :, a : a + 1].conj(), op, v0[:, :, a : a + 1])
                         d1 = np.einsum("alr,ab,bmr->lm", v1[:, :, b : b + 1].conj(), op, v1[:, :, b : b + 1])
-                        rank0 = int(np.sum(np.linalg.eigvalsh(d0) > 10 * tol * scale))
-                        rank1 = int(np.sum(np.linalg.eigvalsh(d1) > 10 * tol * scale))
+                        rank0 = int(np.sum(np.linalg.eigvalsh(d0) > SPECTRUM_DROP * scale))
+                        rank1 = int(np.sum(np.linalg.eigvalsh(d1) > SPECTRUM_DROP * scale))
                         if rank0 < v0.shape[1] or rank1 < v1.shape[1]:
                             continue
                         return _apply_combine(spaces, j0, j1, sigma)
@@ -259,7 +248,7 @@ def _apply_combine(
     # left partners slaved through sigma itself.
     svals_sq, rights = canonical_eigh(dagger(sigma) @ sigma)
     svals = np.sqrt(np.clip(svals_sq, 0.0, None))
-    rank = int(np.sum(svals > 10 * tolerance() * max(1.0, float(svals[0]))))
+    rank = int(np.sum(svals > SPECTRUM_DROP * max(1.0, float(svals[0]))))
     rights = rights[:, :rank]
     lefts = sigma @ rights / svals[:rank]
     d_r0, d_r1 = v0.shape[2], v1.shape[2]
@@ -366,9 +355,8 @@ def _glue_kernel(state: TripartiteState, raw: list) -> list:
 
 
 def _build_block(index: int, space, psi_j, p_j, dim_B: int) -> KIBlock:
-    tol = tolerance()
     dim_L, dim_R = space.shape[1], space.shape[2]
-    if p_j <= 100 * tol:
+    if p_j <= BLOCK_DROP:
         return KIBlock(
             index=index,
             iso=space,
@@ -380,7 +368,7 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int) -> KIBlock:
         )
     rho_l = np.einsum("ilrb,imrb->lm", psi_j, psi_j.conj()) / p_j
     lam, u_cols = canonical_eigh(rho_l)
-    m_count = int(np.sum(lam > 10 * tol))
+    m_count = int(np.sum(lam > SPECTRUM_DROP))
     lam = np.clip(lam[:m_count], 0.0, None)
     u_cols = u_cols[:, :m_count]
     beta = np.einsum("lm,ilrb->mirb", u_cols.conj(), psi_j)
@@ -390,7 +378,7 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int) -> KIBlock:
     # square root and defeat the rank cutoff.
     b0 = beta[0].reshape(-1, psi_j.shape[3])
     xs_full, svals, _ = np.linalg.svd(b0, full_matrices=False)
-    n_r = int(np.sum(svals > 10 * tol * max(1.0, float(svals[0] if len(svals) else 0.0))))
+    n_r = int(np.sum(svals > SPECTRUM_DROP * max(1.0, float(svals[0] if len(svals) else 0.0))))
     xs = xs_full[:, :n_r]
     phi = (xs * svals[:n_r]).reshape(psi_j.shape[0], dim_R, n_r) / np.sqrt(p_j * lam[0])
     # B-side factor vectors: the Schmidt partner of the left singular vector x_k
@@ -402,7 +390,7 @@ def _build_block(index: int, space, psi_j, p_j, dim_B: int) -> KIBlock:
         ws[:, m, :] = np.sqrt(lam[0] / lam[m]) * (bm.T @ xs.conj()) / svals[:n_r]
     w_flat = ws.reshape(dim_B, -1)
     deviation = float(isometry_deviations(w_flat))
-    if not deviation <= 1e3 * tol:
+    if not deviation <= KI_SLACK:
         raise VerificationError(
             f"block {index}: B-side factors fail the isometry check "
             f"(deviation {deviation:.2e})"
@@ -432,7 +420,7 @@ def _product_test(block: KIBlock, state: TripartiteState) -> None:
         (psi_j.shape[0] * psi_j.shape[2]) ** 2, psi_j.shape[1] ** 2
     )
     s = np.linalg.svd(op, compute_uv=False)
-    if len(s) > 1 and s[1] > 10 * tolerance() * max(1.0, float(s[0])):
+    if len(s) > 1 and s[1] > SPECTRUM_DROP * max(1.0, float(s[0])):
         raise VerificationError(
             f"block {block.index}: maximality product test failed (second operator "
             f"Schmidt value {s[1]:.2e})"
@@ -482,7 +470,7 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
     raw = _glue_kernel(state, raw)
     raw = _canonical_order(raw)
     total_p = sum(p for _, _, p in raw)
-    if abs(total_p - 1.0) > 1e3 * tolerance():
+    if abs(total_p - 1.0) > KI_SLACK:
         raise VerificationError(f"block probabilities sum to {total_p}, not 1")
     blocks = tuple(
         _build_block(i, space, psi_j, p_j, state.dims[2])
@@ -496,10 +484,9 @@ def ki_decompose(state: TripartiteState) -> KIDecomposition:
 
 def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) -> None:
     """Rebuild psi as sum_j sqrt(p_j) iso_j[a,l,r] omega_j[l,m] phi_j[i,r,k]
-    ws_j[b,m,k] and require both its overlap with the state and its squared
-    norm to be 1 within 10 tau: a p_j that is too large can push the overlap
-    of the unnormalized rebuilt vector past 1, but not its norm."""
-    tol = tolerance()
+    ws_j[b,m,k]; its overlap with the state must be 1 within ``FIDELITY_LOSS``
+    and its squared norm within ``ISOMETRY_SLACK``: a p_j that is too large can
+    push the overlap of the unnormalized rebuilt vector past 1, not its norm."""
     rebuilt = np.zeros(state.dims, dtype=complex)
     for b in blocks:
         if b.p <= 0.0:
@@ -510,12 +497,12 @@ def _verify_reconstruction(state: TripartiteState, blocks: tuple[KIBlock, ...]) 
         rebuilt += np.sqrt(b.p) * (a_side.reshape(a_side.shape[0], -1) @ rest)
     rebuilt = rebuilt.reshape(-1)
     f = float(abs(np.vdot(state.amplitudes.reshape(-1), rebuilt)) ** 2)
-    if f < 1.0 - 10 * tol:
+    if f < 1.0 - FIDELITY_LOSS:
         raise VerificationError(
-            f"block-form reconstruction fidelity {f} below threshold 1 - 10 tau = {1.0 - 10 * tol!r}"
+            f"block-form reconstruction fidelity {f} below threshold 1 - 10 tau = {1.0 - FIDELITY_LOSS!r}"
         )
     norm2 = float(np.vdot(rebuilt, rebuilt).real)
-    if abs(norm2 - 1.0) > 10 * tol:
+    if abs(norm2 - 1.0) > ISOMETRY_SLACK:
         raise VerificationError(
-            f"block-form reconstruction squared norm {norm2} is not 1 within 10 tau = {10 * tol:.1e}"
+            f"block-form reconstruction squared norm {norm2} is not 1 within 10 tau = {ISOMETRY_SLACK:.1e}"
         )

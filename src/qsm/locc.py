@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError, ValidationError, VerificationError
-from .numerics import is_integer, isometry_deviations, tolerance
+from .numerics import BRANCH_DROP, CUT_FILTER, FIDELITY_LOSS, ISOMETRY_SLACK, MASS_SLACK, NORM_SLACK, TIE
+from .numerics import is_integer, isometry_deviations
 
 # Bytes a protocol may take, as check_protocol_budget counts them: 2 GiB
 # admits every catalog and bench build and splits up to (1, 20, 20).
@@ -89,7 +90,6 @@ class OneWayProtocol:
     _residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tol = tolerance()
         labels = tuple(tuple(label) for label in self.branches)
         if not labels:
             raise ValidationError("protocol must have at least one branch")
@@ -114,15 +114,15 @@ class OneWayProtocol:
         b_out, b_in = self.b_ops.shape[1:]
         batches = batch_slices(len(labels), 16 * (b_out * b_in + b_in * b_in))
         for sel in batches:
-            bad = np.flatnonzero(~(isometry_deviations(self.b_ops[sel]) <= 10 * tol))
+            bad = np.flatnonzero(~(isometry_deviations(self.b_ops[sel]) <= ISOMETRY_SLACK))
             if len(bad):
                 worst = max(float(isometry_deviations(self.b_ops[s]).max()) for s in batches)
                 raise ValidationError(
                     f"branch {labels[sel.start + bad[0]]}: receiver operator is not an "
-                    f"isometry (worst receiver deviation {worst:.2e} > 10 tau = {10 * tol:.1e})"
+                    f"isometry (worst receiver deviation {worst:.2e} > 10 tau = {ISOMETRY_SLACK:.1e})"
                 )
         residual = float(isometry_deviations(self.a_ops.reshape(-1, self.a_in_dim)))
-        if not residual <= 10 * tol:
+        if not residual <= ISOMETRY_SLACK:
             raise ValidationError(
                 f"measurement completeness fails (residual {residual:.2e})"
             )
@@ -164,7 +164,7 @@ class VerificationReport:
 
 def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: int) -> list:
     """Run every branch on ``amplitudes`` (x) Phi_K, K = ``pair_rank``; return
-    the outcomes with probability above tolerance.
+    the outcomes with probability above ``BRANCH_DROP``.
 
     Phi_K = sum_k |k>|k>/sqrt(K) is the shared maximally entangled pair; its
     two halves are the last factor of the sender's and the receiver's input
@@ -182,7 +182,6 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
     against contracting the full registers of the stored product, and
     against one branch per batch and the whole stack in one batch.
     """
-    tol = tolerance()
     a_in, b_in = protocol.a_in_dim, protocol.b_in_dim
     K = pair_rank
     if (
@@ -197,7 +196,7 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
         )
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = np.linalg.norm(amps)
-    if not abs(norm - 1.0) <= 1e-6:
+    if not abs(norm - 1.0) <= NORM_SLACK:
         raise ValidationError(f"input vector norm {norm} is not 1")
     a_own, b_own = a_in // K, b_in // K
     if amps.size % (a_own * b_own) != 0:
@@ -223,7 +222,7 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
         for label, branch in zip(protocol.branches[sel], out):
             prob = float(np.linalg.norm(branch) ** 2)
             total += prob
-            if prob > tol:
+            if prob > BRANCH_DROP:
                 outcomes.append(
                     BranchOutcome(
                         label=label,
@@ -231,7 +230,7 @@ def apply_protocol(protocol: OneWayProtocol, amplitudes: np.ndarray, pair_rank: 
                         state=branch.reshape(-1) / np.sqrt(prob),
                     )
                 )
-    if not abs(total - 1.0) <= 10 * tol:
+    if not abs(total - 1.0) <= ISOMETRY_SLACK:
         raise VerificationError(f"branch probabilities sum to {total}, not 1")
     return outcomes
 
@@ -244,15 +243,14 @@ def verify_protocol(
 
     Each outcome is compared with ``target`` by the squared overlap
     ``|<target|out>|^2``, so a global phase per branch is allowed.  The
-    protocol passes when every such fidelity is at least ``1 - 10 tau``.
+    protocol passes when every such fidelity is at least ``1 - FIDELITY_LOSS``.
     Measurement completeness is not tested again: :class:`OneWayProtocol`
-    enforces a residual of at most ``10 tau`` at construction, and the
-    report carries it as ``completeness_residual``.
+    enforces a residual of at most ``ISOMETRY_SLACK`` at construction, and
+    the report carries it as ``completeness_residual``.
     """
-    tol = tolerance()
     target = np.asarray(target, dtype=complex).reshape(-1)
     t_norm = np.linalg.norm(target)
-    if not abs(t_norm - 1.0) <= 1e-6:
+    if not abs(t_norm - 1.0) <= NORM_SLACK:
         raise ValidationError(f"target vector norm {t_norm} is not 1")
     min_fid = 1.0
     total = 0.0
@@ -270,7 +268,7 @@ def verify_protocol(
         completeness_residual=protocol.completeness_residual(),
         probability_total=total,
         branch_count=len(outcomes),
-        passed=min_fid >= 1.0 - 10 * tol,
+        passed=min_fid >= 1.0 - FIDELITY_LOSS,
     )
 
 
@@ -293,16 +291,15 @@ def flatten_schedule(p: Sequence[float], L: int) -> list:
     outcome are distinct; each outcome exhausts its share of every selected
     mass, so the schedule consumes the vector exactly in at most len(p) steps.
     """
-    tol = tolerance()
     masses = np.asarray(p, dtype=float)
     if masses.ndim != 1 or masses.size == 0:
         raise ValidationError("mass vector must be a nonempty 1-d sequence")
     if not np.isfinite(masses).all():
         raise ValidationError("mass vector has non-finite entries")
-    if np.any(masses < -tol):
+    if np.any(masses < -MASS_SLACK):
         raise ValidationError("mass vector has negative entries")
-    # values within 10 tau are ties, as ``numerics.canonical_eigh`` orders them
-    if np.any(np.diff(masses) > 10 * tol):
+    # values within TIE are ties, as ``numerics.canonical_eigh`` orders them
+    if np.any(np.diff(masses) > TIE):
         raise ValidationError("mass vector must be sorted in descending order")
     if not is_integer(L) or not 1 <= L <= masses.size:
         raise ValidationError(
@@ -310,10 +307,10 @@ def flatten_schedule(p: Sequence[float], L: int) -> list:
         )
     masses = np.clip(masses, 0.0, None)
     total = float(masses.sum())
-    if total <= tol:
+    if total <= MASS_SLACK:
         raise ValidationError("mass vector has no weight")
     seg = total / L
-    if masses.max() > seg + tol:
+    if masses.max() > seg + MASS_SLACK:
         raise ValidationError(
             f"flattening impossible: max mass {masses.max():.6g} exceeds "
             f"total/L = {seg:.6g}"
@@ -323,14 +320,14 @@ def flatten_schedule(p: Sequence[float], L: int) -> list:
     cuts = [0.0]
     for b in bounds[:-1]:
         off = float(b % seg)
-        if off > 1e-12 and seg - off > 1e-12:
+        if off > CUT_FILTER and seg - off > CUT_FILTER:
             cuts.append(off)
     cuts = sorted(set(np.round(cuts, 14)))
     cuts.append(seg)
     steps = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         width = hi - lo
-        if width <= 1e-12:
+        if width <= CUT_FILTER:
             continue
         mid = 0.5 * (lo + hi)
         chosen = tuple(

@@ -32,7 +32,8 @@ from .locc import (
     generalized_paulis,
     verify_protocol,
 )
-from .numerics import dagger, guarded_ceil, orthonormal_complement, tolerance
+from .numerics import ALIGNMENT_SLACK, BRANCH_DROP, CHANNEL_SLACK, ISOMETRY_SLACK, MATCH, NORM_SLACK, POLAR_SLACK
+from .numerics import RATIONAL_WIDENING, SPECTRUM_DROP, TIE, dagger, guarded_ceil, orthonormal_complement
 from .statespace import TripartiteState
 
 # Default cost slack of the catalytic rational fit, in bits.
@@ -69,10 +70,10 @@ def rational_upper_approx(lam0: float, delta: float) -> Fraction:
     check_delta(delta)
     if lam0 <= 0:
         raise ValidationError(f"leading eigenvalue must be positive, got {lam0}")
-    # absorb eigensolver float noise (~1e-15) by widening the interval downward
-    # by 1e-12; kept below the flattening schedule's cut filter so a slightly
-    # undersized lambda-tilde can never produce duplicate level assignments
-    lo = Fraction(max(lam0 - 1e-12, lam0 * 0.5))
+    # absorb eigensolver float noise (~1e-15) by widening the interval downward by
+    # RATIONAL_WIDENING, at most flatten_schedule's CUT_FILTER (equal to it), against
+    # duplicate level assignments; whether these need it strictly below is unverified
+    lo = Fraction(max(lam0 - RATIONAL_WIDENING, lam0 * 0.5))
     # 2.0**delta overflows past 1023; any window that reaches 1 >= ceil(lo)
     # already yields ceil(lo), so capping the exponent changes no result
     hi = Fraction(lam0 * 2.0 ** min(delta, 1023.0))
@@ -120,14 +121,13 @@ class CostReport:
 
 
 def _select_leading_block(blocks: Sequence[BlockCost]) -> int:
-    tol = tolerance()
     j0 = -1
     best = 0.0
     for bc in blocks:
         if not bc.eligible:
             continue
-        # ties within tolerance keep the earliest block in canonical order
-        if j0 < 0 or bc.product > best + 10 * tol * max(1.0, best):
+        # ties within TIE keep the earliest block in canonical order
+        if j0 < 0 or bc.product > best + TIE * max(1.0, best):
             j0, best = bc.index, bc.product
     if j0 < 0:
         raise ValidationError("no block carries probability weight")
@@ -374,15 +374,14 @@ def _rounds(row: np.ndarray, col: np.ndarray) -> tuple:
 
 def _merged_breakpoints(cums: list) -> list:
     """Union of the blocks' cumulative outcome probabilities, deduplicated."""
-    tol = tolerance()
     points = sorted(p for c in cums for p in c)
     merged = []
     for p in points:
-        if not merged or p - merged[-1] > 10 * tol:
+        if not merged or p - merged[-1] > TIE:
             merged.append(p)
         else:
             merged[-1] = max(merged[-1], p)
-    if not merged or abs(merged[-1] - 1.0) > 10 * tol:
+    if not merged or abs(merged[-1] - 1.0) > ISOMETRY_SLACK:
         total = float(merged[-1]) if merged else 0.0
         raise VerificationError(
             f"outcome probabilities do not accumulate to 1: merged total {total!r}, "
@@ -479,13 +478,13 @@ def build_merge_protocol(
                 [receiver_isometries(first + k, mats[k : k + 1]) for k in range(len(mats))]
             )
         dev = np.minimum(np.abs(s - 1.0), np.abs(s))
-        bad = np.flatnonzero(np.any(dev > 1e-6, axis=1))
+        bad = np.flatnonzero(np.any(dev > POLAR_SLACK, axis=1))
         if len(bad):
             k = bad[0]
             raise VerificationError(
                 f"branch {labels[first + k]}: receiver isometry completion: singular "
                 f"values deviate from 0/1 (worst min(|s-1|, |s|) = "
-                f"{float(dev[k].max())!r} > 1e-06)"
+                f"{float(dev[k].max())!r} > {POLAR_SLACK!r})"
             )
         return u @ vh
 
@@ -584,31 +583,30 @@ def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> tuple[tuple[float, np
     Choi matrix is real symmetric in that basis, and its eigenvectors are
     the terms (1 (x) U_m)|Phi+> with the eigenvalues p_m as weights.
     """
-    tol = tolerance()
     choi = np.asarray(choi, dtype=complex)
     if choi.shape != (4, 4):
         raise ValidationError("expected a 4x4 qubit Choi matrix")
     if not np.isfinite(choi).all():
         raise ValidationError("Choi matrix has non-finite entries")
-    if np.max(np.abs(choi - dagger(choi))) > 10 * tol:
+    if np.max(np.abs(choi - dagger(choi))) > MATCH:
         raise ValidationError("Choi matrix is not Hermitian")
     evals = np.linalg.eigvalsh(choi)
-    if evals.min() < -10 * tol:
+    if evals.min() < -SPECTRUM_DROP:
         raise ValidationError("Choi matrix is not positive semidefinite (not CP)")
-    if abs(np.trace(choi).real - 1.0) > 1e-6:
+    if abs(np.trace(choi).real - 1.0) > NORM_SLACK:
         raise ValidationError("Choi matrix must be normalized to unit trace")
     blocks = choi.reshape(2, 2, 2, 2)  # [i, b, j, b']
     tr_out = np.einsum("ibjb->ij", blocks)
-    if np.max(np.abs(tr_out - np.eye(2) / 2)) > 10 * tol:
+    if np.max(np.abs(tr_out - np.eye(2) / 2)) > MATCH:
         raise ValidationError("channel is not trace-preserving")
     tr_in = np.einsum("iaib->ab", blocks)
-    if np.max(np.abs(tr_in - np.eye(2) / 2)) > 10 * tol:
+    if np.max(np.abs(tr_in - np.eye(2) / 2)) > MATCH:
         raise ValidationError("channel is not unital")
     weights, vecs = np.linalg.eigh((dagger(_MAGIC) @ choi @ _MAGIC).real)
     terms = [
         (float(weights[m]), np.sqrt(2.0) * (_MAGIC @ vecs[:, m]).reshape(2, 2).T)
         for m in range(3, -1, -1)
-        if weights[m] > tol
+        if weights[m] > BRANCH_DROP
     ]
     # round-trip check against the input Choi matrix
     phi = np.zeros(4, dtype=complex)
@@ -617,7 +615,7 @@ def mixed_unitary_decomposition_qubit(choi: np.ndarray) -> tuple[tuple[float, np
     for p, u in terms:
         v = (np.kron(np.eye(2), u) @ phi).reshape(-1)
         rebuilt += p * np.outer(v, v.conj())
-    if np.max(np.abs(rebuilt - choi)) > 1e-8:
+    if np.max(np.abs(rebuilt - choi)) > CHANNEL_SLACK:
         raise VerificationError(
             "mixed-unitary reconstruction deviates from the input channel"
         )
@@ -643,16 +641,15 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
     normalized Choi matrix is the spectator-receiver marginal), else the
     one-bit non-catalytic protocol of :func:`build_merge_protocol`, built
     from the state's KI decomposition."""
-    tol = tolerance()
     if state.dims != (2, 2, 2):
         raise ValidationError("qubit-optimal merging requires three qubits")
-    if np.max(np.abs(state.marginal("R") - np.eye(2) / 2)) > 10 * tol:
+    if np.max(np.abs(state.marginal("R") - np.eye(2) / 2)) > MATCH:
         raise ValidationError(
             "spectator marginal must be maximally mixed; make the state's R | AB "
             "Schmidt spectrum uniform on the same Schmidt bases first"
         )
     amps = state.amplitudes
-    if np.max(np.abs(state.marginal("B") - np.eye(2) / 2)) <= 10 * tol:
+    if np.max(np.abs(state.marginal("B") - np.eye(2) / 2)) <= MATCH:
         # spectator-receiver marginal, arranged [(i,b), (j,b')]
         rho_rb = np.einsum("iab,jap->ibjp", amps, amps.conj()).reshape(4, 4)
         mu = mixed_unitary_decomposition_qubit(rho_rb)
@@ -662,10 +659,10 @@ def qubit_optimal_merge(state: TripartiteState) -> QubitMergeReport:
         for m, (p, u) in enumerate(mu):
             x_mat[:, m] = np.sqrt(p) * u.T.reshape(-1) / np.sqrt(2.0)
         lmat, svals, vh = np.linalg.svd(psi_mat, full_matrices=False)
-        rank = int(np.sum(svals > 10 * tol * max(1.0, float(svals[0]))))
+        rank = int(np.sum(svals > SPECTRUM_DROP * max(1.0, float(svals[0]))))
         lmat, svals, vh = lmat[:, :rank], svals[:rank], vh[:rank, :]
         coeff = dagger(lmat) @ x_mat
-        if np.max(np.abs(x_mat - lmat @ coeff)) > 1e-7:
+        if np.max(np.abs(x_mat - lmat @ coeff)) > ALIGNMENT_SLACK:
             raise VerificationError(
                 "purification alignment failed: ranges do not match"
             )

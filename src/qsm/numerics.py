@@ -1,15 +1,12 @@
 """Dense linear-algebra primitives with deterministic conventions.
 
-Everything downstream (block decompositions, protocol construction, bound
-computations) relies on the conventions fixed here:
+Everything downstream relies on the conventions fixed here:
 
-* the global numerical tolerance ``tau = 1e-9``, read through
-  :func:`tolerance` wherever a value is compared against it,
+* every threshold, named once by its role in the tolerance table below,
 * eigen- and Schmidt decompositions sorted by descending value with a
   deterministic tie-break (vectors phase-normalized so their first
   significant component is real positive, ties ordered lexicographically),
-* resource ranks rounded up by :func:`guarded_ceil`, which forgives float
-  noise within ``100 tau`` of an integer.
+* resource ranks rounded up by :func:`guarded_ceil`, forgiving ``CEIL_SLACK``.
 """
 
 from __future__ import annotations
@@ -27,9 +24,37 @@ def tolerance() -> float:
     return 1e-9
 
 
+# The tolerance table.  Roles that share a value keep separate names, and a level on tau
+# is the product the code compares with: 100 * tolerance() is 1.0000000000000001e-07.
+TIE = 10 * tolerance()  # eigenvalues, masses or block products this close are equal
+MATCH = 10 * tolerance()  # entrywise slack of operators and spectra that must be equal
+SPECTRUM_DROP = 10 * tolerance()  # eigen- and singular values at most this are 0 (support, rank)
+BLOCK_DROP = 100 * tolerance()  # weight in a KI block (its p_j, a steered trace) at most this is 0
+FIDELITY_LOSS = 10 * tolerance()  # fidelity an exact output may lose
+ISOMETRY_SLACK = 10 * tolerance()  # isometry deviations, completeness and probability sums
+KI_SLACK = 1e3 * tolerance()  # KI B-side factor isometry and block probability sum
+CEIL_SLACK = 100 * tolerance()  # float noise guarded_ceil forgives below an integer
+BRANCH_DROP = tolerance()  # outcomes and mixture terms of at most this weight are dropped
+SCHMIDT_DROP = tolerance()  # Schmidt coefficients at most this are 0
+MASS_SLACK = tolerance()  # slack of flattened masses and majorization prefix sums
+PARALLEL_DROP = tolerance()  # a perturbation of at most this norm off the state is parallel
+NORM_SLACK = 1e-6  # input vectors, weights and Choi traces are normalized within this
+BOUND_SLACK = 1e-6  # converse bound orderings hold within this, the accuracy of h_max
+COST_SLACK = 1e-9  # exact cost orderings in bits (search <= achievable, rank >= entropy)
+COST_TIE = 1e-12  # costs in bits this close are equal
+WEIGHT_SLACK = 1e-12  # certificate weights may dip this far below 0
+RATIONAL_WIDENING = 1e-12  # rational_upper_approx widens its window down by this
+CUT_FILTER = 1e-12  # flatten_schedule drops breakpoints and steps this close
+POLAR_SLACK = 1e-6  # receiver singular values are 0 or 1 within this
+PHASE_ANCHOR = 1e-7  # the first component above this fixes a vector's phase
+COMPLEMENT_DROP = 1e-7  # a completing candidate of at most this norm is dependent
+CHANNEL_SLACK = 1e-8  # a mixed-unitary decomposition rebuilds its Choi matrix within this
+ALIGNMENT_SLACK = 1e-7  # the qubit merge's purification ranges agree within this
+
+
 def guarded_ceil(x: float) -> int:
-    """Ceiling that forgives float noise within 100x tolerance of an integer."""
-    return max(1, math.ceil(x - 100 * tolerance()))
+    """Ceiling that forgives float noise within ``CEIL_SLACK`` of an integer."""
+    return max(1, math.ceil(x - CEIL_SLACK))
 
 
 def is_integer(value) -> bool:
@@ -55,15 +80,15 @@ def isometry_deviations(stack: np.ndarray) -> np.ndarray:
 
 
 def _leading_phase(v: np.ndarray) -> complex:
-    """Unit phase that makes the first component with \\|v_i\\| > 1e-7 real positive."""
+    """Unit phase that makes the first component with \\|v_i\\| > ``PHASE_ANCHOR`` real positive."""
     for x in v.flat:
-        if abs(x) > 1e-7:
+        if abs(x) > PHASE_ANCHOR:
             return x.conjugate() / abs(x)
     return 1.0 + 0.0j
 
 
 def phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first component with \\|v_i\\| > 1e-7 is real positive."""
+    """Rotate a global phase so the first component with \\|v_i\\| > ``PHASE_ANCHOR`` is real positive."""
     v = np.asarray(v, dtype=complex)
     return v * _leading_phase(v)
 
@@ -76,17 +101,16 @@ def _lex_key(v: np.ndarray) -> tuple:
 
 
 def _tie_order(values: np.ndarray, vectors: list[np.ndarray]) -> list[int]:
-    """Indices of descending ``values`` with runs equal within ``10 tau`` sorted by ``_lex_key``.
+    """Indices of descending ``values`` with runs equal within ``TIE`` sorted by ``_lex_key``.
 
     A run of one value is its own order, so its vector is never keyed.
     """
-    tol = tolerance()
     order: list[int] = []
     i = 0
     n = len(values)
     while i < n:
         j = i + 1
-        while j < n and abs(values[j] - values[i]) <= 10 * tol:
+        while j < n and abs(values[j] - values[i]) <= TIE:
             j += 1
         if j == i + 1:
             order.append(i)
@@ -100,7 +124,7 @@ def canonical_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with descending eigenvalues, deterministic.
 
     Each eigenvector is phase-normalized (first significant component real
-    positive); eigenvalues equal within ``10 tau`` are ordered
+    positive); eigenvalues equal within ``TIE`` are ordered
     lexicographically by the normalized eigenvector entries.
     """
     h = np.asarray(h, dtype=complex)
@@ -128,8 +152,8 @@ class SchmidtDecomposition:
     right: np.ndarray
 
     def rank(self) -> int:
-        """Number of coefficients above the tolerance ``tau``."""
-        return int(np.sum(self.coeffs > tolerance()))
+        """Number of coefficients above ``SCHMIDT_DROP``."""
+        return int(np.sum(self.coeffs > SCHMIDT_DROP))
 
 
 def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) -> SchmidtDecomposition:
@@ -159,7 +183,7 @@ def schmidt_decompose(v: np.ndarray, d_left: int, d_right: int | None = None) ->
 
 def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: int) -> bool:
     """Whether ``x (x) 1/x_copies`` is majorized by ``y (x) 1/y_copies``, for
-    nonnegative ``x`` and ``y`` (prefix sums, zero-padded, tolerance ``tau``).
+    nonnegative ``x`` and ``y`` (prefix sums, zero-padded, ``MASS_SLACK``).
 
     Neither side is built.  Sorted, the y side's prefix sum at length t is
     the linear interpolation of ``cumsum(y)`` at t / y_copies, flat past its
@@ -167,16 +191,15 @@ def majorization_check(x: np.ndarray, x_copies: int, y: np.ndarray, y_copies: in
     ``x_copies``.  The gap between them is therefore smallest at such a
     multiple, and only those are compared: O(len(x) + len(y)) work.
     """
-    tol = tolerance()
     x = np.sort(np.asarray(x, dtype=float))[::-1]
     y = np.sort(np.asarray(y, dtype=float))[::-1]
     cx = x.cumsum()
     cy = np.concatenate(([0.0], y.cumsum()))
-    if abs(cx[-1] - cy[-1]) > max(tol, 1e-9 * max(1.0, abs(cy[-1]))):
+    if abs(cx[-1] - cy[-1]) > MASS_SLACK * max(1.0, abs(cy[-1])):
         return False
     ends = np.arange(x_copies, (x.size + 1) * x_copies, x_copies)
     y_at = np.interp(ends, np.arange(0, (y.size + 1) * y_copies, y_copies), cy)
-    return bool((cx <= y_at + tol).all())
+    return bool((cx <= y_at + MASS_SLACK).all())
 
 
 def orthonormal_complement(cols: np.ndarray, out_dim: int) -> np.ndarray:
@@ -202,7 +225,7 @@ def orthonormal_complement(cols: np.ndarray, out_dim: int) -> np.ndarray:
             for b in basis:
                 cand = cand - b * np.vdot(b, cand)
         norm = np.linalg.norm(cand)
-        if norm > 1e-7:
+        if norm > COMPLEMENT_DROP:
             cand = cand / norm
             basis.append(cand)
             out.append(cand)

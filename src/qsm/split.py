@@ -27,7 +27,7 @@ from .locc import (
     generalized_paulis,
     verify_protocol,
 )
-from .numerics import schmidt_decompose, tolerance
+from .numerics import COST_SLACK, SCHMIDT_DROP, schmidt_decompose
 from .statespace import TripartiteState
 
 
@@ -59,9 +59,8 @@ def split_cost(state: TripartiteState) -> SplitReport:
     discontinuously with the rank.
     """
     sd = _transmit_schmidt(state)
-    tol = tolerance()
     rank = sd.rank()
-    borderline = int(np.sum((sd.coeffs > tol) & (sd.coeffs <= 10.0 * tol)))
+    borderline = int(np.sum((sd.coeffs > SCHMIDT_DROP) & (sd.coeffs <= 10.0 * SCHMIDT_DROP)))
     if borderline:
         warnings.warn(
             f"{borderline} Schmidt coefficient(s) of the transmitted register "
@@ -73,7 +72,7 @@ def split_cost(state: TripartiteState) -> SplitReport:
     weights = weights[weights > 0.0]
     entropy = float(-(weights * np.log2(weights)).sum())
     cost = math.log2(rank)
-    if cost < entropy - 1e-9:
+    if cost < entropy - COST_SLACK:
         raise VerificationError(
             f"log2 rank {cost} fell below the entropy rate {entropy}; "
             "the numerical rank is inconsistent"
@@ -155,7 +154,6 @@ def rank_monotonicity_witness(state: TripartiteState, pair_rank: int, outcomes: 
     communication can never raise this rank; the returned records
     ``{"label", "probability", "rank_before", "rank_after"}`` witness that.
     """
-    tol = tolerance()
     records = []
     for outcome in outcomes:
         svals = np.linalg.svd(outcome.state.reshape(-1, state.dims[2]), compute_uv=False)
@@ -164,7 +162,7 @@ def rank_monotonicity_witness(state: TripartiteState, pair_rank: int, outcomes: 
                 "label": outcome.label,
                 "probability": outcome.probability,
                 "rank_before": pair_rank,
-                "rank_after": int(np.sum(svals > tol)),
+                "rank_after": int(np.sum(svals > SCHMIDT_DROP)),
             }
         )
     return records

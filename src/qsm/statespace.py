@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import SchmidtDecomposition, is_integer
+from .numerics import NORM_SLACK, SchmidtDecomposition, is_integer
 
 _MARGINAL_AXES = {"R": (0,), "A": (1,), "B": (2,), "RA": (0, 1), "RB": (0, 2), "AB": (1, 2)}
 
@@ -36,7 +36,7 @@ class TripartiteState:
                 f"amplitude tensor must have three non-empty axes (R, A, B), got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_SLACK:  # written so that a NaN norm fails too
             raise ValidationError(f"state norm {norm} deviates from 1 by more than 1e-6")
         amps = amps / norm
         amps.setflags(write=False)

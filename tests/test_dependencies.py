@@ -292,3 +292,88 @@ def test_only_statespace_lists_catalog_states():
         }) >= 2
     ]
     assert offenders == []
+
+
+# Thresholds allowed outside the tolerance table of ``numerics.py``, by
+# (module file, top-level name), each with the reason it stays.
+THRESHOLD_EXEMPTIONS = {
+    ("bounds.py", "_MinSpectralNormSolver"): "the h_max solver's iteration constants (ROADMAP item 5)",
+    ("merge.py", "DEFAULT_DELTA"): "the user's default cost slack, not a tolerance",
+}
+
+
+def _thresholds(node) -> list:
+    """``(lineno, text)`` of each float literal below 1e-3 in absolute value
+    and each call of ``tolerance()`` (arithmetic on it included) under ``node``."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, float) and 0 < abs(sub.value) < 1e-3:
+            found.append((sub.lineno, repr(sub.value)))
+        elif isinstance(sub, ast.Call) and "tolerance" in (
+            getattr(sub.func, "id", None), getattr(sub.func, "attr", None)
+        ):
+            found.append((sub.lineno, "tolerance()"))
+    return found
+
+
+def threshold_offenders(sources, exemptions) -> list:
+    """Thresholds written outside the tolerance table.
+
+    The table is ``numerics.py``'s top-level assignments and its ``tolerance``
+    function; a top-level definition named in ``exemptions`` may hold
+    thresholds too.  An offence is a threshold (see :func:`_thresholds`)
+    anywhere else, and an exemption that is not defined or holds none.
+    """
+    offenders, used = [], set()
+    for path in sources:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            names = [getattr(top, "name", None)] + [
+                t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)
+            ]
+            if path.name == "numerics.py" and (isinstance(top, ast.Assign) or names[0] == "tolerance"):
+                continue
+            exempt = [(path.name, name) for name in names if (path.name, name) in exemptions]
+            found = _thresholds(top)
+            if exempt and found:
+                used.update(exempt)
+            elif not exempt:
+                offenders += [f"{path.name}:{lineno}: {text}" for lineno, text in found]
+    offenders += [f"{file}: {name} holds no threshold; drop it from the exemptions"
+                  for file, name in sorted(set(exemptions) - used)]
+    return offenders
+
+
+def test_every_threshold_is_named_in_the_tolerance_table():
+    """No float literal below 1e-3 and no ``tolerance()`` call is left in
+    ``src/qsm`` outside the tolerance table of ``numerics``, apart from the
+    named exemptions: every threshold is one named level of that table."""
+    sources = sorted(Path(qsm.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    assert threshold_offenders(sources, THRESHOLD_EXEMPTIONS) == []
+
+
+def test_threshold_guard_on_a_written_package(tmp_path):
+    """The guard passes the table and an exempt definition, and names a
+    literal, arithmetic on ``tolerance()``, a bare ``tolerance()`` local and
+    an exemption that holds no threshold."""
+    (tmp_path / "numerics.py").write_text(
+        "def tolerance():\n    return 1e-9\n\nTIE = 10 * tolerance()\nCUT = 1e-12\n"
+    )
+    (tmp_path / "core.py").write_text(
+        "from .numerics import TIE, tolerance\n\nSOLVER_STEP = 1e-4\n\n"
+        "def check(x):\n    return x > TIE and x < 0.5\n"
+    )
+    sources = sorted(tmp_path.glob("*.py"))
+    exempt = {("core.py", "SOLVER_STEP"): "why"}
+    assert threshold_offenders(sources, exempt) == []
+    assert threshold_offenders(sources, {}) == ["core.py:3: 0.0001"]
+    (tmp_path / "core.py").write_text(
+        "from .numerics import tolerance\n\ndef check(x):\n"
+        "    tol = tolerance()\n    return x > 10 * tol and x - 1e-6 > -tolerance()\n"
+    )
+    assert threshold_offenders(sources, exempt) == [
+        "core.py:4: tolerance()",
+        "core.py:5: 1e-06",
+        "core.py:5: tolerance()",
+        "core.py: SOLVER_STEP holds no threshold; drop it from the exemptions",
+    ]

@@ -706,33 +706,53 @@ def _merge_outcome(state, tmp_path) -> str:
     return f"exit {code}: {report['error']}"
 
 
-# A-side weight w/2 per level of the |1>_R branch.  The support cutoff drops A
-# eigenvalues <= 10 tau and blocks with p_j <= 100 tau are zeroed, while the
-# reconstruction check allows 10 tau of fidelity loss: a valid state between
-# about 3e-9 and 1e-7 exits 3.  Points within an ulp-scale margin of a
-# threshold (5e-9, 1e-7) are left out.
+def _two_level_state(w: float, seed: int) -> statespace.TripartiteState:
+    """√(1−w)|00⟩ + √w|11⟩ on (1, 2, 2), rotated on A and B: no spectator."""
+    amps = np.zeros((1, 2, 2), dtype=complex)
+    amps[0, 0, 0] = np.sqrt(1.0 - w)
+    amps[0, 1, 1] = np.sqrt(w)
+    return _rotated(amps, seed)
+
+
+# _band_state: A-side weight w/2 per level of the |1>_R branch.  The support
+# cutoff drops A eigenvalues <= 10 tau and blocks with p_j <= 100 tau are
+# zeroed, while the reconstruction check allows 10 tau of fidelity loss: a
+# valid state between about 3e-9 and 1e-7 exits 3.  _two_level_state: the
+# support cutoff drops the weight-w level of rho_A (<= 10 tau), but
+# apply_protocol keeps every outcome above tau and verify_protocol scores each
+# kept one at 1 - 10 tau, so w from about 1e-9 to 2e-8 exits 3 too.  Points
+# within an ulp-scale margin of a threshold (5e-9, 1e-7; 1e-9) are left out.
 _BAND_OUTCOMES = [
-    (1e-9, "verified"),
-    (2e-9, "verified"),
-    (3e-9, "branch"),
-    (4e-9, "branch"),
-    (6e-9, "reconstruction"),
-    (1e-8, "reconstruction"),
-    (3e-8, "reconstruction"),
-    (9e-8, "reconstruction"),
-    (1.1e-7, "verified"),
-    (2e-7, "verified"),
-    (1e-6, "verified"),
+    (_band_state, 1e-9, "verified"),
+    (_band_state, 2e-9, "verified"),
+    (_band_state, 3e-9, "branch"),
+    (_band_state, 4e-9, "branch"),
+    (_band_state, 6e-9, "reconstruction"),
+    (_band_state, 1e-8, "reconstruction"),
+    (_band_state, 3e-8, "reconstruction"),
+    (_band_state, 9e-8, "reconstruction"),
+    (_band_state, 1.1e-7, "verified"),
+    (_band_state, 2e-7, "verified"),
+    (_band_state, 1e-6, "verified"),
+    (_two_level_state, 5e-10, "verified"),
+    (_two_level_state, 2e-9, "branch"),
+    (_two_level_state, 5e-9, "branch"),
+    (_two_level_state, 8e-9, "reconstruction"),
+    (_two_level_state, 2e-8, "verified"),
+]
+_BAND_IDS = [
+    f"{w:g}" if family is _band_state else f"two-level-{w:g}" for family, w, _ in _BAND_OUTCOMES
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("w, outcome", _BAND_OUTCOMES, ids=[f"{w:g}" for w, _ in _BAND_OUTCOMES])
-def test_merge_outcome_across_the_small_weight_band(tmp_path, w, outcome, seed):
-    """A small second R branch gives a deterministic verdict at every weight,
-    never a raw numpy exception; the band where it exits 3 is pinned as it
-    stands (ROADMAP item 7)."""
-    assert _merge_outcome(_band_state(w, seed), tmp_path) == outcome
+@pytest.mark.parametrize("family, w, outcome", _BAND_OUTCOMES, ids=_BAND_IDS)
+def test_merge_outcome_across_the_small_weight_band(tmp_path, family, w, outcome, seed):
+    """A small second R branch, or a small second level without a spectator,
+    gives a deterministic verdict at every weight, never a raw numpy
+    exception; the bands where the merge exits 3 are pinned as they stand
+    (ROADMAP item 18)."""
+    assert _merge_outcome(family(w, seed), tmp_path) == outcome
 
 
 _SPECTRA = {

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsm import numerics
+from qsm import ki, locc, numerics
+from qsm.errors import ValidationError
 from qsm.split import build_split_protocol
 from qsm.statespace import catalog
 
@@ -20,6 +21,94 @@ RNG = np.random.default_rng(20260823)
 
 def test_tolerance_is_fixed():
     assert numerics.tolerance() == 1e-9
+
+
+_TAU = 1e-9
+# Each level of the tolerance table as the code spelled it before the table
+# named it: a product on tau, or a literal.
+_LEVELS = {
+    "TIE": 10 * _TAU,
+    "MATCH": 10 * _TAU,
+    "SPECTRUM_DROP": 10 * _TAU,
+    "BLOCK_DROP": 100 * _TAU,
+    "FIDELITY_LOSS": 10 * _TAU,
+    "ISOMETRY_SLACK": 10 * _TAU,
+    "KI_SLACK": 1e3 * _TAU,
+    "CEIL_SLACK": 100 * _TAU,
+    "BRANCH_DROP": _TAU,
+    "SCHMIDT_DROP": _TAU,
+    "MASS_SLACK": _TAU,
+    "PARALLEL_DROP": _TAU,
+    "NORM_SLACK": 1e-6,
+    "BOUND_SLACK": 1e-6,
+    "COST_SLACK": 1e-9,
+    "COST_TIE": 1e-12,
+    "WEIGHT_SLACK": 1e-12,
+    "RATIONAL_WIDENING": 1e-12,
+    "CUT_FILTER": 1e-12,
+    "POLAR_SLACK": 1e-6,
+    "PHASE_ANCHOR": 1e-7,
+    "COMPLEMENT_DROP": 1e-7,
+    "CHANNEL_SLACK": 1e-8,
+    "ALIGNMENT_SLACK": 1e-7,
+}
+
+
+def test_tolerance_table_keeps_every_level_bit_for_bit():
+    """The table holds exactly these levels, each equal (``==``) to the
+    product or literal the code compared with before: 100 tau and 1e3 tau
+    are not the literals 1e-7 and 1e-6."""
+    table = {
+        name: value for name, value in vars(numerics).items()
+        if name.isupper() and isinstance(value, float)
+    }
+    assert sorted(table) == sorted(_LEVELS)
+    for name, value in _LEVELS.items():
+        assert table[name] == value, name
+    assert numerics.BLOCK_DROP == 1.0000000000000001e-07 != 1e-7
+    assert numerics.KI_SLACK == 1.0000000000000002e-06 != 1e-6
+
+
+@pytest.mark.parametrize("rise", [0.0, 0.5, 0.99, 1.5, 3.0])
+def test_flatten_schedule_ties_as_canonical_eigh_does(rise):
+    """Two masses that rise by ``rise`` TIE are taken as sorted by
+    ``flatten_schedule`` exactly when ``canonical_eigh`` orders them as a tie
+    (by their eigenvectors, so the rising pair keeps its basis order)."""
+    rising = [0.3, 0.3 + rise * numerics.TIE]
+    vals, _ = numerics.canonical_eigh(np.diag(rising))
+    tied = vals.tolist() == rising
+    try:
+        locc.flatten_schedule(rising, 1)
+        sorted_ = True
+    except ValidationError:
+        sorted_ = False
+    assert tied == sorted_ == (rise <= 1.0)
+
+
+def test_generator_witness_screens_with_the_proportional_cuts():
+    """The batched screen of ``_generator_witness`` passes a compressed
+    steered state exactly where ``_proportional`` calls it proportional to
+    the reference, on both sides of its trace cut and of its deviation cut."""
+    ref = np.diag([0.6, 0.4]).astype(complex)
+    direction = np.diag([1.0, -1.0]).astype(complex)  # traceless
+    space = np.eye(2, dtype=complex).reshape(2, 2, 1)  # compressions are the generators
+    verdicts = {}
+    for trace in (0.5 * numerics.BLOCK_DROP, 2.0 * numerics.BLOCK_DROP, 1.0):
+        for dev in (0.5, 2.0):
+            rho = trace * (ref + dev * numerics.MATCH * direction)
+            proportional = ki._proportional(rho, ref)
+            assert (ki._generator_witness(space, rho[None], ref) is None) == proportional
+            verdicts[trace, dev] = proportional
+    assert [key for key, ok in verdicts.items() if not ok] == [
+        (2.0 * numerics.BLOCK_DROP, 2.0), (1.0, 2.0)
+    ]
+
+
+def test_rational_widening_does_not_exceed_the_flattening_cut_filter():
+    """``rational_upper_approx`` widens its window down by no more than
+    ``flatten_schedule`` filters its cuts; today the two are equal."""
+    assert numerics.RATIONAL_WIDENING <= numerics.CUT_FILTER
+    assert numerics.RATIONAL_WIDENING == numerics.CUT_FILTER
 
 
 def test_dagger():
